@@ -1,23 +1,9 @@
 """Exact iterated cyclic convolution of integer histograms on (Z/p)^r.
 
-Small problems run through sparse dict convolution in pure integers.  Large
-ones run through a number-theoretic transform modulo two 30-bit primes with
-CRT reconstruction, which stays exact as long as every convolution value is
-below the product of the two primes (about 7.5e17).  No floating point is
-used on either path.
+Sparse dicts of Python integers keep every count exact at any size.
+`sparse_work` estimates the cost up front, for callers that choose between
+routes or refuse a histogram that would take too long.
 """
-
-import numpy as np
-
-# q = c * 2^k + 1 with primitive root g; products of residues fit in int64
-_NTT_PRIMES = ((998244353, 3), (754974721, 11))
-_NTT_CAPACITY = _NTT_PRIMES[0][0] * _NTT_PRIMES[1][0]
-
-_SPARSE_WORK_LIMIT = 20_000_000
-
-
-class ConvolutionCapacityError(OverflowError):
-    """Raised when requested counts could exceed the exact reconstruction range."""
 
 
 def _sparse_pair(cur: dict, base: dict, p: int, r: int) -> dict:
@@ -37,130 +23,25 @@ def _sparse_pair(cur: dict, base: dict, p: int, r: int) -> dict:
     return out
 
 
-_bitrev_cache: dict = {}
+def sparse_work(nnz: int, k: int, size: int) -> int:
+    """Worst-case dict updates of a k-fold self-convolution of nnz cells on a grid of size cells.
 
-
-def _bitrev(L: int):
-    idx = _bitrev_cache.get(L)
-    if idx is None:
-        bits = L.bit_length() - 1
-        idx = np.zeros(L, dtype=np.int64)
-        for i in range(1, L):
-            idx[i] = (idx[i >> 1] >> 1) | ((i & 1) << (bits - 1))
-        _bitrev_cache[L] = idx
-    return idx
-
-
-def _ntt_rows(a, q: int, g: int, inverse: bool):
-    """In-place radix-2 NTT of each row of a (shape (B, L), L a power of two)."""
-    L = a.shape[-1]
-    a[:] = a[:, _bitrev(L)]
-    root = pow(g, (q - 1) // L, q)
-    if inverse:
-        root = pow(root, q - 2, q)
-    m = 1
-    while m < L:
-        span = 2 * m
-        wbase = pow(root, L // span, q)
-        w = [1] * m
-        for i in range(1, m):
-            w[i] = w[i - 1] * wbase % q
-        w = np.asarray(w, dtype=np.int64)
-        v = a.reshape(a.shape[0], L // span, span)
-        lo = v[..., :m]
-        t = v[..., m:] * w % q
-        v[..., m:] = (lo - t) % q
-        v[..., :m] = (lo + t) % q
-        m = span
-    if inverse:
-        a *= pow(L, q - 2, q)
-        a %= q
-
-
-def _ntt_nd(arr, q: int, g: int, inverse: bool):
-    """Forward/inverse NTT along every axis of a 1- or 2-dim int64 array."""
-    if arr.ndim == 1:
-        view = arr.reshape(1, -1)
-        _ntt_rows(view, q, g, inverse)
-        return arr
-    _ntt_rows(arr, q, g, inverse)
-    arr_t = np.ascontiguousarray(arr.T)
-    _ntt_rows(arr_t, q, g, inverse)
-    arr[:] = arr_t.T
-    return arr
-
-
-def _fold_cyclic(res, p: int):
-    """Fold a linear convolution result down to size p along every axis."""
-    for axis in range(res.ndim):
-        if res.shape[axis] == p:
-            continue
-        res = np.moveaxis(res, axis, 0)
-        out = res[:p].copy()
-        off = p
-        while off < res.shape[0]:
-            seg = res[off : off + p]
-            out[: seg.shape[0]] += seg
-            off += p
-        res = np.moveaxis(out, 0, axis)
-    return res
-
-
-class _DenseCyclicConvolver:
-    """Repeated exact cyclic convolution with a fixed base histogram."""
-
-    def __init__(self, base, p: int, value_bound: int):
-        if value_bound >= _NTT_CAPACITY:
-            raise ConvolutionCapacityError(
-                f"value bound {value_bound} exceeds exact NTT capacity {_NTT_CAPACITY}"
-            )
-        self.p = p
-        L = 1
-        while L < 2 * p - 1:
-            L *= 2
-        self.L = L
-        self._base_hat = []
-        for q, g in _NTT_PRIMES:
-            padded = np.zeros((L,) * base.ndim, dtype=np.int64)
-            padded[tuple(slice(0, p) for _ in range(base.ndim))] = base % q
-            self._base_hat.append(_ntt_nd(padded, q, g, inverse=False))
-
-    def convolve(self, cur):
-        residues = []
-        for (q, g), bhat in zip(_NTT_PRIMES, self._base_hat):
-            padded = np.zeros((self.L,) * cur.ndim, dtype=np.int64)
-            padded[tuple(slice(0, self.p) for _ in range(cur.ndim))] = cur % q
-            _ntt_nd(padded, q, g, inverse=False)
-            padded *= bhat
-            padded %= q
-            _ntt_nd(padded, q, g, inverse=True)
-            residues.append(_fold_cyclic(padded, self.p))
-        return _crt_pair(residues[0], residues[1])
-
-
-def _crt_pair(r1, r2):
-    q1, q2 = _NTT_PRIMES[0][0], _NTT_PRIMES[1][0]
-    inv = pow(q1, q2 - 2, q2)
-    # x = r1 + q1 * ((r2 - r1) * inv mod q2); x < q1*q2 ~ 7.5e17 fits int64
-    diff = (r2 - r1) % q2
-    diff *= inv
-    diff %= q2
-    return r1 + q1 * diff
-
-
-def _dense_from_hist(hist: dict, p: int, r: int):
-    arr = np.zeros((p,) * r, dtype=np.int64)
-    for k, c in hist.items():
-        arr[k] += c
-    return arr
+    Step j pairs the at most min(nnz^j, size) cells of the j-fold power with the nnz base cells.
+    """
+    work = 0
+    grown = nnz
+    for _ in range(k - 1):
+        work += grown * nnz
+        grown = min(grown * nnz, size)
+    return work
 
 
 def self_convolution_power(hist: dict, k: int, p: int, r: int, value_bound: int):
     """k-fold cyclic self-convolution of hist on (Z/p)^r, exactly.
 
     hist maps residues (ints for r=1, r-tuples otherwise) to nonnegative
-    counts.  Returns a dict on the sparse path or an int64 ndarray on the
-    dense path; values are exact integers either way.
+    counts.  Returns a dict of exact integer counts.  value_bound, an upper
+    bound on every returned count, is not needed by the integer arithmetic.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -168,38 +49,12 @@ def self_convolution_power(hist: dict, k: int, p: int, r: int, value_bound: int)
         raise ValueError(f"only r in {{1, 2}} is supported, got r={r}")
     if not hist:
         raise ValueError("empty histogram")
-    nnz = len(hist)
-    size = p**r
-    # worst-case sparse work: each pairwise step touches at most
-    # min(nnz^j, p^r) * nnz cells
-    work = 0
-    grown = nnz
+    cur = dict(hist)
     for _ in range(k - 1):
-        grown = min(grown * nnz, size)
-        work += grown * nnz
-    if work <= _SPARSE_WORK_LIMIT or size > _NTT_CAPACITY:
-        cur = dict(hist)
-        for _ in range(k - 1):
-            cur = _sparse_pair(cur, hist, p, r)
-        return cur
-    base = _dense_from_hist(hist, p, r)
-    if value_bound >= _NTT_CAPACITY:
-        raise ConvolutionCapacityError(
-            f"value bound {value_bound} exceeds exact NTT capacity {_NTT_CAPACITY}"
-        )
-    conv = _DenseCyclicConvolver(base, p, value_bound)
-    cur = base
-    for _ in range(k - 1):
-        cur = conv.convolve(cur)
+        cur = _sparse_pair(cur, hist, p, r)
     return cur
 
 
-def sum_of_squares(result) -> int:
-    """Sum of squared counts of a convolution result (dict or ndarray), exact."""
-    if isinstance(result, dict):
-        return sum(c * c for c in result.values())
-    # python-int accumulation avoids int64 overflow in the squares
-    total = 0
-    for c in np.asarray(result).ravel().tolist():
-        total += c * c
-    return total
+def sum_of_squares(result: dict) -> int:
+    """Sum of squared counts of a convolution result, exact."""
+    return sum(c * c for c in result.values())

@@ -3,6 +3,7 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from weilsums import cli
@@ -163,6 +164,20 @@ def test_guard_is_exit_2(capsys):
     rc, _, err = run(capsys, "moment", "--p", "10007", "--tau", "2", "--k", "2", "--exps", "1,2", "--method", "conv")
     assert rc == 2
     assert "error:" in err
+
+
+def test_moment_large_k_on_full_group(capsys):
+    # p^2 tau^12 needs 140 bits: the orbit route takes as many CRT moduli as the bound needs
+    rc, out, _ = run(capsys, "moment", "--p", "1009", "--tau", "1008", "--k", "6", "--exps", "1,2", "--method", "conv")
+    assert rc == 0
+    assert out == "Q = 1080796806656096236195158122544\n"
+    # floating-point Parseval estimate: p^-2 sum over xi of |h^(xi)|^12
+    p = 1009
+    grid = np.zeros((p, p))
+    for g in range(1, p):
+        grid[g, g * g % p] += 1
+    estimate = np.sum(np.abs(np.fft.fft2(grid)) ** 12) / p**2
+    assert abs(1080796806656096236195158122544 / estimate - 1) < 1e-9
 
 
 def test_verify_moments_csv(tmp_path, capsys):

@@ -1,9 +1,8 @@
-"""Exact integer cyclic convolution: sparse dict path vs NTT dense path."""
+"""Exact integer cyclic convolution on sparse dicts, against direct enumeration."""
 
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from weilsums import convolution
@@ -25,20 +24,8 @@ def brute_power(hist, k, p, r):
     return out
 
 
-def as_dict(result, p, r):
-    if isinstance(result, dict):
-        return {k: v for k, v in result.items() if v}
-    arr = np.asarray(result)
-    out = {}
-    if r == 1:
-        for i, v in enumerate(arr.tolist()):
-            if v:
-                out[i] = v
-    else:
-        for idx, v in np.ndenumerate(arr):
-            if v:
-                out[idx] = int(v)
-    return out
+def nonzero(result):
+    return {k: v for k, v in result.items() if v}
 
 
 def random_hist(rng, p, r, nnz):
@@ -55,13 +42,13 @@ def random_hist(rng, p, r, nnz):
 def test_identity_power():
     hist = {3: 2, 5: 1}
     got = convolution.self_convolution_power(hist, 1, 7, 1, 3)
-    assert as_dict(got, 7, 1) == hist
+    assert nonzero(got) == hist
 
 
 def test_small_known_value():
     # (x^1 + x^2)^2 on Z/3: exponent sums 2,3,3,4 -> {2:1, 0:2, 1:1}
     got = convolution.self_convolution_power({1: 1, 2: 1}, 2, 3, 1, 4)
-    assert as_dict(got, 3, 1) == {0: 2, 1: 1, 2: 1}
+    assert nonzero(got) == {0: 2, 1: 1, 2: 1}
 
 
 def test_randomized_against_bruteforce():
@@ -74,32 +61,7 @@ def test_randomized_against_bruteforce():
         hist = random_hist(rng, p, r, nnz)
         bound = sum(hist.values()) ** k
         got = convolution.self_convolution_power(hist, k, p, r, bound)
-        assert as_dict(got, p, r) == {k_: v for k_, v in brute_power(hist, k, p, r).items() if v}
-
-
-def test_dense_convolver_agrees_with_sparse():
-    # drive the NTT machinery directly and compare to the sparse recurrence
-    rng = random.Random("densecmp")
-    for p, r, k in ((17, 1, 3), (31, 1, 4), (13, 2, 2), (7, 2, 3)):
-        hist = random_hist(rng, p, r, min(3 * p, p**r))
-        bound = sum(hist.values()) ** k
-        base = convolution._dense_from_hist(hist, p, r)
-        conv = convolution._DenseCyclicConvolver(base, p, bound)
-        cur = base
-        for _ in range(k - 1):
-            cur = conv.convolve(cur)
-        sparse = convolution.self_convolution_power(hist, k, p, r, bound)
-        assert isinstance(sparse, dict)
-        assert as_dict(cur, p, r) == {k_: v for k_, v in sparse.items() if v}
-
-
-def test_dense_route_selected_for_large_inputs():
-    # full uniform grid: k=2 convolution is p^2 in every cell
-    p = 97
-    hist = {(i, j): 1 for i in range(p) for j in range(p)}
-    got = convolution.self_convolution_power(hist, 2, p, 2, len(hist) ** 2)
-    assert isinstance(got, np.ndarray)
-    assert int(np.min(got)) == int(np.max(got)) == p * p
+        assert nonzero(got) == {k_: v for k_, v in brute_power(hist, k, p, r).items() if v}
 
 
 def test_mass_conservation():
@@ -111,16 +73,8 @@ def test_mass_conservation():
         hist = random_hist(rng, p, r, min(8, p**r))
         mass = sum(hist.values())
         got = convolution.self_convolution_power(hist, k, p, r, mass**k)
-        total = sum(as_dict(got, p, r).values())
+        total = sum(nonzero(got).values())
         assert total == mass**k
-
-
-def test_capacity_error():
-    # dense route with a value bound beyond the CRT capacity must refuse
-    p = 101
-    hist = {(i, j): 1 for i in range(p) for j in range(p)}
-    with pytest.raises(convolution.ConvolutionCapacityError):
-        convolution.self_convolution_power(hist, 2, p, 2, 10**18)
 
 
 def test_validation():
@@ -134,21 +88,20 @@ def test_validation():
 
 def test_sum_of_squares():
     assert convolution.sum_of_squares({0: 3, 4: 2}) == 13
-    arr = np.array([3, 0, 2], dtype=np.int64)
-    assert convolution.sum_of_squares(arr) == 13
-    # python-int accumulation must survive int64-overflowing squares
-    big = np.array([2**31 + 5, 2**31 + 7], dtype=np.int64)
-    want = (2**31 + 5) ** 2 + (2**31 + 7) ** 2
-    assert convolution.sum_of_squares(big) == want
+    # python ints: squares beyond int64 stay exact
+    assert convolution.sum_of_squares({0: 2**31 + 5, 1: 2**31 + 7}) == (2**31 + 5) ** 2 + (2**31 + 7) ** 2
 
 
-def test_ntt_roundtrip():
-    # the row transform is in place; forward then inverse restores the input
-    rng = random.Random("ntt")
-    for q, g in convolution._NTT_PRIMES:
-        for L in (1, 2, 8, 64):
-            a = np.array([[rng.randrange(q) for _ in range(L)]], dtype=np.int64)
-            orig = a.copy()
-            convolution._ntt_rows(a, q, g, inverse=False)
-            convolution._ntt_rows(a, q, g, inverse=True)
-            assert np.array_equal(a, orig)
+def test_sparse_work_counts_pair_updates():
+    # k=3 with 4 cells on a 7-cell grid: 4*4 pairs, then min(16, 7)*4
+    assert convolution.sparse_work(4, 3, 7) == 16 + 28
+    assert convolution.sparse_work(4, 1, 7) == 0
+    rng = random.Random("sparsework")
+    for _ in range(10):
+        p, r, k = rng.choice((5, 11)), rng.choice((1, 2)), rng.randrange(1, 5)
+        hist = random_hist(rng, p, r, min(6, p**r))
+        pairs, cur = 0, dict(hist)
+        for _ in range(k - 1):
+            pairs += len(cur) * len(hist)
+            cur = convolution._sparse_pair(cur, hist, p, r)
+        assert pairs <= convolution.sparse_work(len(hist), k, p**r)

@@ -1,0 +1,67 @@
+"""Golden stdout corpus: fixed CLI commands whose stdout and exit code are frozen.
+
+The corpus (`golden_stdout.json`) was recorded before the dense NTT moment
+route was removed, so it pins the moment, t3 and moment-driven verify
+outputs across changes of route.  Regenerate it only for an intended change
+of output:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from weilsums import cli
+
+CORPUS = pathlib.Path(__file__).with_name("golden_stdout.json")
+
+COMMANDS = (
+    ("moment", "--p", "13", "--tau", "4", "--k", "3", "--exps", "1,2", "--method", "brute"),
+    ("moment", "--p", "13", "--tau", "4", "--k", "3", "--exps", "1,2", "--method", "conv"),
+    ("moment", "--p", "13", "--tau", "4", "--k", "3", "--exps", "1,2"),
+    ("moment", "--p", "31", "--tau", "30", "--k", "3", "--exps", "2,3", "--method", "both"),
+    ("moment", "--p", "211", "--tau", "42", "--k", "3", "--exps", "1,3", "--method", "both"),
+    ("moment", "--p", "101", "--tau", "100", "--k", "1", "--exps", "1", "--method", "conv"),
+    # the dense 2-D and 1-D NTT routes of the recording tree
+    ("moment", "--p", "307", "--tau", "306", "--k", "2", "--exps", "1,2", "--method", "conv"),
+    ("moment", "--p", "4481", "--tau", "4480", "--k", "3", "--exps", "1", "--method", "conv"),
+    ("t3", "--p", "13", "--s", "3", "--m", "1", "--n", "2"),
+    ("t3", "--p", "61", "--s", "1", "--m", "1", "--n", "2"),
+    ("t3", "--p", "101", "--s", "4", "--m", "2", "--n", "3"),
+    ("verify", "--suite", "q3", "--pmin", "11", "--pmax", "61"),
+    ("verify", "--suite", "moments", "--pmin", "11", "--pmax", "31"),
+    ("verify", "--suite", "lemma31", "--pmin", "11", "--pmax", "61"),
+)
+
+
+def _run(argv) -> tuple:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue()
+
+
+def _corpus() -> dict:
+    return json.loads(CORPUS.read_text())
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv))
+def test_golden_stdout(argv):
+    want = _corpus()[" ".join(argv)]
+    rc, out = _run(argv)
+    assert rc == want["exit"]
+    assert out == want["stdout"]
+
+
+if __name__ == "__main__":
+    corpus = {}
+    for argv in COMMANDS:
+        rc, out = _run(argv)
+        corpus[" ".join(argv)] = {"exit": rc, "stdout": out}
+        print(f"{rc} {' '.join(argv)}", file=sys.stderr)
+    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from weilsums import field, moments
+from weilsums import convolution, field, moments
 from weilsums.field import GuardExceeded
 from weilsums.sums import SparsePolynomial
 
@@ -232,3 +232,99 @@ def test_xi_exponent():
         moments.xi_exponent(2, 2, Fraction(1, 10), 0)
     with pytest.raises(ValueError):
         moments.xi_exponent(2, 3, 0, 0)
+
+
+def _routes(hist, k, p, r):
+    """Q from the forced orbit route and from the forced sparse route."""
+    mass = sum(hist.values())
+    moduli = moments._moduli(p, p**r * mass ** (2 * k))
+    sparse = convolution.sum_of_squares(convolution.self_convolution_power(hist, k, p, r, mass**k))
+    return moments._orbit_count(hist, k, p, r, moduli), sparse
+
+
+def _subgroup_hist(G, nvec):
+    return moments._hist_from_vectors(moments._power_vectors(G, nvec), len(nvec))
+
+
+def test_orbit_sparse_brute_agree_on_sweep():
+    # the acceptance criterion-4 sweep: p <= 31, every subgroup, k <= 3
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for tau in field.divisors(p - 1):
+            G = field.subgroup(p, tau)
+            for k in (1, 2, 3):
+                for nvec in ((1,), (1, 2), (2, 3), (1, 3)):
+                    want = moments.q_bruteforce(G, nvec, k)
+                    assert _routes(_subgroup_hist(G, nvec), k, p, len(nvec)) == (want, want), (p, tau, k, nvec)
+
+
+def test_orbit_agrees_on_random_cases():
+    # first exponents sharing a factor with tau (several cosets of H_1, and
+    # power maps that are not injective), k = 1, and the primes 2 and 3
+    rng = random.Random("orbitroutes")
+    primes = [p for p in range(2, 110) if field.is_prime(p)]
+    cases = 0
+    while cases < 40:
+        p = rng.choice(primes if cases % 4 else (2, 3))
+        tau = rng.choice(field.divisors(p - 1))
+        r = rng.choice((1, 2))
+        k = 1 if cases % 5 == 0 else rng.randrange(2, 5)
+        shared = [d for d in field.divisors(tau) if d > 1]
+        n1 = rng.choice(shared) * rng.randrange(1, 4) if shared and cases % 2 else rng.randrange(1, 6)
+        nvec = (n1,) if r == 1 else (n1, n1 + rng.randrange(1, 7))
+        hist = _subgroup_hist(field.subgroup(p, tau), nvec)
+        if convolution.sparse_work(len(hist), k, p**r) > 300_000:
+            continue
+        orbit, sparse = _routes(hist, k, p, r)
+        assert orbit == sparse, (p, tau, nvec, k)
+        if tau**k <= 20_000:
+            assert orbit == independent_q(field.subgroup(p, tau), nvec, k)
+        cases += 1
+
+
+def test_t3_orbit_agrees_with_sparse():
+    # t3_count's histogram: (x^{sm}, x^{sn}) over x in F_p*
+    for p in [p for p in range(2, 62) if field.is_prime(p)]:
+        for s, m, n in ((1, 1, 2), (2, 2, 3), (3, 1, 3)):
+            hist = _subgroup_hist(field.subgroup(p, p - 1), (s * m, s * n))
+            orbit, sparse = _routes(hist, 3, p, 2)
+            assert orbit == sparse, (p, s, m, n)
+
+
+def test_route_choice():
+    # criterion 13: tau = p - 1 on a 1009^2 grid; the sparse route would take minutes
+    big = _subgroup_hist(field.subgroup(1009, 1008), (1, 2))
+    assert moments._route(big, 3, 1009, 2) is not None
+    # tau = 10, k = 2: 100 dict updates against a 2-D grid pass
+    small = _subgroup_hist(field.subgroup(601, 10), (1, 2))
+    assert moments._route(small, 2, 601, 2) is None
+    # k = 1 needs no convolution at all
+    assert moments._route(big, 1, 1009, 2) is None
+
+
+def test_moduli():
+    for p in (2, 3, 1009):
+        found = moments._moduli(p, 2**200)
+        qs = [q for q, _ in found]
+        assert math.prod(qs) > 2**200 and len(set(qs)) == len(qs)
+        for q, w in found:
+            assert q < 2**31 and q % p == 1 and field.is_prime(q)
+            assert w != 1 and pow(w, p, q) == 1
+    # fewer primes q = 1 (mod p) lie below 2^31 than this bound needs
+    assert moments._moduli(1048573, 2**100000) is None
+
+
+def test_j_histogram_work_guard():
+    # the whole histogram of 1008^3 tuples on a 1009^2 grid is refused at once
+    with pytest.raises(GuardExceeded) as exc:
+        moments.j_histogram(field.subgroup(1009, 1008), (1, 2), (1, 1), 3)
+    assert exc.value.guard == "sparse work"
+    assert exc.value.limit == moments.HISTOGRAM_WORK_LIMIT
+
+
+def test_moment_inequality_large_k():
+    # k = l = 40: |S|^3200 and the right side both leave the float range
+    G = field.subgroup(31, 30)
+    rep = moments.verify_moment_inequality(G, SparsePolynomial.parse("1*x^1"), 40, 40)
+    assert rep.holds and rep.q_k == rep.q_l
+    rep = moments.verify_moment_inequality(field.subgroup(31, 5), SparsePolynomial.parse("1*x^1+3*x^2"), 40, 40)
+    assert rep.lhs == math.inf and rep.holds
