@@ -15,12 +15,14 @@ p^r gcd(n_1, tau)/tau points xi, each a sum over the support of h.  Residues
 modulo primes q < 2^31 keep int64 products below 2^62, and CRT over moduli
 whose product exceeds p^r tau^(2k) >= p^r Q_k recovers p^r Q_k exactly; the
 result is checked to be divisible by p^r.  `q_convolution` and `t3_count` take
-the route with the smaller estimated work; `j_histogram` needs all of H and
-always takes the sparse route.
+the route with the smaller estimated work.  Where the sparse route is the only
+one (`j_histogram`, which needs all of H, or too few such q for the bound), it
+refuses more than SPARSE_WORK_LIMIT dict updates.
 """
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -29,15 +31,18 @@ from math import gcd
 import numpy as np
 
 from . import convolution
-from .field import GuardExceeded, is_prime, least_primitive_root, prime_modulus, subgroup
+from .field import GuardExceeded, is_prime, least_primitive_root, prime_modulus
 from .sums import SparsePolynomial, subgroup_sum
 
 BRUTE_FORCE_LIMIT = 10**8
 GRID_SIZE_LIMIT = 10**8  # largest p^r the convolution routes accept
-HISTOGRAM_WORK_LIMIT = 20_000_000  # sparse work `j_histogram` accepts, about 10-30 s
+SPARSE_WORK_LIMIT = 20_000_000  # sparse work accepted where no other route can run, about 10-30 s
 
 _MODULUS_LIMIT = 2**31
-_CHUNK = 2**20  # int64 entries of the largest orbit-route array (8 MB), p-entry root tables included
+_CHUNK = 2**20  # int64 entries of an orbit-route temporary (8 MB), or one support row if longer
+# Largest p with whole tables of w^j and w^-j (256 KB per modulus); above it (r = 1 only, by
+# GRID_SIZE_LIMIT) each is two tables of about sqrt(p) entries, at 4x the cost per gather.
+_FULL_TABLE = 2**14
 # Cost of one sparse dict update in orbit work units (see `_route`).  On a 2-core
 # x86-64 host (Python 3.11, numpy 2.4) the k=3, r=2 cells of subgroup(601, 30) and
 # subgroup(601, 40) took 560-620 ns per sparse update and 9-12 ns per orbit unit;
@@ -89,14 +94,7 @@ def q_bruteforce(G, nvec, k: int) -> int:
 
 
 def _hist_from_vectors(vecs, r: int) -> dict:
-    hist: dict = {}
-    if r == 1:
-        for v in vecs:
-            hist[v[0]] = hist.get(v[0], 0) + 1
-    else:
-        for v in vecs:
-            hist[v] = hist.get(v, 0) + 1
-    return hist
+    return Counter(v[0] for v in vecs) if r == 1 else Counter(vecs)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -118,35 +116,41 @@ def _modulus(p: int, i: int):
 def _moduli(p: int, bound: int):
     """The first moduli of `_modulus(p, .)` whose product exceeds bound, or None if too few exist."""
     out = []
-    prod = 1
-    while prod <= bound:
-        m = _modulus(p, len(out))
-        if m is None:
+    while math.prod(q for q, _ in out) <= bound:
+        if (m := _modulus(p, len(out))) is None:
             return None
         out.append(m)
-        prod *= m[0]
     return out
 
 
-def _root_tables(q: int, w: int, p: int) -> tuple:
-    """(w^j, w^-j) mod q for j = 0..p-1, as int64 arrays."""
-    table = np.ones(p, dtype=np.int64)
-    n, wn = 1, w
-    while n < p:
-        table[n : 2 * n] = table[: min(n, p - n)] * wn % q
-        n, wn = 2 * n, wn * wn % q
-    return table, np.roll(table[::-1], 1)
+def _geometric(x: int, n: int, q: int):
+    """x^j mod q for j = 0..n-1, as an int64 array."""
+    table = np.ones(n, dtype=np.int64)
+    m, xm = 1, x
+    while m < n:
+        table[m : 2 * m] = table[: min(m, n - m)] * xm % q
+        m, xm = 2 * m, xm * xm % q
+    return table
+
+
+def _root_tables(q: int, w: int, p: int, s: int) -> tuple:
+    """(low, high) with w^j = low[j % s] * high[j // s] mod q for j = 0..p-1, as int64 arrays."""
+    return _geometric(w, min(s, p), q), _geometric(pow(w, s, q), (p - 1) // s + 1, q)
 
 
 def _orbit_count(hist: dict, k: int, p: int, r: int, moduli) -> int:
     """sum_x H(x)^2 for H = hist^{*k}, by the orbit route (see the module docstring).
 
     hist must be the power-vector histogram of a subgroup of F_p*, of mass
-    below p; moduli must come from `_moduli(p, p^r * mass^(2k))`.
+    below p < 2^27; moduli must come from `_moduli(p, p^r * mass^(2k))`.
+    Up to p = _FULL_TABLE, w^j and w^-j are one lookup each in tables of p
+    entries; above, each is the product of two lookups in tables of about sqrt(p).
     """
     vecs = np.array(list(hist), dtype=np.int64).reshape(len(hist), r)
     wts = np.array(list(hist.values()), dtype=np.int64)
-    tables = [(q, *_root_tables(q, w, p)) for q, w in moduli]
+    split = p > _FULL_TABLE
+    s = math.isqrt(p) + 1 if split else p
+    tables = [(q, _root_tables(q, w, p, s), _root_tables(q, pow(w, p - 1, q), p, s)) for q, w in moduli]
     sums = [pow(int(wts.sum()), 2 * k, q) for q, _ in moduli]  # xi = 0
     gen = least_primitive_root(p)
     for j in range(r):
@@ -155,10 +159,7 @@ def _orbit_count(hist: dict, k: int, p: int, r: int, moduli) -> int:
             vecs, inverse = np.unique(vecs[:, 1:], axis=0, return_inverse=True)
             wts = np.bincount(inverse.ravel(), weights=wts, minlength=len(vecs)).astype(np.int64)
         orbit = len(np.unique(vecs[:, 0]))
-        reps = [1] * ((p - 1) // orbit)
-        for i in range(1, len(reps)):
-            reps[i] = reps[i - 1] * gen % p
-        reps = np.array(reps, dtype=np.int64)
+        reps = _geometric(gen, (p - 1) // orbit, p)  # one point per coset of H_1
         free = p ** (r - j - 1)
         rows = len(reps) * free
         step = max(1, _CHUNK // len(vecs))
@@ -170,9 +171,11 @@ def _orbit_count(hist: dict, k: int, p: int, r: int, moduli) -> int:
                 expo += (rest % p)[:, None] * vecs[:, col]
                 rest //= p
             expo %= p
-            for i, (q, pos, neg) in enumerate(tables):
-                # a dot product is below mass * q < 2^20 * 2^31
-                pair = (pos[expo] @ wts % q) * (neg[expo] @ wts % q) % q
+            a, b = divmod(expo, s) if split else (None, expo)
+            for i, (q, *roots) in enumerate(tables):
+                # h^(xi) and h^(-xi); a dot product is below q * mass < 2^31 * 2^27
+                pos, neg = ((low[b] if a is None else low[b] * high[a] % q) @ wts % q for low, high in roots)
+                pair = pos * neg % q
                 term, e = np.ones_like(pair), k
                 while e:  # term = pair^k mod q by squaring
                     term = term * pair % q if e & 1 else term
@@ -195,27 +198,28 @@ def _route(hist: dict, k: int, p: int, r: int):
     _SPARSE_COST orbit units.  Orbit work counts the moduli, estimated at 30
     bits each, times the int64 gathers per modulus: points xi times support
     size, plus the root tables.  The sparse route is taken when it costs no
-    more, and when the orbit route cannot run: p above _CHUNK, or too
-    few primes q = 1 (mod p) below 2^31 for the bound.
+    more, and, up to SPARSE_WORK_LIMIT dict updates, when too few primes
+    q = 1 (mod p) lie below 2^31 for the bound (large p and k).
     """
-    if p > _CHUNK:
-        return None
     bound = p**r * sum(hist.values()) ** (2 * k)
     orbit_size = len({key[0] for key in hist}) if r > 1 else len(hist)
     points = (p - 1) // orbit_size * p ** (r - 1)
     orbit = (bound.bit_length() // 30 + 1) * (points * len(hist) + p)
-    if _SPARSE_COST * convolution.sparse_work(len(hist), k, p**r) <= orbit:
+    sparse = convolution.sparse_work(len(hist), k, p**r)
+    if _SPARSE_COST * sparse <= orbit:
         return None
-    return _moduli(p, bound)
+    moduli = _moduli(p, bound)
+    if moduli is None and sparse > SPARSE_WORK_LIMIT:
+        raise GuardExceeded("sparse work", sparse, SPARSE_WORK_LIMIT)
+    return moduli
 
 
 def _collision_count(hist: dict, k: int, p: int, r: int) -> int:
     """sum_x H(x)^2 for H = hist^{*k}, exactly, by the cheaper of the sparse and orbit routes."""
-    moduli = _route(hist, k, p, r)
-    if moduli is None:
-        power = convolution.self_convolution_power(hist, k, p, r, value_bound=sum(hist.values()) ** k)
-        return convolution.sum_of_squares(power)
-    return _orbit_count(hist, k, p, r, moduli)
+    if (moduli := _route(hist, k, p, r)) is not None:
+        return _orbit_count(hist, k, p, r, moduli)
+    power = convolution.self_convolution_power(hist, k, p, r, value_bound=sum(hist.values()) ** k)
+    return convolution.sum_of_squares(power)
 
 
 def q_convolution(G, nvec, k: int) -> int:
@@ -268,8 +272,8 @@ def j_histogram(G, nvec, coeffs, k: int) -> PowerVectorHistogram:
         raise GuardExceeded("p^r", p**r, GRID_SIZE_LIMIT)
     hist = _hist_from_vectors(_power_vectors(G, nvec, coeffs), r)
     work = convolution.sparse_work(len(hist), k, p**r)
-    if work > HISTOGRAM_WORK_LIMIT:
-        raise GuardExceeded("sparse work", work, HISTOGRAM_WORK_LIMIT)
+    if work > SPARSE_WORK_LIMIT:
+        raise GuardExceeded("sparse work", work, SPARSE_WORK_LIMIT)
     return PowerVectorHistogram(p, k, convolution.self_convolution_power(hist, k, p, r, value_bound=G.tau**k))
 
 
@@ -287,7 +291,7 @@ def t3_count(p, s: int, m: int, n: int) -> int:
     P = mod.p
     if P**2 > GRID_SIZE_LIMIT:
         raise GuardExceeded("p^2", P**2, GRID_SIZE_LIMIT)
-    hist = _hist_from_vectors(_power_vectors(subgroup(P, P - 1), (s * m, s * n)), 2)
+    hist = Counter((pow(x, s * m, P), pow(x, s * n, P)) for x in range(1, P))
     return _collision_count(hist, 3, P, 2)
 
 

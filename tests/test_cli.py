@@ -180,6 +180,14 @@ def test_moment_large_k_on_full_group(capsys):
     assert abs(1080796806656096236195158122544 / estimate - 1) < 1e-9
 
 
+def test_moment_prime_above_full_table(capsys):
+    # p > 2^20 with r = 1: two-level root tables; Q_2 = (p-1)^2 + (p-1)(p-2)^2 on the full group
+    p = 1048583
+    rc, out, _ = run(capsys, "moment", "--p", str(p), "--tau", str(p - 1), "--k", "2", "--exps", "1", "--method", "conv")
+    assert rc == 0
+    assert out == f"Q = {(p - 1) ** 2 + (p - 1) * (p - 2) ** 2}\n"
+
+
 def test_verify_moments_csv(tmp_path, capsys):
     dest = tmp_path / "rows.csv"
     rc, out, err = run(

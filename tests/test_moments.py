@@ -281,6 +281,30 @@ def test_orbit_agrees_on_random_cases():
         cases += 1
 
 
+def test_split_root_tables_agree(monkeypatch):
+    # the two-level tables used above p = _FULL_TABLE, forced onto small primes
+    monkeypatch.setattr(moments, "_FULL_TABLE", 0)
+    for p in (2, 3, 5, 13, 31, 61):
+        for tau in field.divisors(p - 1):
+            for nvec, k in (((1,), 3), ((1, 2), 2), ((2, 3), 3)):
+                hist = _subgroup_hist(field.subgroup(p, tau), nvec)
+                orbit, sparse = _routes(hist, k, p, len(nvec))
+                assert orbit == sparse, (p, tau, nvec, k)
+
+
+def test_route_without_moduli_is_guarded(monkeypatch):
+    # with too few primes q = 1 (mod p) below 2^31, only the sparse route is left
+    monkeypatch.setattr(moments, "_moduli", lambda p, bound: None)
+    G = field.subgroup(601, 600)
+    with pytest.raises(GuardExceeded) as exc:
+        moments.q_convolution(G, (1, 2), 3)
+    assert exc.value.guard == "sparse work"
+    assert exc.value.limit == moments.SPARSE_WORK_LIMIT
+    assert moments.q_convolution(field.subgroup(601, 30), (1, 2), 3) == moments.q_bruteforce(
+        field.subgroup(601, 30), (1, 2), 3
+    )
+
+
 def test_t3_orbit_agrees_with_sparse():
     # t3_count's histogram: (x^{sm}, x^{sn}) over x in F_p*
     for p in [p for p in range(2, 62) if field.is_prime(p)]:
@@ -318,7 +342,7 @@ def test_j_histogram_work_guard():
     with pytest.raises(GuardExceeded) as exc:
         moments.j_histogram(field.subgroup(1009, 1008), (1, 2), (1, 1), 3)
     assert exc.value.guard == "sparse work"
-    assert exc.value.limit == moments.HISTOGRAM_WORK_LIMIT
+    assert exc.value.limit == moments.SPARSE_WORK_LIMIT
 
 
 def test_moment_inequality_large_k():
