@@ -5,7 +5,17 @@ sum_i u_i^{n_j} = sum_i v_i^{n_j} for j = 1..r, so Q_k = sum_x H(x)^2 for H the
 k-fold cyclic self-convolution of the histogram h of the power vectors
 (g^{n_1}, ..., g^{n_r}), g in G.  Three exact routes compute it: enumeration of
 the tau^k tuples (`q_bruteforce`, the oracle), sparse dict convolution, and the
-orbit route.  With w of order p modulo a prime q = 1 (mod p) and
+orbit route.  Enumeration visits every tuple and shares nothing with the other
+two.  It forms the sums mod p of the last m factors once, as an inner block of
+tau^m vectors with r tau^m <= _CHUNK, adds the sums of the first k - m factors
+to it in blocks of at most _CHUNK int64 entries, and counts equal sums.  Where
+p^r is small it counts them in a table of p^r entries.  Otherwise it sorts each
+block's sums (one mixed-radix key each below p^r = 2^63, r coordinate columns
+above) and merges the distinct sums and their counts across blocks; when more
+than _CHUNK distinct sums are possible, it does so in passes over windows of
+the first coordinate, each holding about _CHUNK of them, so that memory stays
+bounded by the block size.  Q_k is the sum of the squared counts.  With w of
+order p modulo a prime q = 1 (mod p) and
 h^(xi) = sum_v h(v) w^(xi.v), orthogonality gives
 p^r Q_k = sum_xi (h^(xi) h^(-xi))^k mod q.  h^ is constant on the orbits
 xi -> (g^{n_1} xi_1, ..., g^{n_r} xi_r): the xi with xi_1 != 0 reduce to one xi_1
@@ -25,8 +35,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,15 +50,26 @@ GRID_SIZE_LIMIT = 10**8  # largest p^r the convolution routes accept
 SPARSE_WORK_LIMIT = 20_000_000  # sparse work accepted where no other route can run, about 10-30 s
 
 _MODULUS_LIMIT = 2**31
-_CHUNK = 2**20  # int64 entries of an orbit-route temporary (8 MB), or one support row if longer
+_CHUNK = 2**20  # int64 entries of an orbit-route or enumeration temporary (8 MB), or one row if longer
 # Largest p with whole tables of w^j and w^-j (256 KB per modulus); above it (r = 1 only, by
 # GRID_SIZE_LIMIT) each is two tables of about sqrt(p) entries, at 4x the cost per gather.
 _FULL_TABLE = 2**14
-# Cost of one sparse dict update in orbit work units (see `_route`).  On a 2-core
-# x86-64 host (Python 3.11, numpy 2.4) the k=3, r=2 cells of subgroup(601, 30) and
-# subgroup(601, 40) took 560-620 ns per sparse update and 9-12 ns per orbit unit;
-# at tau=30 the routes tie (27900 updates in 15.6 ms, 1443602 units in 17.2 ms).
-_SPARSE_COST = 40
+# Cost of one sparse dict update in orbit work units, for r = 1 and r = 2 (see `_route`).
+# On a 2-core x86-64 host (Python 3.11, numpy 2.4) an orbit unit took 11-18 ns on grids
+# of 7561 to 601^2 points; a sparse update took 75-155 ns for r = 1 (k = 2, 3, p = 601
+# and 7561) and 490-620 ns for r = 2 (k = 3, p = 31 to 601), where the routes tie at
+# subgroup(601, 30) (27900 updates in 15.8 ms, 722402 units in 9.5 ms, two moduli).
+_SPARSE_COST = (8, 40)
+# Fixed orbit-route cost of one pass over a coordinate, and of each modulus in it, in
+# orbit units: about 40 us each on the same host (r = 1, p = 13 and 29: 0.06-0.09 ms with
+# one modulus, 0.13 ms with two; r = 2, p = 31: 0.18-0.23 ms and 0.25-0.29 ms).  At
+# p = 7561, k = 3, r = 1 the rule picks sparse for tau <= 15 (0.36 ms against 0.56 ms)
+# and orbit from tau = 21 (0.54 ms against 0.92 ms).
+_ORBIT_PASS = 3300
+# q_bruteforce counts sums in a table of p^r entries up to _TABLE_RATIO per tuple, and sorts
+# them above.  On the host above, 10^5 keys took 0.45 ms by a table of 2*10^5 entries, 3.3 ms
+# by one of 4*10^5 (page faults) and 1.0 ms by sorting.
+_TABLE_RATIO = 2
 
 
 def _validate_exponents(nvec) -> tuple:
@@ -70,27 +92,129 @@ def _power_vectors(G, nvec, coeffs=None):
     return [tuple(a * pow(g, n, p) % p for n, a in zip(nvec, coeffs)) for g in G.elements]
 
 
+def _add_mod(a, b, p: int):
+    """(a + b) mod p for residues a, b below p < 2^62."""
+    s = a + b
+    s -= p * (s >= p)
+    return s
+
+
+def _tuple_sums(vecs, j: int, p: int):
+    """Coordinate sums mod p of all j-tuples of the columns of vecs, as an (r, tau^j) array."""
+    out = np.zeros((len(vecs), 1), dtype=np.int64)
+    for _ in range(j):
+        out = _add_mod(out[:, :, None], vecs[:, None, :], p).reshape(len(vecs), -1)
+    return out
+
+
+def _distinct(cols: list, counts=None) -> tuple:
+    """The distinct rows of the columns cols, sorted, with their summed counts (1 per row by default)."""
+    if counts is None and len(cols) == 1:
+        cols = [np.sort(cols[0])]
+    else:
+        order = np.argsort(cols[0]) if len(cols) == 1 else np.lexsort(cols[::-1])
+        cols, counts = [c[order] for c in cols], None if counts is None else counts[order]
+    new = np.zeros(len(cols[0]), dtype=bool)
+    new[0] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    start = np.flatnonzero(new)
+    counts = np.diff(start, append=len(new)) if counts is None else np.add.reduceat(counts, start)
+    return [c[start] for c in cols], counts
+
+
+def _merge(parts: list) -> tuple:
+    """One (cols, counts) pair from several of `_distinct`'s."""
+    if len(parts) == 1:
+        return parts[0]
+    cols = [np.concatenate(c) for c in zip(*(cols for cols, _ in parts))]
+    return _distinct(cols, np.concatenate([counts for _, counts in parts]))
+
+
+def _windows(inner, outer, p: int, passes: int):
+    """(i, block) for the sums outer + inner mod p whose first coordinate lies in window i of [0, p).
+
+    Window i is [i p / passes, (i + 1) p / passes).  With the inner sums sorted
+    by first coordinate, a window of first coordinates is one slice of them
+    (taken twice over, once shifted by p) for each outer row; a block holds
+    the slices of consecutive outer rows, at most _CHUNK entries or one slice.
+    """
+    r = len(inner)
+    inner = inner[:, np.argsort(inner[0])]
+    first = np.concatenate([inner[0], inner[0] + p])
+    inner = np.concatenate([inner, inner], axis=1)
+    for i in range(passes):
+        lo, hi = p * i // passes, p * (i + 1) // passes
+        low = (lo - outer[0]) % p
+        start = np.searchsorted(first, low)
+        lens = np.searchsorted(first, low + (hi - lo)) - start
+        ends = np.cumsum(lens)
+        a = 0
+        while a < len(lens):
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - lens[a] + _CHUNK // r, side="right")))
+            n = lens[a:b]
+            idx = np.arange(n.sum()) + np.repeat(start[a:b] - (np.cumsum(n) - n), n)
+            yield i, _add_mod(outer[:, np.repeat(np.arange(a, b), n)], inner[:, idx], p)
+            a = b
+
+
+def _sum_blocks(vecs, k: int, p: int, passes: int):
+    """(i, block) for the sums mod p of all k-tuples of the columns of vecs, in blocks of at most _CHUNK entries.
+
+    With one pass i is 0; with more, pass i holds the sums in window i of
+    `_windows`.  A block is a list of columns: one mixed-radix key per sum
+    below p^r = 2^63, otherwise the r coordinates.
+    """
+    r, tau = vecs.shape
+    m = 0  # the inner block holds the sums of the last m factors
+    while m < k and r * tau ** (m + 1) <= _CHUNK:
+        m += 1
+    inner, outer = _tuple_sums(vecs, m, p), _tuple_sums(vecs, k - m, p)
+    if passes == 1:
+        step = max(1, _CHUNK // (r * inner.shape[1]))
+        blocks = (
+            (0, _add_mod(outer[:, s : s + step, None], inner[:, None, :], p).reshape(r, -1))
+            for s in range(0, outer.shape[1], step)
+        )
+    else:
+        blocks = _windows(inner, outer, p, passes)
+    for i, block in blocks:
+        cols = list(block)
+        if p**r < 2**63:
+            key = cols[-1]
+            for c in cols[-2::-1]:
+                key = key * p + c
+            cols = [key]
+        yield i, cols
+
+
 def q_bruteforce(G, nvec, k: int) -> int:
-    """Q_k by direct enumeration of all tau^k power-sum tuples."""
+    """Q_k by direct enumeration of all tau^k power-sum tuples, in blocks (see the module docstring)."""
     nvec = _validate_exponents(nvec)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if G.tau**k > BRUTE_FORCE_LIMIT:
-        raise GuardExceeded("tau^k", G.tau**k, BRUTE_FORCE_LIMIT)
-    p = G.modulus.p
-    counts: dict = {}
-    if len(nvec) == 1:
-        n0 = nvec[0]
-        powers = [pow(g, n0, p) for g in G.elements]
-        for t in product(powers, repeat=k):
-            key = sum(t) % p
-            counts[key] = counts.get(key, 0) + 1
-    else:
-        vecs = _power_vectors(G, nvec)
-        for t in product(vecs, repeat=k):
-            key = tuple(sum(col) % p for col in zip(*t))
-            counts[key] = counts.get(key, 0) + 1
-    return sum(c * c for c in counts.values())
+    tuples = G.tau**k
+    if tuples > BRUTE_FORCE_LIMIT:
+        raise GuardExceeded("tau^k", tuples, BRUTE_FORCE_LIMIT)
+    p, r = G.modulus.p, len(nvec)
+    vecs = np.array(_power_vectors(G, nvec), dtype=np.int64).T
+    if p**r <= min(_CHUNK, _TABLE_RATIO * tuples):
+        counts = sum(np.bincount(cols[0], minlength=p**r) for _, cols in _sum_blocks(vecs, k, p, 1))
+        return int((counts * counts).sum())  # at most tau^(2k) <= 10^16
+    # each pass holds the distinct sums of one window, about _CHUNK of them
+    total = 0
+    for _, blocks in groupby(_sum_blocks(vecs, k, p, -(-min(p**r, tuples) // _CHUNK)), key=itemgetter(0)):
+        parts = []
+        for _, cols in blocks:
+            if not len(cols[0]):
+                continue
+            parts.append(_distinct(cols))
+            if sum(len(counts) for _, counts in parts[1:]) >= len(parts[0][1]):
+                parts = [_merge(parts)]
+        if parts:
+            counts = _merge(parts)[1]
+            total += int((counts * counts).sum())
+    return total
 
 
 def _hist_from_vectors(vecs, r: int) -> dict:
@@ -195,18 +319,20 @@ def _route(hist: dict, k: int, p: int, r: int):
     """The moduli for the orbit route, or None for the sparse route.
 
     Sparse work counts dict updates (`convolution.sparse_work`), each worth
-    _SPARSE_COST orbit units.  Orbit work counts the moduli, estimated at 30
-    bits each, times the int64 gathers per modulus: points xi times support
-    size, plus the root tables.  The sparse route is taken when it costs no
-    more, and, up to SPARSE_WORK_LIMIT dict updates, when too few primes
-    q = 1 (mod p) lie below 2^31 for the bound (large p and k).
+    _SPARSE_COST[r - 1] orbit units.  Orbit work counts the moduli, estimated
+    at 30 bits each, times the int64 gathers per modulus (points xi times
+    support size, plus the root tables), and _ORBIT_PASS for each of the r
+    passes and for each modulus in a pass.  The sparse route is taken when it
+    costs no more, and, up to SPARSE_WORK_LIMIT dict updates, when too few
+    primes q = 1 (mod p) lie below 2^31 for the bound (large p and k).
     """
     bound = p**r * sum(hist.values()) ** (2 * k)
     orbit_size = len({key[0] for key in hist}) if r > 1 else len(hist)
     points = (p - 1) // orbit_size * p ** (r - 1)
-    orbit = (bound.bit_length() // 30 + 1) * (points * len(hist) + p)
+    n_moduli = bound.bit_length() // 30 + 1
+    orbit = n_moduli * (points * len(hist) + p) + r * (n_moduli + 1) * _ORBIT_PASS
     sparse = convolution.sparse_work(len(hist), k, p**r)
-    if _SPARSE_COST * sparse <= orbit:
+    if _SPARSE_COST[r - 1] * sparse <= orbit:
         return None
     moduli = _moduli(p, bound)
     if moduli is None and sparse > SPARSE_WORK_LIMIT:

@@ -30,7 +30,8 @@ class SumValue:
 def _finish(parts: list, term_count: int, excluded: int = 0) -> SumValue:
     val = complex(fsum(z.real for z in parts), fsum(z.imag for z in parts))
     # every summand is on the unit circle, so the triangle inequality is exact
-    assert abs(val) <= term_count + 1e-6, (abs(val), term_count)
+    if abs(val) > term_count + 1e-6:
+        raise ArithmeticError(f"|S| = {abs(val)} exceeds the {term_count} terms summed")
     return SumValue(val, term_count, excluded)
 
 

@@ -166,6 +166,19 @@ def test_guard_is_exit_2(capsys):
     assert "error:" in err
 
 
+def test_arithmetic_error_is_exit_2(capsys, monkeypatch):
+    # a failed internal arithmetic check (orbit route divisibility, primitive root
+    # search) is reported on stderr with exit 2, not as a traceback with exit 1
+    def fail(*args):
+        raise ArithmeticError("orbit route: p^r does not divide 7")
+
+    monkeypatch.setattr(cli.moments, "q_convolution", fail)
+    rc, out, err = run(capsys, "moment", "--p", "13", "--tau", "4", "--k", "2", "--exps", "1,2", "--method", "conv")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: orbit route: p^r does not divide 7\n"
+
+
 def test_moment_large_k_on_full_group(capsys):
     # p^2 tau^12 needs 140 bits: the orbit route takes as many CRT moduli as the bound needs
     rc, out, _ = run(capsys, "moment", "--p", "1009", "--tau", "1008", "--k", "6", "--exps", "1,2", "--method", "conv")

@@ -60,6 +60,50 @@ def test_routes_agree_with_independent_count():
             assert moments.q_convolution(G, nvec, k) == want
 
 
+def test_bruteforce_matches_independent_count():
+    # r = 1..3, k = 1..4, every subgroup; (2, 4, 6) and (3, 6, 9) share a factor with most tau
+    cases = 0
+    for p in (2, 3, 5, 7, 13, 31):
+        for tau in field.divisors(p - 1):
+            G = field.subgroup(p, tau)
+            for nvec in ((1,), (2,), (1, 2), (2, 3), (1, 2, 3), (2, 4, 6), (3, 6, 9)):
+                for k in (1, 2, 3, 4):
+                    if tau**k <= 3000:
+                        assert moments.q_bruteforce(G, nvec, k) == independent_q(G, nvec, k), (p, tau, nvec, k)
+                        cases += 1
+    assert cases > 500
+
+
+def test_bruteforce_blocks(monkeypatch):
+    # a block budget of 12 entries: many blocks, counted by table (p^r <= 12) or by
+    # sorting with merges across blocks, on one key or on three coordinate columns,
+    # in passes over windows of the first coordinate (some of them empty)
+    wide = [(field.subgroup(p, tau), nvec, k) for p, tau, nvec, k in ((65537, 256, (1,), 2), (1009, 63, (1, 2), 3))]
+    want = [moments.q_bruteforce(*case) for case in wide]
+    monkeypatch.setattr(moments, "_CHUNK", 2**10)
+    assert [moments.q_bruteforce(*case) for case in wide] == want
+    monkeypatch.setattr(moments, "_CHUNK", 12)
+    for p, tau, nvec, k in (
+        (2, 1, (1, 2), 4),
+        (3, 2, (1,), 4),
+        (7, 6, (1,), 3),
+        (13, 6, (1, 2), 3),
+        (13, 12, (2, 3), 3),
+        (31, 10, (1, 3), 3),
+        (31, 5, (1, 2, 3), 4),
+    ):
+        G = field.subgroup(p, tau)
+        assert moments.q_bruteforce(G, nvec, k) == independent_q(G, nvec, k), (p, tau, nvec, k)
+    assert moments.q_bruteforce(field.subgroup(2**61 - 1, 6), (1, 2, 3), 3) == 996
+
+
+def test_bruteforce_above_int64_keys():
+    # p^3 >= 2^63: sums are counted as rows of three coordinates, not one key
+    G = field.subgroup(2**61 - 1, 6)
+    assert moments.q_bruteforce(G, (1, 2, 3), 3) == 996 == independent_q(G, (1, 2, 3), 3)
+    assert moments.q_bruteforce(G, (1, 2, 3), 1) == 6
+
+
 def test_q_invariant_under_exponent_folding():
     # exponents act on the subgroup only through their residue mod tau
     G = field.subgroup(31, 6)
@@ -79,6 +123,9 @@ def test_guards():
     with pytest.raises(GuardExceeded) as exc:
         moments.q_bruteforce(big, (1, 2), 3)  # 1008^3 > 10^8
     assert exc.value.guard == "tau^k"
+    assert exc.value.limit == moments.BRUTE_FORCE_LIMIT == 10**8
+    with pytest.raises(GuardExceeded):
+        moments.q_bruteforce(field.subgroup(2**61 - 1, 6), (1, 2, 3), 11)  # 6^11 > 10^8
     with pytest.raises(GuardExceeded) as exc:
         moments.q_convolution(field.subgroup(13, 4), (1, 2, 3), 2)
     assert exc.value.guard == "r"
@@ -323,6 +370,10 @@ def test_route_choice():
     assert moments._route(small, 2, 601, 2) is None
     # k = 1 needs no convolution at all
     assert moments._route(big, 1, 1009, 2) is None
+    # r = 1, k = 3 at p = 7561: sparse while the orbit route's fixed cost dominates
+    for tau, orbit in ((9, False), (15, False), (21, True), (27, True)):
+        hist = _subgroup_hist(field.subgroup(7561, tau), (1,))
+        assert (moments._route(hist, 3, 7561, 1) is not None) == orbit, tau
 
 
 def test_moduli():

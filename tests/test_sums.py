@@ -337,3 +337,10 @@ def test_inversive_degenerate_a_zero():
     assert z.value == 0
     assert z.term_count == 0
     assert z.excluded == 4
+
+
+def test_finish_checks_triangle_inequality():
+    # every summand is on the unit circle, so |S| <= terms; the check survives python -O
+    assert sums._finish([1j, 1j], 2).magnitude == 2
+    with pytest.raises(ArithmeticError):
+        sums._finish([1.0, 1.0, 1.0], 2)
