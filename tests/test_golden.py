@@ -1,8 +1,10 @@
 """Golden stdout corpus: fixed CLI commands whose stdout and exit code are frozen.
 
-The corpus (`golden_stdout.json`) was recorded before the dense NTT moment
-route was removed, so it pins the moment, t3 and moment-driven verify
-outputs across changes of route.  Regenerate it only for an intended change
+The moment, t3 and moment-driven verify entries were recorded before the
+dense NTT moment route was removed, so they pin those outputs across changes
+of route.  The curve, sum, inversive, kloosterman and prng entries were
+recorded before the F_p[X] arithmetic and the character accumulator were
+merged into one implementation each.  Regenerate it only for an intended change
 of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -36,6 +38,17 @@ COMMANDS = (
     ("verify", "--suite", "q3", "--pmin", "11", "--pmax", "61"),
     ("verify", "--suite", "moments", "--pmin", "11", "--pmax", "31"),
     ("verify", "--suite", "lemma31", "--pmin", "11", "--pmax", "61"),
+    # F_p[X] arithmetic: extension fields of degree 2 and 4, resultants and discriminants
+    ("curve", "--p", "11", "--m", "1", "--n", "4", "--A", "3", "--B", "5"),
+    ("curve", "--p", "7", "--m", "1", "--n", "6", "--A", "3", "--B", "5", "--delta-only"),
+    ("curve", "--p", "101", "--m", "2", "--n", "5", "--A", "3", "--B", "7"),
+    ("verify", "--suite", "curve", "--pmin", "300", "--pmax", "320"),
+    # the character accumulator: table and no-table paths, excluded terms, prng statistics
+    ("sum", "--p", "1009", "--tau", "56", "--poly", "3*x^2+5*x^7", "--twist", "5"),
+    ("sum", "--p", "1995841", "--tau", "1980", "--poly", "3*x^1+2*x^5", "--twist", "7"),
+    ("inversive", "--p", "1009", "--tau", "1008", "--a", "1", "--b", "1008"),
+    ("kloosterman", "--p", "1009", "--tau", "56", "--a", "3", "--b", "4"),
+    ("prng", "--p", "101", "--tau", "20", "--inversive", "1,100", "--count", "20"),
 )
 
 
