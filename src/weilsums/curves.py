@@ -5,7 +5,8 @@
 over F_p, with n > m >= 1 coprime and d = s*m*n.  delta_eval evaluates the
 product of degeneracy conditions whose nonvanishing certifies that the s = 1
 member is irreducible of full degree, so the point count obeys the generic
-bound.  Univariate polynomials are dense ascending coefficient lists over F_p.
+bound.  Univariate polynomials are dense ascending coefficient lists over F_p
+(see weilsums.poly).
 """
 
 from dataclasses import dataclass
@@ -13,68 +14,10 @@ from math import gcd
 
 import numpy as np
 
+from . import poly
 from .field import GuardExceeded, prime_modulus, roots_of_unity
 
 POINT_COUNT_LIMIT = 2000
-
-
-def _trim(f):
-    f = [c for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def poly_mul(f, g, p: int):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        if x:
-            for j, y in enumerate(g):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
-def poly_pow(f, e: int, p: int):
-    out = [1]
-    base = list(f)
-    while e:
-        if e & 1:
-            out = poly_mul(out, base, p)
-        base = poly_mul(base, base, p)
-        e >>= 1
-    return out
-
-
-def poly_sub(f, g, p: int):
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return _trim(out)
-
-
-def poly_deriv(f, p: int):
-    return _trim([i * c % p for i, c in enumerate(f)][1:])
-
-
-def poly_mod(f, g, p: int):
-    """Remainder of f divided by g over F_p; g must be nonzero."""
-    f = _trim(f)
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    inv = pow(g[-1], p - 2, p)
-    while len(f) >= len(g):
-        c = f[-1] * inv % p
-        off = len(f) - len(g)
-        for k in range(len(g)):
-            f[off + k] = (f[off + k] - c * g[k]) % p
-        f.pop()
-        while f and f[-1] == 0:
-            f.pop()
-    return f
 
 
 def resultant(f, g, p: int) -> int:
@@ -82,8 +25,8 @@ def resultant(f, g, p: int) -> int:
 
     Uses the Euclidean recurrence; returns 0 when f and g share a root.
     """
-    f = _trim(f)
-    g = _trim(g)
+    f = poly.trim(c % p for c in f)
+    g = poly.trim(c % p for c in g)
     if not f and not g:
         raise ValueError("resultant of two zero polynomials")
     if not f or not g:
@@ -100,7 +43,7 @@ def resultant(f, g, p: int) -> int:
             if (df * dg) % 2:
                 res = -res % p
             continue
-        r = poly_mod(f, g, p)
+        r = poly.rem(f, g, p)
         if not r:
             return 0
         # Res(f, g) = (-1)^(df*dg) lc(g)^(df - deg r) Res(g, r)
@@ -115,13 +58,13 @@ def discriminant(f, p: int) -> int:
 
     Degree 0 and 1 have empty root-difference product, so the result is 1.
     """
-    f = _trim(f)
+    f = poly.trim(c % p for c in f)
     if not f:
         raise ValueError("discriminant of the zero polynomial")
     D = len(f) - 1
     if D <= 1:
         return 1
-    fp = poly_deriv(f, p)
+    fp = poly.deriv(f, p)
     if not fp:
         return 0
     r = resultant(f, fp, p)
@@ -137,7 +80,7 @@ def _f0y(m: int, n: int, A: int, B: int, p: int):
     right = [0] * (n + 1)
     right[0] = -B % p
     right[n] = 1
-    return poly_sub(poly_pow(left, n, p), poly_pow(right, m, p), p)
+    return poly.sub(poly.power(left, n, p), poly.power(right, m, p), p)
 
 
 def _validate_family(m: int, n: int, p: int):

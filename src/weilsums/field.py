@@ -3,6 +3,8 @@
 import cmath
 import math
 
+from . import poly
+
 MAX_PRIME = 1 << 62
 CHAR_TABLE_LIMIT = 1 << 20
 
@@ -181,27 +183,6 @@ class PrimeModulus:
     def __hash__(self):
         return hash(("PrimeModulus", self.p))
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
-
     def char_table(self):
         """Root-of-unity lookup table, or None when p is too large to tabulate."""
         if self.p <= CHAR_TABLE_LIMIT:
@@ -318,8 +299,6 @@ class ExtensionField:
                 raise ValueError("defining polynomial is reducible")
         self.defining = defining
         self.order = p**degree
-        # X^(degree+i) reduced mod f, for schoolbook reduction of products
-        self._red = _reduction_rows(defining, p)
 
     def __repr__(self):
         return f"ExtensionField(p={self.base.p}, degree={self.degree})"
@@ -359,19 +338,8 @@ class ExtensionField:
         j = self.degree
         if j == 1:
             return (a[0] * b[0] % p,)
-        prod = [0] * (2 * j - 1)
-        for i, x in enumerate(a):
-            if x:
-                for k, y in enumerate(b):
-                    prod[i + k] += x * y
-        out = [c % p for c in prod[:j]]
-        for i in range(j, 2 * j - 1):
-            c = prod[i] % p
-            if c:
-                row = self._red[i - j]
-                for k in range(j):
-                    out[k] += c * row[k]
-        return tuple(c % p for c in out)
+        out = poly.rem(poly.mul(a, b, p), self.defining, p)
+        return tuple(out) + (0,) * (j - len(out))
 
     def pow(self, a, e: int) -> tuple:
         if e < 0:
@@ -405,71 +373,6 @@ class ExtensionField:
         return order
 
 
-def _reduction_rows(defining, p: int):
-    """Rows expressing X^(deg+i) mod f in the monomial basis, i = 0..deg-2."""
-    j = len(defining) - 1
-    rows = []
-    cur = [(-c) % p for c in defining[:j]]  # X^j mod f
-    rows.append(tuple(cur))
-    for _ in range(j - 2):
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            for k in range(j):
-                cur[k] = (cur[k] + top * rows[0][k]) % p
-        rows.append(tuple(cur))
-    return rows
-
-
-def _poly_mulmod(a, b, f, p):
-    """(a * b) mod f over F_p, dense ascending coefficient lists."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b):
-                prod[i + k] = (prod[i + k] + x * y) % p
-    j = len(f) - 1
-    for i in range(len(prod) - 1, j - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for k in range(j):
-                prod[i - j + k] = (prod[i - j + k] - c * f[k]) % p
-    prod = prod[:j]
-    while prod and prod[-1] == 0:
-        prod.pop()
-    return prod
-
-
-def _poly_powmod(a, e, f, p):
-    out = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            out = _poly_mulmod(out, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        e >>= 1
-    return out
-
-
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # reduce a mod b in place
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b) and a:
-            c = a[-1] * inv % p
-            if c:
-                off = len(a) - len(b)
-                for k in range(len(b)):
-                    a[off + k] = (a[off + k] - c * b[k]) % p
-            a.pop()
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return a
-
-
 def _is_irreducible(f, p: int) -> bool:
     """Rabin irreducibility test for monic f of degree >= 1 over F_p."""
     j = len(f) - 1
@@ -479,21 +382,11 @@ def _is_irreducible(f, p: int) -> bool:
         return False
     x = [0, 1]
     for q in factorize(j):
-        h = _poly_powmod(x, p ** (j // q), f, p)
         # gcd(X^(p^(j/q)) - X, f) must be trivial
-        diff = list(h) + [0] * (2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        while diff and diff[-1] == 0:
-            diff.pop()
-        g = _poly_gcd(f, diff, p)
-        if len(g) != 1:
+        h = poly.power(x, p ** (j // q), p, f)
+        if len(poly.gcd(f, poly.sub(h, x, p), p)) != 1:
             return False
-    h = _poly_powmod(x, p**j, f, p)
-    diff = list(h) + [0] * (2 - len(h))
-    diff[1] = (diff[1] - 1) % p
-    while diff and diff[-1] == 0:
-        diff.pop()
-    return not diff
+    return not poly.sub(poly.power(x, p**j, p, f), x, p)
 
 
 _irreducible_cache: dict = {}

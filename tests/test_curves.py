@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from weilsums import curves, field
+from weilsums import curves, field, poly
 from weilsums.curves import CurveSpec
 from weilsums.field import GuardExceeded
 
@@ -110,7 +110,7 @@ def test_resultant_multiplicative():
         f = random_poly(rng, p, rng.randrange(1, 4))
         g = random_poly(rng, p, rng.randrange(1, 4))
         h = random_poly(rng, p, rng.randrange(1, 4))
-        lhs = curves.resultant(curves.poly_mul(f, g, p), h, p)
+        lhs = curves.resultant(poly.mul(f, g, p), h, p)
         rhs = curves.resultant(f, h, p) * curves.resultant(g, h, p) % p
         assert lhs == rhs
 
@@ -224,7 +224,7 @@ def independent_delta(m, n, A, B, p):
     right = [0] * (n + 1)
     right[0] = -B % p
     right[n] = 1
-    f0 = curves.poly_sub(curves.poly_pow(left, n, p), curves.poly_pow(right, m, p), p)
+    f0 = poly.sub(poly.power(left, n, p), poly.power(right, m, p), p)
     return out * independent_discriminant(f0, p) % p
 
 
@@ -241,9 +241,9 @@ def test_cond_first_product_matches_resultant():
     p, m, n = 11, 2, 5
     K, roots = field.roots_of_unity(p, n - m)
     for A, B in ((0, 1), (3, 4), (7, 2)):
-        h = curves.poly_sub(
-            curves.poly_mul(curves.poly_pow([p - 1, 0, 0, 0, 0, 1], m, p), [pow(A, n, p)], p),
-            curves.poly_mul(curves.poly_pow([p - 1, 0, 1], n, p), [pow(B, m, p)], p),
+        h = poly.sub(
+            poly.mul(poly.power([p - 1, 0, 0, 0, 0, 1], m, p), [pow(A, n, p)], p),
+            poly.mul(poly.power([p - 1, 0, 1], n, p), [pow(B, m, p)], p),
             p,
         )
         first, _ = curves._cond_products(m, n, A, B, K, roots)
