@@ -7,9 +7,9 @@ fake residue into the distribution.
 
 import struct
 from dataclasses import dataclass
-from math import fsum
 
-from .sums import SparsePolynomial, _orbit_residues
+from .field import prime_modulus
+from .sums import SparsePolynomial, _char_sum, _inversive_residues, _orbit_residues
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,8 @@ def inversive_generator(G, a: int, b: int, count: int) -> GeneratorSequence:
     b %= p
     if a == 0:
         raise ValueError("a must be nonzero mod p")
-    theta = G.theta
-    out = []
-    g = 1
-    for _ in range(count):
-        g = g * theta % p
-        t = (a * g + b) % p
-        out.append(None if t == 0 else pow(t, p - 2, p))
-    return GeneratorSequence(p, G.tau, f"inversive a={a} b={b}", tuple(out))
+    residues = _inversive_residues(p, G.theta, a, b, count)
+    return GeneratorSequence(p, G.tau, f"inversive a={a} b={b}", tuple(residues))
 
 
 @dataclass(frozen=True)
@@ -74,37 +68,22 @@ class EquidistributionReport:
 def equidistribution_report(seq: GeneratorSequence, harmonics: int = 10) -> EquidistributionReport:
     """Max normalized character sum over h = 1..harmonics, plus a lag-1 statistic.
 
-    Purely descriptive; excluded terms are skipped.
+    Purely descriptive.  Excluded terms are skipped: the harmonics run over
+    the included terms, and the lag-1 statistic over the pairs of adjacent
+    terms that are both included (0.0 when there are none).
     """
     if harmonics < 1:
         raise ValueError("harmonics must be >= 1")
-    from .field import prime_modulus
-
     mod = prime_modulus(seq.p)
+    p = mod.p
     vals = seq.included()
     n = len(vals)
     if n == 0:
         raise ValueError("sequence has no included terms")
-    tab = mod.char_table()
-    char = mod.character
-    per = []
-    p = seq.p
-    for h in range(1, harmonics + 1):
-        if tab is not None:
-            parts = [tab[h * v % p] for v in vals]
-        else:
-            parts = [char(h * v) for v in vals]
-        s = complex(fsum(z.real for z in parts), fsum(z.imag for z in parts))
-        per.append(abs(s) / n)
-    if n >= 2:
-        if tab is not None:
-            parts = [tab[(b - a) % p] for a, b in zip(vals, vals[1:])]
-        else:
-            parts = [char(b - a) for a, b in zip(vals, vals[1:])]
-        s = complex(fsum(z.real for z in parts), fsum(z.imag for z in parts))
-        serial = abs(s) / (n - 1)
-    else:
-        serial = 0.0
+    per = [_char_sum(mod, [h * v % p for v in vals]).magnitude / n for h in range(1, harmonics + 1)]
+    res = seq.residues
+    lags = [(y - x) % p for x, y in zip(res, res[1:]) if x is not None and y is not None]
+    serial = _char_sum(mod, lags).magnitude / len(lags) if lags else 0.0
     return EquidistributionReport(
         harmonics, tuple(per), max(per), serial, n, seq.excluded_count
     )

@@ -173,14 +173,28 @@ def _orbit_residues(p: int, theta: int, f: SparsePolynomial, count: int) -> list
     return out
 
 
-def _char_sum(mod, residues, excluded: int = 0) -> SumValue:
+def _inversive_residues(p: int, theta: int, a: int, b: int, count: int) -> list:
+    """(a*theta^x + b)^-1 mod p for x = 1..count, with None where a*theta^x + b = 0."""
+    out = []
+    g = 1
+    for _ in range(count):
+        g = g * theta % p
+        t = (a * g + b) % p
+        out.append(None if t == 0 else pow(t, p - 2, p))
+    return out
+
+
+def _characters(mod, residues) -> list:
+    """exp(2*pi*i*z/p) for each residue z in [0, p), from the table when p has one."""
     tab = mod.char_table()
     if tab is not None:
-        parts = [tab[z] for z in residues]
-    else:
-        char = mod.character
-        parts = [char(z) for z in residues]
-    return _finish(parts, len(residues), excluded)
+        return [tab[z] for z in residues]
+    char = mod.character
+    return [char(z) for z in residues]
+
+
+def _char_sum(mod, residues, excluded: int = 0) -> SumValue:
+    return _finish(_characters(mod, residues), len(residues), excluded)
 
 
 def complete_sum(p, f: SparsePolynomial) -> SumValue:
@@ -219,12 +233,7 @@ def twisted_sum(G, f: SparsePolynomial, b: int) -> SumValue:
     tau = G.tau
     residues = _orbit_residues(mod.p, G.theta, f, tau)
     b %= tau
-    tab = mod.char_table()
-    if tab is not None:
-        parts = [tab[z] * unit_root(b * (x + 1), tau) for x, z in enumerate(residues)]
-    else:
-        char = mod.character
-        parts = [char(z) * unit_root(b * (x + 1), tau) for x, z in enumerate(residues)]
+    parts = [c * unit_root(b * x, tau) for x, c in enumerate(_characters(mod, residues), start=1)]
     return _finish(parts, tau)
 
 
@@ -250,16 +259,7 @@ def inversive_subgroup_sum(G, a: int, b: int) -> SumValue:
 
     Terms with a*g + b = 0 are skipped and reported in the excluded count.
     """
-    mod = G.modulus
-    p = mod.p
-    a %= p
-    b %= p
-    residues = []
-    excluded = 0
-    for g in G.enumerate():
-        t = (a * g + b) % p
-        if t == 0:
-            excluded += 1
-            continue
-        residues.append(pow(t, p - 2, p))
-    return _char_sum(mod, residues, excluded)
+    p = G.modulus.p
+    terms = _inversive_residues(p, G.theta, a % p, b % p, G.tau)
+    residues = [z for z in terms if z is not None]
+    return _char_sum(G.modulus, residues, len(terms) - len(residues))

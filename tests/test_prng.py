@@ -143,6 +143,23 @@ def test_equidistribution_skips_excluded():
         prng.equidistribution_report(dead)
 
 
+def test_equidistribution_lag_pairs_only_true_neighbours():
+    # (2, 3, None, 5, ...): the lag-1 sum runs over the 9 adjacent pairs with
+    # both terms included, never over (3, 5) across the excluded term
+    seq = prng.inversive_generator(field.subgroup(13, 12), 1, 5, 12)
+    assert seq.residues[:4] == (2, 3, None, 5)
+    rep = prng.equidistribution_report(seq)
+    res = seq.residues
+    pairs = [(x, y) for x, y in zip(res, res[1:]) if x is not None and y is not None]
+    assert len(pairs) == 9
+    direct = abs(sum(field.additive_character(13, y - x) for x, y in pairs)) / 9
+    assert abs(rep.serial_correlation - direct) < 1e-12
+    assert abs(rep.serial_correlation - 0.51836) < 1e-5
+    # one included term between exclusions: no neighbour pairs at all
+    lone = prng.GeneratorSequence(13, 4, "manual", (None, 7, None))
+    assert prng.equidistribution_report(lone).serial_correlation == 0.0
+
+
 def test_equidistribution_validation():
     G = field.subgroup(13, 4)
     seq = prng.power_generator(G, SparsePolynomial.parse("1*x^1"), 4)
