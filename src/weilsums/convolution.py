@@ -36,12 +36,11 @@ def sparse_work(nnz: int, k: int, size: int) -> int:
     return work
 
 
-def self_convolution_power(hist: dict, k: int, p: int, r: int, value_bound: int):
+def self_convolution_power(hist: dict, k: int, p: int, r: int):
     """k-fold cyclic self-convolution of hist on (Z/p)^r, exactly.
 
     hist maps residues (ints for r=1, r-tuples otherwise) to nonnegative
-    counts.  Returns a dict of exact integer counts.  value_bound, an upper
-    bound on every returned count, is not needed by the integer arithmetic.
+    counts.  Returns a dict of exact integer counts.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -344,7 +344,7 @@ def _collision_count(hist: dict, k: int, p: int, r: int) -> int:
     """sum_x H(x)^2 for H = hist^{*k}, exactly, by the cheaper of the sparse and orbit routes."""
     if (moduli := _route(hist, k, p, r)) is not None:
         return _orbit_count(hist, k, p, r, moduli)
-    power = convolution.self_convolution_power(hist, k, p, r, value_bound=sum(hist.values()) ** k)
+    power = convolution.self_convolution_power(hist, k, p, r)
     return convolution.sum_of_squares(power)
 
 
@@ -400,7 +400,7 @@ def j_histogram(G, nvec, coeffs, k: int) -> PowerVectorHistogram:
     work = convolution.sparse_work(len(hist), k, p**r)
     if work > SPARSE_WORK_LIMIT:
         raise GuardExceeded("sparse work", work, SPARSE_WORK_LIMIT)
-    return PowerVectorHistogram(p, k, convolution.self_convolution_power(hist, k, p, r, value_bound=G.tau**k))
+    return PowerVectorHistogram(p, k, convolution.self_convolution_power(hist, k, p, r))
 
 
 def t3_count(p, s: int, m: int, n: int) -> int:

@@ -285,7 +285,7 @@ def _routes(hist, k, p, r):
     """Q from the forced orbit route and from the forced sparse route."""
     mass = sum(hist.values())
     moduli = moments._moduli(p, p**r * mass ** (2 * k))
-    sparse = convolution.sum_of_squares(convolution.self_convolution_power(hist, k, p, r, mass**k))
+    sparse = convolution.sum_of_squares(convolution.self_convolution_power(hist, k, p, r))
     return moments._orbit_count(hist, k, p, r, moduli), sparse
 
 
