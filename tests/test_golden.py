@@ -1,11 +1,13 @@
-"""Golden stdout corpus: fixed CLI commands whose stdout and exit code are frozen.
+"""Golden stdout corpus: fixed CLI commands whose stdout, stderr and exit code are frozen.
 
 The moment, t3 and moment-driven verify entries were recorded before the
 dense NTT moment route was removed, so they pin those outputs across changes
 of route.  The curve, sum, inversive, kloosterman and prng entries were
 recorded before the F_p[X] arithmetic and the character accumulator were
-merged into one implementation each.  Regenerate it only for an intended change
-of output:
+merged into one implementation each.  The gauss, identity, binomial, monomial,
+theorem and json verify entries, and the stderr of every entry, were recorded
+before the verify suites were put on one (p, tau) walk.  Regenerate it only for
+an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -49,14 +51,22 @@ COMMANDS = (
     ("inversive", "--p", "1009", "--tau", "1008", "--a", "1", "--b", "1008"),
     ("kloosterman", "--p", "1009", "--tau", "56", "--a", "3", "--b", "4"),
     ("prng", "--p", "101", "--tau", "20", "--inversive", "1,100", "--count", "20"),
+    # every verify suite, soft suites and the json row format; stderr holds the summary line
+    ("verify", "--suite", "gauss", "--pmin", "3", "--pmax", "200"),
+    ("verify", "--suite", "identity", "--pmin", "11", "--pmax", "23"),
+    ("verify", "--suite", "binomial", "--pmin", "1000", "--pmax", "1040"),
+    ("verify", "--suite", "monomial", "--pmin", "1000", "--pmax", "1040"),
+    ("verify", "--suite", "theorem", "--pmin", "1000", "--pmax", "1040"),
+    ("verify", "--suite", "theorem", "--pmin", "1000", "--pmax", "1040", "--format", "json", "--seed", "3"),
+    ("verify", "--suite", "lemma31", "--pmin", "11", "--pmax", "31", "--format", "json"),
 )
 
 
 def _run(argv) -> tuple:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(list(argv))
-    return rc, out.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 def _corpus() -> dict:
@@ -66,15 +76,16 @@ def _corpus() -> dict:
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv))
 def test_golden_stdout(argv):
     want = _corpus()[" ".join(argv)]
-    rc, out = _run(argv)
+    rc, out, err = _run(argv)
     assert rc == want["exit"]
     assert out == want["stdout"]
+    assert err == want["stderr"]
 
 
 if __name__ == "__main__":
     corpus = {}
     for argv in COMMANDS:
-        rc, out = _run(argv)
-        corpus[" ".join(argv)] = {"exit": rc, "stdout": out}
+        rc, out, err = _run(argv)
+        corpus[" ".join(argv)] = {"exit": rc, "stdout": out, "stderr": err}
         print(f"{rc} {' '.join(argv)}", file=sys.stderr)
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
