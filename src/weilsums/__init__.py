@@ -20,7 +20,6 @@ from .exponents import (
     binomial_bound,
     curve_bound,
     eta,
-    eta_lower_shape,
     eta_table,
     induction_trace,
     kappa,
@@ -52,9 +51,7 @@ from .moments import (
     q_bruteforce,
     q_convolution,
     t3_count,
-    t3_gcd_reduction,
     verify_moment_inequality,
-    xi_exponent,
 )
 from .prng import (
     EquidistributionReport,
@@ -70,7 +67,6 @@ from .sums import (
     SumValue,
     complete_sum,
     incomplete_subgroup_sum,
-    interval_sum,
     inversive_subgroup_sum,
     kloosterman_subgroup_sum,
     subgroup_sum,

@@ -88,16 +88,6 @@ def eta_table(nmax: int, eps) -> EtaTable:
     return EtaTable(eps, tuple(rows))
 
 
-def eta_lower_shape(n: int, eps) -> Fraction:
-    """Reference decay shape (7*eps/9)^(n-1) / (n-2)! for comparing eta_n against."""
-    eps = as_fraction(eps)
-    if not (0 < eps < Fraction(1, 2)):
-        raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return (Fraction(7, 9) * eps) ** (n - 1) / math.factorial(n - 2)
-
-
 def _check_pt(p: int, tau: int):
     if p < 2:
         raise ValueError("p must be >= 2")

@@ -329,10 +329,6 @@ class ExtensionField:
         p = self.base.p
         return tuple((x - y) % p for x, y in zip(a, b))
 
-    def neg(self, a) -> tuple:
-        p = self.base.p
-        return tuple(-x % p for x in a)
-
     def mul(self, a, b) -> tuple:
         p = self.base.p
         j = self.degree
@@ -358,19 +354,6 @@ class ExtensionField:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.order - 2)
 
-    def frobenius(self, a) -> tuple:
-        """a -> a**p, the base-field Frobenius."""
-        return self.pow(a, self.base.p)
-
-    def element_order(self, a) -> int:
-        """Order of a in the multiplicative group of the field."""
-        if a == self.zero():
-            raise ValueError("zero has no multiplicative order")
-        order = self.order - 1
-        for q in factorize(order):
-            while order % q == 0 and self.pow(a, order // q) == self.one():
-                order //= q
-        return order
 
 
 def _is_irreducible(f, p: int) -> bool:

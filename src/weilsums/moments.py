@@ -36,7 +36,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from math import gcd
 from operator import itemgetter
 
 import numpy as np
@@ -421,19 +420,6 @@ def t3_count(p, s: int, m: int, n: int) -> int:
     return _collision_count(hist, 3, P, 2)
 
 
-def t3_gcd_reduction(m: int, n: int, p) -> tuple:
-    """Reduce (m, n) by d = gcd(m, n); returns (m/d, n/d, e) with e = gcd(d, p-1).
-
-    The count for (m, n) is at most e**6 times the count for (m/d, n/d),
-    because x -> x^d is e-to-1 onto its image.
-    """
-    P = prime_modulus(p).p
-    if not (1 <= m < n):
-        raise ValueError("need 1 <= m < n")
-    d = gcd(m, n)
-    return m // d, n // d, gcd(d, P - 1)
-
-
 @dataclass(frozen=True)
 class MomentInequalityReport:
     """One checked instance of the moment bound |S|^(2kl) <= p^r tau^(2kl-2k-2l) Q_k Q_l."""
@@ -482,20 +468,3 @@ def _q_best_route(G, nvec, k: int) -> int:
         return q_convolution(G, nvec, k)
     except GuardExceeded:
         return q_bruteforce(G, nvec, k)
-
-
-def xi_exponent(r: int, k: int, eta, eps) -> Fraction:
-    """Saving exponent min(r, eta*(2k-6) + 1 + 7*eps/3) for one induction step."""
-    from .exponents import as_fraction
-
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    eta = as_fraction(eta)
-    eps = as_fraction(eps)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    return min(Fraction(r), eta * (2 * k - 6) + 1 + Fraction(7, 3) * eps)

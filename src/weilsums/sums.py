@@ -68,10 +68,6 @@ class SparsePolynomial:
     def degree(self) -> int:
         return self.terms[-1][0] if self.terms else 0
 
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     def exponents(self) -> tuple:
         return tuple(n for n, _ in self.terms)
 
@@ -201,15 +197,6 @@ def complete_sum(p, f: SparsePolynomial) -> SumValue:
     """S(f) = sum over all x in F_p of exp(2*pi*i*f(x)/p)."""
     mod = prime_modulus(p)
     residues = [f.evaluate(x, mod.p) for x in range(mod.p)]
-    return _char_sum(mod, residues)
-
-
-def interval_sum(p, f: SparsePolynomial, length: int) -> SumValue:
-    """Sum of exp(2*pi*i*f(x)/p) over the initial interval x = 0..length-1."""
-    mod = prime_modulus(p)
-    if length < 0 or length > mod.p:
-        raise ValueError(f"interval length must lie in [0, p], got {length}")
-    residues = [f.evaluate(x, mod.p) for x in range(length)]
     return _char_sum(mod, residues)
 
 

@@ -14,7 +14,6 @@ from weilsums.exponents import (
     binomial_bound,
     curve_bound,
     eta,
-    eta_lower_shape,
     eta_table,
     induction_trace,
     kappa,
@@ -93,23 +92,6 @@ def test_kappa_monotone_in_eps():
     for n in (3, 4, 5):
         vals = [kappa(n, e) for e in grid]
         assert vals == sorted(vals, reverse=True)
-
-
-def test_eta_lower_shape():
-    assert eta_lower_shape(2, TENTH) == Fraction(7, 90)
-    assert eta_lower_shape(3, TENTH) == Fraction(49, 8100)
-    with pytest.raises(ValueError):
-        eta_lower_shape(1, TENTH)
-    with pytest.raises(ValueError):
-        eta_lower_shape(3, Fraction(1, 2))
-    # eta_n tracks the factorial-decay shape within a bounded constant
-    ratios = [
-        eta(n, eps) / eta_lower_shape(n, eps)
-        for eps in (Fraction(1, 20), TENTH, Fraction(1, 5))
-        for n in range(2, 9)
-    ]
-    assert all(r > 0 for r in ratios)
-    assert min(ratios) > Fraction(1, 100)
 
 
 def test_eta_table():

@@ -168,11 +168,10 @@ def test_extension_field_f49():
     x = (0, 1)
     assert K.mul(x, x) == (6, 0)  # x^2 = -1
     assert K.pow(x, 4) == K.one()
-    assert K.element_order(x) == 4
+    assert K.pow(x, 2) != K.one()  # so x has order exactly 4
     a = (3, 5)
     assert K.mul(a, K.inv(a)) == K.one()
     assert K.pow(a, 48) == K.one()
-    assert K.frobenius(a) == K.pow(a, 7)
 
 
 def test_extension_field_degree_one():
@@ -195,10 +194,10 @@ def test_extension_field_cubic():
     assert len(K.defining) == 4 and K.defining[-1] == 1
     a = (1, 2, 3)
     assert K.pow(a, K.order - 1) == K.one()
-    # frobenius is an automorphism: (ab)^p = a^p b^p
+    # the Frobenius map a -> a^p is an automorphism: (ab)^p = a^p b^p
     b = (4, 0, 2)
-    lhs = K.frobenius(K.mul(a, b))
-    rhs = K.mul(K.frobenius(a), K.frobenius(b))
+    lhs = K.pow(K.mul(a, b), 5)
+    rhs = K.mul(K.pow(a, 5), K.pow(b, 5))
     assert lhs == rhs
 
 
@@ -218,7 +217,7 @@ def test_roots_of_unity_extension():
     for r in roots:
         assert K.pow(r, 4) == K.one()
     # closed under Frobenius
-    images = {K.frobenius(r) for r in roots}
+    images = {K.pow(r, 7) for r in roots}
     assert images == set(roots)
 
 

@@ -199,14 +199,6 @@ def test_t3_validation_and_guard():
         moments.t3_count(10007, 1, 1, 2)
 
 
-def test_t3_gcd_reduction():
-    assert moments.t3_gcd_reduction(4, 6, 13) == (2, 3, 2)
-    assert moments.t3_gcd_reduction(1, 2, 13) == (1, 2, 1)
-    assert moments.t3_gcd_reduction(12, 24, 13) == (1, 2, 12)
-    with pytest.raises(ValueError):
-        moments.t3_gcd_reduction(3, 3, 13)
-
-
 def test_moment_inequality_frozen_instance():
     G = field.subgroup(13, 4)
     f = SparsePolynomial.parse("1*x^1+1*x^2")
@@ -264,21 +256,6 @@ def test_q_lower_bounds():
                     q = moments.q_bruteforce(G, nvec, k)
                     assert q >= -(-(tau ** (2 * k)) // p**r)
                     assert q >= tau**k
-
-
-def test_xi_exponent():
-    assert moments.xi_exponent(2, 3, Fraction(7, 270), 0) == 1
-    assert moments.xi_exponent(
-        3, 18, Fraction(7, 270), Fraction(3, 10)
-    ) == Fraction(223, 90)
-    # large k saturates at r
-    assert moments.xi_exponent(2, 100, Fraction(7, 270), Fraction(1, 10)) == 2
-    with pytest.raises(ValueError):
-        moments.xi_exponent(1, 3, Fraction(1, 10), 0)
-    with pytest.raises(ValueError):
-        moments.xi_exponent(2, 2, Fraction(1, 10), 0)
-    with pytest.raises(ValueError):
-        moments.xi_exponent(2, 3, 0, 0)
 
 
 def _routes(hist, k, p, r):

@@ -1,4 +1,4 @@
-"""Exponential sum evaluators: complete, interval, subgroup, twisted, Kloosterman, inversive."""
+"""Exponential sum evaluators: complete, subgroup, twisted, Kloosterman, inversive."""
 
 import cmath
 import math
@@ -90,12 +90,11 @@ def test_reduce_exponents():
 def test_degree_and_accessors():
     f = poly((2, 3), (7, 1))
     assert f.degree == 7
-    assert f.num_terms == 2
     assert f.exponents() == (2, 7)
     assert f.coefficients() == (3, 1)
 
 
-# --- complete and interval sums ---
+# --- complete sums ---
 
 
 def test_complete_sum_linear_cancels():
@@ -108,37 +107,6 @@ def test_complete_sum_linear_cancels():
 def test_complete_sum_gauss():
     s = sums.complete_sum(13, poly((2, 1)))
     assert abs(abs(s.value) - math.sqrt(13)) < 1e-9
-
-
-def test_interval_sum_limits():
-    p = 13
-    f = poly((2, 1))
-    assert sums.interval_sum(p, f, 0).value == 0
-    assert sums.interval_sum(p, f, 0).term_count == 0
-    one = sums.interval_sum(p, f, 1)
-    assert abs(one.value - 1) < 1e-15  # f(0) = 0
-    full = sums.interval_sum(p, f, p)
-    whole = sums.complete_sum(p, f)
-    assert full.value == whole.value
-    with pytest.raises(ValueError):
-        sums.interval_sum(p, f, p + 1)
-    with pytest.raises(ValueError):
-        sums.interval_sum(p, f, -1)
-
-
-def test_interval_prefix_consistency():
-    p = 31
-    f = poly((1, 3), (4, 7))
-    parts = [field.additive_character(p, f.evaluate(x, p)) for x in range(p)]
-    acc = 0
-    for n in range(p + 1):
-        got = sums.interval_sum(p, f, n).value
-        assert abs(got - acc) < 1e-12
-        if n < p:
-            acc += parts[n]
-
-
-# --- subgroup sums ---
 
 
 def test_subgroup_sum_example():
