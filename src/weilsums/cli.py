@@ -11,8 +11,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass, fields
 
 from . import curves, exponents, moments, prng, sums
 from .field import divisors, is_prime, subgroup
@@ -29,16 +28,6 @@ def _random_sparse(rng, p: int, r: int, max_exp: int) -> SparsePolynomial:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    suite: str
-    pmin: int
-    pmax: int
-    eps: Fraction
-    ceiling: float
-    seed: int
-
-
-@dataclass(frozen=True)
 class ReportRow:
     suite: str
     p: int
@@ -50,111 +39,84 @@ class ReportRow:
     in_admissible_range: object  # bool or None
     passed: bool
 
+    def as_csv(self) -> str:
+        return ",".join(_cell(getattr(self, name), ".6g" if name == "ratio" else ".12g") for name in _FIELDS)
 
-_CSV_HEADER = "suite,p,tau,params,measured,bound,ratio,in_admissible_range,passed"
-
-
-def _num(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    return format(x, ".12g")
+    def as_json(self) -> str:
+        return json.dumps({**asdict(self), "ratio": float(format(self.ratio, ".6g"))}, sort_keys=True)
 
 
-def _flag(x) -> str:
+_FIELDS = tuple(f.name for f in fields(ReportRow))
+
+
+def _cell(x, spec: str = ".12g") -> str:
+    """Text of one output value: '' for None, true/false, exact ints, floats to `spec`."""
     if x is None:
         return ""
-    return "true" if x else "false"
-
-
-def _row_csv(row: ReportRow) -> str:
-    return ",".join(
-        (
-            row.suite,
-            str(row.p),
-            "" if row.tau is None else str(row.tau),
-            row.params,
-            _num(row.measured),
-            _num(row.bound),
-            format(row.ratio, ".6g"),
-            _flag(row.in_admissible_range),
-            _flag(row.passed),
-        )
-    )
-
-
-def _row_json(row: ReportRow) -> str:
-    return json.dumps(
-        {
-            "suite": row.suite,
-            "p": row.p,
-            "tau": row.tau,
-            "params": row.params,
-            "measured": row.measured,
-            "bound": row.bound,
-            "ratio": float(format(row.ratio, ".6g")),
-            "in_admissible_range": row.in_admissible_range,
-            "passed": row.passed,
-        },
-        sort_keys=True,
-    )
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, str)):
+        return str(x)
+    return format(x, spec)
 
 
 # ---------------------------------------------------------------------------
 # verify suites; each yields ReportRow in canonical (p, tau, params) order
 
 
-def _window(p: int, tau: int, eps) -> bool:
-    return exponents.admissible_range(p, tau, eps).inside
+def _cells(args, keep=None):
+    """Yield (p, tau, G, window) for each prime p in [pmin, pmax] and divisor tau of p-1.
+
+    Cells whose admissible window fails `keep` are skipped before G is built.
+    """
+    for p in _primes_in(args.pmin, args.pmax):
+        for tau in divisors(p - 1):
+            window = exponents.admissible_range(p, tau, args.eps)
+            if keep is None or keep(window):
+                yield p, tau, subgroup(p, tau), window
 
 
-def _suite_gauss(cfg: SweepConfig, rng):
+def _suite_gauss(args, rng):
     f = SparsePolynomial(((2, 1),))
-    for p in _primes_in(max(3, cfg.pmin), cfg.pmax):
+    for p in _primes_in(max(3, args.pmin), args.pmax):
         s = sums.complete_sum(p, f)
         bound = math.sqrt(p)
         passed = abs(s.magnitude - bound) <= 1e-9 * bound
         yield ReportRow("gauss", p, None, "f=1*x^2", s.magnitude, bound, s.magnitude / bound, None, passed)
 
 
-def _suite_identity(cfg: SweepConfig, rng):
-    for p in _primes_in(cfg.pmin, cfg.pmax):
-        full = subgroup(p, p - 1)
-        for tau in divisors(p - 1):
-            G = subgroup(p, tau)
-            cof = (p - 1) // tau
-            win = _window(p, tau, cfg.eps)
-            for i in range(20):
-                f = _random_sparse(rng, p, rng.randint(1, 3), 3 * tau + 3)
-                lhs = sums.subgroup_sum(G, f).value
-                composed = SparsePolynomial(tuple((n * cof, c) for n, c in f.terms), f.constant)
-                rhs = sums.subgroup_sum(full, composed).value * tau / (p - 1)
-                diff = abs(lhs - rhs)
-                bound = 1e-8 * p
-                yield ReportRow(
-                    "identity", p, tau, f"i={i};f={f.format()}", diff, bound, diff / bound, win, diff <= bound
-                )
+def _suite_identity(args, rng):
+    full = None
+    for p, tau, G, win in _cells(args):
+        if full is None or full.p != p:
+            full = subgroup(p, p - 1)
+        cof = G.cofactor
+        for i in range(20):
+            f = _random_sparse(rng, p, rng.randint(1, 3), 3 * tau + 3)
+            lhs = sums.subgroup_sum(G, f).value
+            composed = SparsePolynomial(tuple((n * cof, c) for n, c in f.terms), f.constant)
+            rhs = sums.subgroup_sum(full, composed).value * tau / (p - 1)
+            diff = abs(lhs - rhs)
+            bound = 1e-8 * p
+            params = f"i={i};f={f.format()}"
+            yield ReportRow("identity", p, tau, params, diff, bound, diff / bound, win.inside, diff <= bound)
 
 
 _MOMENT_EXPS = ((1,), (1, 2), (2, 3), (1, 3))
 
 
-def _suite_moments(cfg: SweepConfig, rng):
-    for p in _primes_in(cfg.pmin, cfg.pmax):
-        for tau in divisors(p - 1):
-            G = subgroup(p, tau)
-            win = _window(p, tau, cfg.eps)
-            for k in (2, 3):
-                for nvec in _MOMENT_EXPS:
-                    qb = moments.q_bruteforce(G, nvec, k)
-                    qc = moments.q_convolution(G, nvec, k)
-                    nstr = "-".join(str(n) for n in nvec)
-                    yield ReportRow(
-                        "moments", p, tau, f"k={k};n={nstr}", qc, qb, qc / qb, win, qc == qb
-                    )
+def _suite_moments(args, rng):
+    for p, tau, G, win in _cells(args):
+        for k in (2, 3):
+            for nvec in _MOMENT_EXPS:
+                qb = moments.q_bruteforce(G, nvec, k)
+                qc = moments.q_convolution(G, nvec, k)
+                nstr = "-".join(str(n) for n in nvec)
+                yield ReportRow("moments", p, tau, f"k={k};n={nstr}", qc, qb, qc / qb, win.inside, qc == qb)
 
 
-def _suite_lemma31(cfg: SweepConfig, rng):
-    pr = _primes_in(cfg.pmin, cfg.pmax)
+def _suite_lemma31(args, rng):
+    pr = _primes_in(args.pmin, args.pmax)
     if not pr:
         return
     for i in range(100):
@@ -166,96 +128,59 @@ def _suite_lemma31(cfg: SweepConfig, rng):
         f = _random_sparse(rng, p, rng.choice((1, 2)), 10)
         rep = moments.verify_moment_inequality(G, f, k, l)
         rhs = float(rep.rhs)
-        yield ReportRow(
-            "lemma31",
-            p,
-            tau,
-            f"i={i};k={k};l={l};f={f.format()}",
-            rep.lhs,
-            rhs,
-            rep.lhs / rhs,
-            _window(p, tau, cfg.eps),
-            rep.holds,
-        )
+        win = exponents.admissible_range(p, tau, args.eps)
+        params = f"i={i};k={k};l={l};f={f.format()}"
+        yield ReportRow("lemma31", p, tau, params, rep.lhs, rhs, rep.lhs / rhs, win.inside, rep.holds)
 
 
-def _suite_q3(cfg: SweepConfig, rng):
+def _suite_q3(args, rng):
     """T_3(p; s, m, n) against s^6 Q_3(G; (m, n)) for every subgroup G of order tau = (p-1)/s.
 
     Up to tau^3 = 2^20 tuples Q_3 comes from enumeration, a route independent of
     t3_count's; above that from q_convolution, which for s = 1 counts the same
     histogram by the same route as t3_count, so those rows check only the histogram.
     """
-    for p in _primes_in(cfg.pmin, cfg.pmax):
-        for tau in divisors(p - 1):
-            G = subgroup(p, tau)
-            s = (p - 1) // tau
-            win = _window(p, tau, cfg.eps)
-            q3 = moments.q_bruteforce if tau**3 <= 2**20 else moments.q_convolution
-            for m, n in ((1, 2), (2, 3)):
-                t3v = moments.t3_count(p, s, m, n)
-                expected = s**6 * q3(G, (m, n), 3)
-                yield ReportRow(
-                    "q3", p, tau, f"m={m};n={n};s={s}", t3v, expected, t3v / expected, win, t3v == expected
-                )
+    for p, tau, G, win in _cells(args):
+        s = G.cofactor
+        q3 = moments.q_bruteforce if tau**3 <= 2**20 else moments.q_convolution
+        for m, n in ((1, 2), (2, 3)):
+            t3v = moments.t3_count(p, s, m, n)
+            expected = s**6 * q3(G, (m, n), 3)
+            yield ReportRow(
+                "q3", p, tau, f"m={m};n={n};s={s}", t3v, expected, t3v / expected, win.inside, t3v == expected
+            )
 
 
-def _suite_binomial(cfg: SweepConfig, rng):
-    for p in _primes_in(cfg.pmin, cfg.pmax):
-        for tau in divisors(p - 1):
-            if not _window(p, tau, cfg.eps):
-                continue
-            G = subgroup(p, tau)
-            bound = exponents.binomial_bound(p, tau)
+def _soft_suite(suite: str, keep, draw, bound):
+    """A soft suite: ten drawn polynomials f per kept cell, |S(G; f)| against bound(p, tau, f, eps).
+
+    A row passes when its ratio is at most the ceiling.
+    """
+
+    def run(args, rng):
+        for p, tau, G, win in _cells(args, keep):
             for i in range(10):
-                m = rng.randint(1, 3 * tau)
-                n = rng.randint(m + 1, 3 * tau + 1)
-                f = SparsePolynomial(((m, rng.randint(1, p - 1)), (n, rng.randint(1, p - 1))))
+                f = draw(rng, p, tau)
+                b = bound(p, tau, f, args.eps)
                 mag = sums.subgroup_sum(G, f).magnitude
-                ratio = mag / bound
-                yield ReportRow(
-                    "binomial", p, tau, f"i={i};f={f.format()}", mag, bound, ratio, True, ratio <= cfg.ceiling
-                )
+                ratio = mag / b
+                params = f"i={i};f={f.format()}"
+                yield ReportRow(suite, p, tau, params, mag, b, ratio, win.inside, ratio <= args.ceiling)
+
+    return run
 
 
-def _suite_monomial(cfg: SweepConfig, rng):
-    for p in _primes_in(cfg.pmin, cfg.pmax):
-        for tau in divisors(p - 1):
-            if not _window(p, tau, cfg.eps):
-                continue
-            G = subgroup(p, tau)
-            bound = exponents.monomial_bound(p, tau)
-            for i in range(10):
-                f = SparsePolynomial(((rng.randint(1, 3 * tau), rng.randint(1, p - 1)),))
-                mag = sums.subgroup_sum(G, f).magnitude
-                ratio = mag / bound
-                yield ReportRow(
-                    "monomial", p, tau, f"i={i};f={f.format()}", mag, bound, ratio, True, ratio <= cfg.ceiling
-                )
-
-
-def _suite_theorem(cfg: SweepConfig, rng):
-    for p in _primes_in(cfg.pmin, cfg.pmax):
-        for tau in divisors(p - 1):
-            rngw = exponents.admissible_range(p, tau, cfg.eps)
-            if not rngw.above_lower:
-                continue
-            G = subgroup(p, tau)
-            for i in range(10):
-                f = _random_sparse(rng, p, rng.randint(1, 3), 12)
-                bound = exponents.theorem_bound(p, tau, f.degree, cfg.eps)
-                mag = sums.subgroup_sum(G, f).magnitude
-                ratio = mag / bound
-                yield ReportRow(
-                    "theorem", p, tau, f"i={i};f={f.format()}", mag, bound, ratio, rngw.inside, ratio <= cfg.ceiling
-                )
+def _draw_binomial(rng, p: int, tau: int) -> SparsePolynomial:
+    m = rng.randint(1, 3 * tau)
+    n = rng.randint(m + 1, 3 * tau + 1)
+    return SparsePolynomial(((m, rng.randint(1, p - 1)), (n, rng.randint(1, p - 1))))
 
 
 _CURVE_CELLS = ((1, 2, 1), (1, 2, 2), (2, 3, 1), (2, 3, 2), (1, 3, 1), (1, 3, 2))
 
 
-def _suite_curve(cfg: SweepConfig, rng):
-    for p in _primes_in(cfg.pmin, min(cfg.pmax, curves.POINT_COUNT_LIMIT)):
+def _suite_curve(args, rng):
+    for p in _primes_in(args.pmin, min(args.pmax, curves.POINT_COUNT_LIMIT)):
         for m, n, s in _CURVE_CELLS:
             if (m * n * (n - m)) % p == 0:
                 continue
@@ -271,17 +196,8 @@ def _suite_curve(cfg: SweepConfig, rng):
                     continue
                 found += 1
                 rep = curves.check_curve_bound(curves.CurveSpec(p, m, n, s, A, B))
-                yield ReportRow(
-                    "curve",
-                    p,
-                    None,
-                    f"m={m};n={n};s={s};A={A};B={B}",
-                    rep.count,
-                    rep.bound,
-                    rep.ratio,
-                    None,
-                    rep.holds is True,
-                )
+                params = f"m={m};n={n};s={s};A={A};B={B}"
+                yield ReportRow("curve", p, None, params, rep.count, rep.bound, rep.ratio, None, rep.holds is True)
 
 
 _SUITES = {
@@ -290,9 +206,21 @@ _SUITES = {
     "moments": _suite_moments,
     "lemma31": _suite_lemma31,
     "q3": _suite_q3,
-    "binomial": _suite_binomial,
-    "monomial": _suite_monomial,
-    "theorem": _suite_theorem,
+    "binomial": _soft_suite(
+        "binomial", lambda w: w.inside, _draw_binomial, lambda p, tau, f, eps: exponents.binomial_bound(p, tau)
+    ),
+    "monomial": _soft_suite(
+        "monomial",
+        lambda w: w.inside,
+        lambda rng, p, tau: SparsePolynomial(((rng.randint(1, 3 * tau), rng.randint(1, p - 1)),)),
+        lambda p, tau, f, eps: exponents.monomial_bound(p, tau),
+    ),
+    "theorem": _soft_suite(
+        "theorem",
+        lambda w: w.above_lower,
+        lambda rng, p, tau: _random_sparse(rng, p, rng.randint(1, 3), 12),
+        lambda p, tau, f, eps: exponents.theorem_bound(p, tau, f.degree, eps),
+    ),
     "curve": _suite_curve,
 }
 
@@ -348,7 +276,7 @@ def cmd_moment(args) -> int:
     qc = moments.q_convolution(G, nvec, args.k)
     print(f"bruteforce = {qb}")
     print(f"convolution = {qc}")
-    print(f"agree = {_flag(qb == qc)}")
+    print(f"agree = {_cell(qb == qc)}")
     return 0 if qb == qc else 1
 
 
@@ -360,7 +288,7 @@ def cmd_t3(args) -> int:
 def cmd_curve(args) -> int:
     delta = curves.delta_eval(args.m, args.n, args.A, args.B, args.p)
     print(f"delta = {delta}")
-    print(f"delta_nonzero = {_flag(delta != 0)}")
+    print(f"delta_nonzero = {_cell(delta != 0)}")
     if args.delta_only:
         return 0
     rep = curves.check_curve_bound(curves.CurveSpec(args.p, args.m, args.n, args.s, args.A, args.B))
@@ -368,8 +296,8 @@ def cmd_curve(args) -> int:
     print(f"count = {rep.count}")
     print(f"bound = {rep.bound:.12g}")
     print(f"ratio = {rep.ratio:.6g}")
-    print(f"in_hypothesis = {_flag(rep.in_hypothesis)}")
-    print(f"holds = {_flag(rep.holds) if rep.holds is not None else 'not-asserted'}")
+    print(f"in_hypothesis = {_cell(rep.in_hypothesis)}")
+    print(f"holds = {_cell(rep.holds) if rep.holds is not None else 'not-asserted'}")
     return 0
 
 
@@ -418,22 +346,15 @@ def cmd_prng(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = SweepConfig(
-        suite=args.suite,
-        pmin=args.pmin,
-        pmax=args.pmax,
-        eps=exponents.as_fraction(args.eps),
-        ceiling=args.ceiling,
-        seed=args.seed,
-    )
-    if cfg.pmin > cfg.pmax:
+    args.eps = exponents.as_fraction(args.eps)
+    if args.pmin > args.pmax:
         raise ValueError("pmin must be <= pmax")
-    rng = random.Random(f"{cfg.suite}:{cfg.seed}")
-    rows = list(_SUITES[cfg.suite](cfg, rng))
+    rng = random.Random(f"{args.suite}:{args.seed}")
+    rows = list(_SUITES[args.suite](args, rng))
     if args.format == "csv":
-        lines = [_CSV_HEADER] + [_row_csv(r) for r in rows]
+        lines = [",".join(_FIELDS)] + [r.as_csv() for r in rows]
     else:
-        lines = [_row_json(r) for r in rows]
+        lines = [r.as_json() for r in rows]
     text = "\n".join(lines) + "\n" if lines else ""
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -443,7 +364,7 @@ def cmd_verify(args) -> int:
     failures = sum(1 for r in rows if not r.passed)
     max_ratio = max((r.ratio for r in rows), default=0.0)
     print(
-        f"suite={cfg.suite} rows={len(rows)} failures={failures} max_ratio={max_ratio:.6g}",
+        f"suite={args.suite} rows={len(rows)} failures={failures} max_ratio={max_ratio:.6g}",
         file=sys.stderr,
     )
     return 1 if failures else 0
