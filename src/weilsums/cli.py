@@ -461,7 +461,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as e:  # GuardExceeded is a ValueError
+    except (ValueError, ArithmeticError, OSError) as e:  # GuardExceeded is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

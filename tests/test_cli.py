@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import random
 import struct
 
 import numpy as np
@@ -270,3 +271,91 @@ def test_verify_pmin_pmax_validation(capsys):
     rc, _, err = run(capsys, "verify", "--suite", "gauss", "--pmin", "31", "--pmax", "13")
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prng", "--p", "13", "--tau", "4", "--poly", "1*x^1", "--count", "3"),
+        ("verify", "--suite", "gauss", "--pmin", "3", "--pmax", "5"),
+    ],
+    ids=("prng", "verify"),
+)
+def test_unwritable_out_is_exit_2(tmp_path, capsys, argv):
+    dest = tmp_path / "missing" / "x.csv"
+    rc, out, err = run(capsys, *argv, "--out", str(dest))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not dest.exists()
+
+
+# --- fuzzing: every subcommand exits 0, 1 or 2, whatever its arguments ---
+
+
+def _mostly(rng, good, bad):
+    """A value from `good` four times in five, else one from `bad`."""
+    return rng.choice(good if rng.random() < 0.8 else bad)
+
+
+def _fuzz_poly(rng):
+    if rng.random() < 0.7:
+        exps = rng.sample(range(1, 9), rng.randint(1, 3))
+        text = "+".join(f"{rng.randint(1, 60)}*x^{n}" for n in exps)
+        return text + (f"+{rng.randint(0, 9)}" if rng.random() < 0.3 else "")
+    return rng.choice(("", "x", "x^2", "-1*x^2", "3*y^2", "1*x^0", "1*x^-1", "0*x^2", "1*x^2+1*x^2", "1+2", "+"))
+
+
+def _fuzz_argv(rng, command, tmp_path):
+    """One argv for `command`: small values, mostly well-formed, sometimes not."""
+    p = _mostly(rng, (3, 5, 7, 11, 13, 17, 19, 29, 31, 37, 41, 43, 53, 59), range(-3, 61))
+    divs = [d for d in range(1, p) if (p - 1) % d == 0] or [1]
+    tau = _mostly(rng, divs, range(-2, 13))
+    m = _mostly(rng, (1, 2, 3), (-1, 0, 4))
+    n = _mostly(rng, (m + 1, m + 2, m + 3), (-1, 0, m))
+    small = lambda lo, hi: str(rng.randint(lo, hi))  # noqa: E731
+    eps = _mostly(rng, ("1/10", "1/5", "1/20", "3/7"), ("0", "-1/10", "1/0", "abc", "0.1"))
+    out = rng.choice(([], ["--out", str(tmp_path / "out")], ["--out", str(tmp_path / "missing" / "out")]))
+    if command == "sum":
+        extra = rng.choice(([], ["--twist", small(-3, 12)], ["--incomplete", small(-2, 14)]))
+        return ["sum", "--p", str(p), "--tau", str(tau), "--poly", _fuzz_poly(rng)] + extra
+    if command in ("kloosterman", "inversive"):
+        return [command, "--p", str(p), "--tau", str(tau), "--a", small(-3, 60), "--b", small(-3, 60)]
+    if command == "moment":
+        exps = _mostly(rng, ("1", "2", "1,2", "2,3", "1,3", "1,2,3"), ("", "a", "1,,2", "0", "-1,2", "2,1", "1,1"))
+        argv = ["moment", "--p", str(p), "--tau", str(tau), "--k", _mostly(rng, "123", "-10"), "--exps", exps]
+        return argv + ["--method", rng.choice(("brute", "conv", "both"))]
+    if command == "t3":
+        s = (p - 1) // tau if tau in divs else tau
+        return ["t3", "--p", str(p), "--s", str(s), "--m", str(m), "--n", str(n)]
+    if command == "curve":
+        argv = ["curve", "--p", str(p), "--m", str(m), "--n", str(n), "--s", small(-1, 3)]
+        return argv + ["--A", small(-3, 60), "--B", small(-3, 60)] + (["--delta-only"] if rng.random() < 0.3 else [])
+    if command == "eta":
+        return ["eta", "--nmax", small(-1, 5), "--eps", eps] + (["--json"] if rng.random() < 0.5 else [])
+    if command == "prng":
+        inversive = _mostly(rng, ("1,1", "2,5", "0,3"), ("3", "a,b", "1,2,3"))
+        source = ["--poly", _fuzz_poly(rng)] if rng.random() < 0.6 else ["--inversive", inversive]
+        argv = ["prng", "--p", str(p), "--tau", str(tau)] + source + ["--count", small(-2, 20)]
+        return argv + ["--format", rng.choice(("csv", "u64-le"))] + out
+    lo = rng.randint(-3, 60)
+    suite = rng.choice(sorted(cli._SUITES))
+    argv = ["verify", "--suite", suite, "--pmin", str(lo), "--pmax", str(lo + rng.randint(-2, 6)), "--eps", eps]
+    argv += ["--ceiling", rng.choice(("10", "1e-9", "0.5")), "--seed", small(0, 9)]
+    return argv + ["--format", rng.choice(("csv", "json"))] + out
+
+
+_COMMANDS = ("sum", "kloosterman", "inversive", "moment", "t3", "curve", "eta", "prng", "verify")
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_fuzz_exit_codes(tmp_path, capsys, command):
+    rng = random.Random(f"fuzz:{command}")
+    for _ in range(60):
+        argv = _fuzz_argv(rng, command, tmp_path)
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:  # argparse rejects the argv
+            rc = e.code
+        capsys.readouterr()
+        assert rc in (0, 1, 2), argv
