@@ -30,6 +30,39 @@ def test_factorize():
         field.factorize(0)
 
 
+def test_is_prime_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(10**4):
+        assert field.is_prime(n) == sympy.isprime(n), n
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randrange(2**62)
+        # random n is almost always composite; its next prime checks the other verdict
+        for m in (n, sympy.nextprime(n)):
+            assert field.is_prime(m) == sympy.isprime(m), m
+
+
+def test_factorize_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(32)
+    cases = [rng.randrange(1, 2**62) for _ in range(200)]
+    # semiprimes with two factors near 2^31, the hardest case for Pollard-Brent
+    half = lambda: sympy.nextprime(rng.randrange(2**30, 2**31))  # noqa: E731
+    cases += [half() * half() for _ in range(5)]
+    cases += [rng.randrange(2, 50) ** rng.randrange(1, 12) for _ in range(20)]
+    for n in cases:
+        assert field.factorize(n) == sympy.factorint(n), n
+
+
+def test_least_primitive_root_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(33)
+    primes = [2, 3, 5] + [sympy.nextprime(rng.randrange(10**6)) for _ in range(200)]
+    primes += [sympy.nextprime(rng.randrange(2**40)) for _ in range(20)]
+    for p in primes:
+        assert field.least_primitive_root(p) == sympy.primitive_root(p), p
+
+
 def test_divisors():
     assert field.divisors(12) == [1, 2, 3, 4, 6, 12]
     assert field.divisors(1) == [1]
