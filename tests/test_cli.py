@@ -323,14 +323,16 @@ def _fuzz_argv(rng, command, tmp_path):
         return [command, "--p", str(p), "--tau", str(tau), "--a", small(-3, 60), "--b", small(-3, 60)]
     if command == "moment":
         exps = _mostly(rng, ("1", "2", "1,2", "2,3", "1,3", "1,2,3"), ("", "a", "1,,2", "0", "-1,2", "2,1", "1,1"))
-        argv = ["moment", "--p", str(p), "--tau", str(tau), "--k", _mostly(rng, "123", "-10"), "--exps", exps]
+        k = _mostly(rng, (1, 2, 3), (-1, 0))
+        argv = ["moment", "--p", str(p), "--tau", str(tau), "--k", str(k), "--exps", exps]
         return argv + ["--method", rng.choice(("brute", "conv", "both"))]
     if command == "t3":
         s = (p - 1) // tau if tau in divs else tau
         return ["t3", "--p", str(p), "--s", str(s), "--m", str(m), "--n", str(n)]
     if command == "curve":
         argv = ["curve", "--p", str(p), "--m", str(m), "--n", str(n), "--s", small(-1, 3)]
-        return argv + ["--A", small(-3, 60), "--B", small(-3, 60)] + (["--delta-only"] if rng.random() < 0.3 else [])
+        argv += ["--A", small(-3, 60), "--B", small(-3, 60)]
+        return argv + (["--delta-only"] if rng.random() < 0.3 else [])
     if command == "eta":
         return ["eta", "--nmax", small(-1, 5), "--eps", eps] + (["--json"] if rng.random() < 0.5 else [])
     if command == "prng":
