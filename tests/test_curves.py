@@ -1,5 +1,6 @@
 """Resultants, fiber discriminants, degeneracy products, and point counts."""
 
+import hashlib
 import math
 import random
 
@@ -248,6 +249,22 @@ def test_cond_first_product_matches_resultant():
         )
         first, _ = curves._cond_products(m, n, A, B, K, roots)
         assert K.to_base(first) == curves.resultant([1, 1, 1], h, p)
+
+
+def test_delta_grid_digest():
+    # SHA-256 of delta_eval over every admissible (p, m, n) with p <= 31 and
+    # n <= 7, on a strided (A, B) grid; recorded before the root-of-unity
+    # products were rewritten, so it pins their values exactly
+    h = hashlib.sha256()
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for n in range(2, 8):
+            for m in range(1, n):
+                if math.gcd(m, n) != 1 or (m * n * (n - m)) % p == 0:
+                    continue
+                for A in range(0, p, 8):
+                    for B in range(0, p, 11):
+                        h.update(f"{p},{m},{n},{A},{B},{curves.delta_eval(m, n, A, B, p)}\n".encode())
+    assert h.hexdigest() == "8c81102e801f07fb9ab0b015d059bdc9168c1a8f52edd3f4b73403a81ecf9a44"
 
 
 def test_delta_reduces_arguments():

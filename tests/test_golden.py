@@ -6,7 +6,9 @@ of route.  The curve, sum, inversive, kloosterman and prng entries were
 recorded before the F_p[X] arithmetic and the character accumulator were
 merged into one implementation each.  The gauss, identity, binomial, monomial,
 theorem and json verify entries, and the stderr of every entry, were recorded
-before the verify suites were put on one (p, tau) walk.  Regenerate it only for
+before the verify suites were put on one (p, tau) walk.  The two curve entries
+at e = n - m = 5 and 4 were recorded before the root-of-unity products were
+computed from one inner constant per factor.  Regenerate it only for
 an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -45,6 +47,9 @@ COMMANDS = (
     ("curve", "--p", "7", "--m", "1", "--n", "6", "--A", "3", "--B", "5", "--delta-only"),
     ("curve", "--p", "101", "--m", "2", "--n", "5", "--A", "3", "--B", "7"),
     ("verify", "--suite", "curve", "--pmin", "300", "--pmax", "320"),
+    # delta over a degree-4 splitting field (e = 5), and a full report at e = 4
+    ("curve", "--p", "43", "--m", "2", "--n", "7", "--A", "4", "--B", "6", "--delta-only"),
+    ("curve", "--p", "101", "--m", "3", "--n", "7", "--A", "5", "--B", "9"),
     # the character accumulator: table and no-table paths, excluded terms, prng statistics
     ("sum", "--p", "1009", "--tau", "56", "--poly", "3*x^2+5*x^7", "--twist", "5"),
     ("sum", "--p", "1995841", "--tau", "1980", "--poly", "3*x^1+2*x^5", "--twist", "7"),
