@@ -33,12 +33,10 @@ from .field import (
     GuardExceeded,
     PrimeModulus,
     SubgroupSpec,
-    additive_character,
     divisors,
     factorize,
     is_prime,
     least_primitive_root,
-    multiplicative_order,
     prime_modulus,
     roots_of_unity,
     subgroup,
@@ -54,9 +52,7 @@ from .moments import (
     verify_moment_inequality,
 )
 from .prng import (
-    EquidistributionReport,
     GeneratorSequence,
-    equidistribution_report,
     inversive_generator,
     power_generator,
     write_csv,

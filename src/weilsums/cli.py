@@ -7,6 +7,7 @@ produce byte-identical output.  Exit codes: 0 success, 1 assertion failure,
 """
 
 import argparse
+import contextlib
 import json
 import math
 import random
@@ -349,18 +350,16 @@ def cmd_verify(args) -> int:
     args.eps = exponents.as_fraction(args.eps)
     if args.pmin > args.pmax:
         raise ValueError("pmin must be <= pmax")
+    exponents._check_eps(args.eps)
     rng = random.Random(f"{args.suite}:{args.seed}")
-    rows = list(_SUITES[args.suite](args, rng))
-    if args.format == "csv":
-        lines = [",".join(_FIELDS)] + [r.as_csv() for r in rows]
-    else:
-        lines = [r.as_json() for r in rows]
-    text = "\n".join(lines) + "\n" if lines else ""
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # open --out before the sweep, so a path that cannot be written fails at once
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        rows = list(_SUITES[args.suite](args, rng))
+        if args.format == "csv":
+            lines = [",".join(_FIELDS)] + [r.as_csv() for r in rows]
+        else:
+            lines = [r.as_json() for r in rows]
+        fh.write("\n".join(lines) + "\n" if lines else "")
     failures = sum(1 for r in rows if not r.passed)
     max_ratio = max((r.ratio for r in rows), default=0.0)
     print(

@@ -105,38 +105,31 @@ def discriminant_f0y(m: int, n: int, A: int, B: int, p) -> int:
 def _cond_products(m: int, n: int, A: int, B: int, field, roots):
     """Products of the root-of-unity degeneracy factors, as field elements.
 
-    First: prod over (n-m)-th roots z != 1 of (z^n - 1)^m A^n - (z^m - 1)^n B^m.
-    Second: prod over pairs (z1, z2) of (1 + z1^n - z2^n)^m A^n - (1 + z1^m - z2^m)^n B^m,
-    skipping pairs where both inner constants vanish (the factor is not a
-    genuine condition there).
+    Every factor is phi(c) = c^m A^n - c^n B^m for one inner constant c: on the
+    e-th roots of unity (e = n - m) z^n = z^m, and z -> z^m permutes them since
+    gcd(m, e) = 1, so both products run over the roots w directly.
+    First: prod over roots w != 1 of phi(w - 1).
+    Second: prod over pairs (w1, w2) of phi(1 + w1 - w2), skipping pairs with
+    c = 0 (the factor is not a genuine condition there).
     """
     p = field.base.p
     an = field.embed(pow(A, n, p))
     bm = field.embed(pow(B, m, p))
-    one = field.one()
+    one, zero = field.one(), field.zero()
+
+    def phi(c):
+        return field.sub(field.mul(field.pow(c, m), an), field.mul(field.pow(c, n), bm))
+
     first = one
-    for z in roots[1:]:  # roots[0] is the identity
-        zn = field.pow(z, n)
-        zm = field.pow(z, m)
-        term = field.sub(
-            field.mul(field.pow(field.sub(zn, one), m), an),
-            field.mul(field.pow(field.sub(zm, one), n), bm),
-        )
-        first = field.mul(first, term)
+    for w in roots[1:]:  # roots[0] is the identity
+        first = field.mul(first, phi(field.sub(w, one)))
     second = one
-    for z1 in roots:
-        z1n = field.pow(z1, n)
-        z1m = field.pow(z1, m)
-        for z2 in roots:
-            c1 = field.sub(field.add(one, z1n), field.pow(z2, n))
-            c2 = field.sub(field.add(one, z1m), field.pow(z2, m))
-            if c1 == field.zero() and c2 == field.zero():
-                continue
-            term = field.sub(
-                field.mul(field.pow(c1, m), an),
-                field.mul(field.pow(c2, n), bm),
-            )
-            second = field.mul(second, term)
+    for w1 in roots:
+        shifted = field.add(one, w1)
+        for w2 in roots:
+            c = field.sub(shifted, w2)
+            if c != zero:
+                second = field.mul(second, phi(c))
     return first, second
 
 
@@ -144,9 +137,10 @@ def delta_eval(m: int, n: int, A: int, B: int, p) -> int:
     """Pointwise product of the degeneracy conditions for the (m, n, A, B) curve.
 
     Nonzero exactly when every condition holds: the factors are m*n,
-    (-A)^n - (-B)^m, A^n - B^m, the two root-of-unity products over the
-    (n-m)-th roots of unity (taken in their splitting field; the products lie
-    in F_p), and the discriminant of F(0, Y).
+    (-A)^n - (-B)^m, A^n - B^m, the two products of phi(c) = c^m A^n - c^n B^m
+    over the (n-m)-th roots of unity w (phi(w - 1) for w != 1, and
+    phi(1 + w1 - w2) for c != 0; taken in their splitting field, the products
+    lie in F_p), and the discriminant of F(0, Y).
     """
     mod = prime_modulus(p)
     P = mod.p

@@ -109,18 +109,6 @@ def divisors(n: int) -> list:
     return sorted(out)
 
 
-def multiplicative_order(a: int, p: int) -> int:
-    """Order of a in F_p*; raises on a divisible by p."""
-    a %= p
-    if a == 0:
-        raise ValueError("zero has no multiplicative order")
-    order = p - 1
-    for q in factorize(p - 1):
-        while order % q == 0 and pow(a, order // q, p) == 1:
-            order //= q
-    return order
-
-
 def least_primitive_root(p: int) -> int:
     """Smallest positive primitive root modulo p."""
     if p == 2:
@@ -268,11 +256,6 @@ def subgroup(p, tau: int) -> SubgroupSpec:
     g = least_primitive_root(mod.p)
     theta = pow(g, (mod.p - 1) // tau, mod.p)
     return SubgroupSpec(mod, tau, theta)
-
-
-def additive_character(p, z: int) -> complex:
-    """exp(2*pi*i*z/p) on F_p."""
-    return prime_modulus(p).character(z)
 
 
 # ---------------------------------------------------------------------------

@@ -90,19 +90,6 @@ class SparsePolynomial:
                 pairs.append((n, ch))
         return SparsePolynomial(tuple(pairs), self.constant % p)
 
-    def reduce_exponents(self, tau: int, p: int) -> "SparsePolynomial":
-        """Fold exponents into [1, tau] (n -> ((n-1) mod tau) + 1) and merge mod p.
-
-        On any subgroup of order tau the folded polynomial takes the same
-        values, term by term.
-        """
-        acc: dict = {}
-        for n, c in self.terms:
-            k = (n - 1) % tau + 1
-            acc[k] = (acc.get(k, 0) + c) % p
-        terms = tuple((k, acc[k]) for k in sorted(acc) if acc[k])
-        return SparsePolynomial(terms, self.constant % p)
-
     def format(self) -> str:
         """Canonical text form c1*x^n1+c2*x^n2[+c0], exponents ascending."""
         parts = [f"{c}*x^{n}" for n, c in self.terms]

@@ -276,6 +276,35 @@ def test_verify_pmin_pmax_validation(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("--suite", "gauss", "--pmin", "3", "--pmax", "40", "--eps", "-1"),
+        ("--suite", "curve", "--pmin", "3", "--pmax", "40", "--eps", "0"),
+        # no primes in range: no suite would ever reach the window check
+        ("--suite", "q3", "--pmin", "24", "--pmax", "28", "--eps", "-2"),
+    ],
+    ids=("gauss", "curve", "empty-range"),
+)
+def test_verify_eps_checked_for_every_suite(capsys, argv):
+    rc, out, err = run(capsys, "verify", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: eps must be positive, got {argv[-1]}\n"
+
+
+def test_verify_opens_out_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def never(args, rng):
+        raise AssertionError("suite ran before --out was opened")
+
+    monkeypatch.setitem(cli._SUITES, "q3", never)
+    dest = tmp_path / "missing" / "x.csv"
+    rc, out, err = run(capsys, "verify", "--suite", "q3", "--pmin", "11", "--pmax", "211", "--out", str(dest))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("prng", "--p", "13", "--tau", "4", "--poly", "1*x^1", "--count", "3"),
         ("verify", "--suite", "gauss", "--pmin", "3", "--pmax", "5"),
     ],

@@ -251,6 +251,30 @@ def test_cond_first_product_matches_resultant():
         assert K.to_base(first) == curves.resultant([1, 1, 1], h, p)
 
 
+def test_cond_first_product_is_resultant_of_phi():
+    # prod over e-th roots w != 1 of phi(w - 1) = Res(1 + X + ... + X^(e-1), phi(X - 1)),
+    # phi(c) = c^m A^n - c^n B^m, over F_p; the cyclotomic factor is monic
+    rng = random.Random("phi-resultant")
+    x_minus_1 = [-1, 1]
+    for p in (5, 7, 11, 13, 17, 19, 23):
+        for n in range(3, 7):
+            for m in range(1, n - 1):  # e >= 2, so the product is not empty
+                if math.gcd(m, n) != 1 or (m * n * (n - m)) % p == 0:
+                    continue
+                e = n - m
+                K, roots = field.roots_of_unity(p, e)
+                for _ in range(3):
+                    A, B = rng.randrange(p), rng.randrange(p)
+                    an, bm = pow(A, n, p), pow(B, m, p)
+                    phi = poly.sub(
+                        poly.mul(poly.power(x_minus_1, m, p), [an], p),
+                        poly.mul(poly.power(x_minus_1, n, p), [bm], p),
+                        p,
+                    )
+                    first, _ = curves._cond_products(m, n, A, B, K, roots)
+                    assert K.to_base(first) == curves.resultant([1] * e, phi, p), (p, m, n, A, B)
+
+
 def test_delta_grid_digest():
     # SHA-256 of delta_eval over every admissible (p, m, n) with p <= 31 and
     # n <= 7, on a strided (A, B) grid; recorded before the root-of-unity

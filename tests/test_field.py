@@ -69,24 +69,15 @@ def test_divisors():
     assert field.divisors(30) == [1, 2, 3, 5, 6, 10, 15, 30]
 
 
-def test_multiplicative_order():
-    assert field.multiplicative_order(2, 13) == 12
-    assert field.multiplicative_order(8, 13) == 4
-    assert field.multiplicative_order(12, 13) == 2
-    assert field.multiplicative_order(1, 13) == 1
-    with pytest.raises(ValueError):
-        field.multiplicative_order(0, 13)
-
-
 def test_least_primitive_root():
     assert field.least_primitive_root(13) == 2
     assert field.least_primitive_root(7) == 3
     assert field.least_primitive_root(2) == 1
     assert field.least_primitive_root(41) == 6
-    # spot check the defining property
+    # spot check the defining property: the powers of g exhaust F_p*
     for p in (3, 5, 11, 31, 101):
         g = field.least_primitive_root(p)
-        assert field.multiplicative_order(g, p) == p - 1
+        assert len({pow(g, i, p) for i in range(1, p)}) == p - 1
 
 
 def test_prime_modulus_validation():
@@ -101,10 +92,10 @@ def test_prime_modulus_validation():
 
 
 def test_character_examples():
-    assert abs(field.additive_character(13, 0) - 1) < 1e-15
-    assert abs(field.additive_character(13, 13) - 1) < 1e-15
+    assert abs(field.prime_modulus(13).character(0) - 1) < 1e-15
+    assert abs(field.prime_modulus(13).character(13) - 1) < 1e-15
     want = complex(0.8854560256532099, 0.4647231720437685)
-    assert abs(field.additive_character(13, 1) - want) < 1e-13
+    assert abs(field.prime_modulus(13).character(1) - want) < 1e-13
 
 
 def test_character_table_matches_direct():
@@ -114,7 +105,7 @@ def test_character_table_matches_direct():
     for p in (13, big):
         for z in (0, 1, 2, p - 1, p // 2, 7 * p + 3):
             direct = cmath.exp(2j * cmath.pi * (z % p) / p)
-            assert abs(field.additive_character(p, z) - direct) < 1e-12
+            assert abs(field.prime_modulus(p).character(z) - direct) < 1e-12
 
 
 def test_character_homomorphism():
@@ -123,8 +114,8 @@ def test_character_homomorphism():
         for _ in range(5000):
             z1 = rng.randrange(p)
             z2 = rng.randrange(p)
-            lhs = field.additive_character(p, z1) * field.additive_character(p, z2)
-            rhs = field.additive_character(p, z1 + z2)
+            lhs = field.prime_modulus(p).character(z1) * field.prime_modulus(p).character(z2)
+            rhs = field.prime_modulus(p).character(z1 + z2)
             assert abs(lhs.real - rhs.real) < 1e-10
             assert abs(lhs.imag - rhs.imag) < 1e-10
 
@@ -134,7 +125,7 @@ def test_character_unit_modulus():
     for p in (13, 101, 1048583):
         for _ in range(100):
             z = rng.randrange(p)
-            c = field.additive_character(p, z)
+            c = field.prime_modulus(p).character(z)
             assert abs(c.real * c.real + c.imag * c.imag - 1) <= 1e-12
 
 
@@ -186,7 +177,8 @@ def test_order_exactness_sweep():
             continue
         for tau in field.divisors(p - 1):
             G = field.subgroup(p, tau)
-            assert field.multiplicative_order(G.theta, p) == tau
+            # theta^1..theta^tau are distinct and end at 1: theta has order exactly tau
+            assert len(set(G.elements)) == tau and G.elements[-1] == 1
 
 
 def test_cofactor():

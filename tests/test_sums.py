@@ -68,25 +68,6 @@ def test_dilate():
     assert f.dilate(0, 13).terms == ()
 
 
-def test_reduce_exponents():
-    # exponents fold into 1..tau, coefficients merge mod p
-    f = poly((1, 3), (5, 10))
-    g = f.reduce_exponents(4, 13)
-    assert g.terms == ()  # 3 + 10 = 13 = 0 mod 13
-    h = poly((4, 2), (5, 3)).reduce_exponents(4, 13)
-    assert h.terms == ((1, 3), (4, 2))
-    # folded polynomial agrees with the original on the subgroup
-    rng = random.Random("fold")
-    for _ in range(50):
-        p, tau = 31, 6
-        G = field.subgroup(p, tau)
-        exps = rng.sample(range(1, 40), 3)
-        f = SparsePolynomial.from_pairs((e, rng.randrange(1, p)) for e in exps)
-        g = f.reduce_exponents(tau, p)
-        for x in G.elements:
-            assert f.evaluate(x, p) == g.evaluate(x, p)
-
-
 def test_degree_and_accessors():
     f = poly((2, 3), (7, 1))
     assert f.degree == 7
@@ -132,7 +113,7 @@ def test_subgroup_sum_trivial_group():
     G = field.subgroup(13, 1)
     f = poly((3, 5))
     s = sums.subgroup_sum(G, f)
-    assert abs(s.value - field.additive_character(13, 5)) < 1e-15
+    assert abs(s.value - field.prime_modulus(13).character(5)) < 1e-15
 
 
 def test_subgroup_sum_shift_covariance():
@@ -146,7 +127,7 @@ def test_subgroup_sum_shift_covariance():
         f = poly((e, a))
         g = poly((e, a), constant=c)
         lhs = sums.subgroup_sum(G, g).value
-        rhs = field.additive_character(31, c) * sums.subgroup_sum(G, f).value
+        rhs = field.prime_modulus(31).character(c) * sums.subgroup_sum(G, f).value
         assert abs(lhs - rhs) < 1e-10 * G.tau
 
 
@@ -190,7 +171,7 @@ def test_incomplete_subgroup_sum():
     f = poly((1, 1))
     assert sums.incomplete_subgroup_sum(G, f, 0).value == 0
     first = sums.incomplete_subgroup_sum(G, f, 1)
-    assert abs(first.value - field.additive_character(13, 8)) < 1e-15
+    assert abs(first.value - field.prime_modulus(13).character(8)) < 1e-15
     full = sums.incomplete_subgroup_sum(G, f, 4)
     assert full.value == sums.subgroup_sum(G, f).value
     with pytest.raises(ValueError):
@@ -297,7 +278,7 @@ def test_inversive_degenerate_a_zero():
     G = field.subgroup(13, 4)
     # a = 0, b != 0: every term is the constant e_p(b^{-1})
     s = sums.inversive_subgroup_sum(G, 0, 2)
-    want = 4 * field.additive_character(13, pow(2, -1, 13))
+    want = 4 * field.prime_modulus(13).character(pow(2, -1, 13))
     assert abs(s.value - want) < 1e-12
     assert s.excluded == 0
     # a = b = 0: everything is excluded
