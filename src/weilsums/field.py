@@ -2,6 +2,9 @@
 
 import cmath
 import math
+from collections import OrderedDict
+
+import numpy as np
 
 from . import poly
 
@@ -121,19 +124,38 @@ def least_primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found modulo {p}")
 
 
-_unit_tables: dict = {}
+# Character tables held at once, in bytes: eight full-size complex128 tables.
+CHAR_TABLE_BYTES = 8 * 16 * CHAR_TABLE_LIMIT
+
+# den -> table, least recently used first; the tables hold at most CHAR_TABLE_BYTES
+_unit_tables: OrderedDict = OrderedDict()
 
 
-def _unit_table(den: int):
-    """Table of den-th roots of unity exp(2*pi*i*k/den), cached per denominator."""
+def _unit_table(den: int) -> np.ndarray:
+    """complex128 table of exp(2*pi*i*k/den) for k in [0, den), in a byte-bounded LRU cache."""
     tab = _unit_tables.get(den)
-    if tab is None:
-        step = math.tau / den
-        half = den // 2
-        # fold k into (-den/2, den/2] so the angle argument stays small
-        tab = [cmath.exp(complex(0.0, step * (k if k <= half else k - den))) for k in range(den)]
+    if tab is not None:
+        _unit_tables.move_to_end(den)
+        return tab
+    k = np.arange(den, dtype=np.int64)
+    # fold k into (-den/2, den/2] so the angle argument stays small
+    k[den // 2 + 1 :] -= den
+    tab = _cis((math.tau / den) * k)
+    tab.flags.writeable = False  # every caller shares the cached table
+    if tab.nbytes <= CHAR_TABLE_BYTES:
+        held = sum(t.nbytes for t in _unit_tables.values())
+        while held + tab.nbytes > CHAR_TABLE_BYTES:
+            held -= _unit_tables.popitem(last=False)[1].nbytes
         _unit_tables[den] = tab
     return tab
+
+
+def _cis(angle: np.ndarray) -> np.ndarray:
+    """cos(angle) + i*sin(angle) entrywise, the value cmath.exp(1j*angle) takes."""
+    out = np.empty(angle.shape, np.complex128)
+    out.real = np.cos(angle)
+    out.imag = np.sin(angle)
+    return out
 
 
 def unit_root(num: int, den: int) -> complex:
@@ -142,10 +164,17 @@ def unit_root(num: int, den: int) -> complex:
         raise ValueError("denominator must be positive")
     k = num % den
     if den <= CHAR_TABLE_LIMIT:
-        return _unit_table(den)[k]
+        return complex(_unit_table(den)[k])
     if 2 * k > den:
         k -= den
     return cmath.exp(complex(0.0, math.tau * k / den))
+
+
+def unit_roots(k: np.ndarray, den: int) -> np.ndarray:
+    """unit_root(z, den) for each z of an int64 array k with entries in [0, den), as complex128."""
+    if den <= CHAR_TABLE_LIMIT:
+        return _unit_table(den)[k]
+    return _cis(math.tau * np.where(2 * k > den, k - den, k) / den)
 
 
 class PrimeModulus:
@@ -172,7 +201,7 @@ class PrimeModulus:
         return hash(("PrimeModulus", self.p))
 
     def char_table(self):
-        """Root-of-unity lookup table, or None when p is too large to tabulate."""
+        """The cached complex128 table of exp(2*pi*i*z/p), or None when p is too large to tabulate."""
         if self.p <= CHAR_TABLE_LIMIT:
             return _unit_table(self.p)
         return None

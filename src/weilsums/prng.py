@@ -30,7 +30,7 @@ def power_generator(G, f: SparsePolynomial, count: int) -> GeneratorSequence:
     if count < 1:
         raise ValueError("count must be >= 1")
     residues = _orbit_residues(G.modulus.p, G.theta, f, count)
-    return GeneratorSequence(G.modulus.p, tuple(residues))
+    return GeneratorSequence(G.modulus.p, tuple(residues.tolist()))
 
 
 def inversive_generator(G, a: int, b: int, count: int) -> GeneratorSequence:
@@ -43,7 +43,8 @@ def inversive_generator(G, a: int, b: int, count: int) -> GeneratorSequence:
     if a == 0:
         raise ValueError("a must be nonzero mod p")
     residues = _inversive_residues(p, G.theta, a, b, count)
-    return GeneratorSequence(p, tuple(residues))
+    # 0 is never an inverse: it marks the excluded terms
+    return GeneratorSequence(p, tuple(v or None for v in residues.tolist()))
 
 
 def write_csv(seq: GeneratorSequence, stream):

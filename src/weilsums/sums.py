@@ -1,14 +1,24 @@
 """Exponential sum evaluators over F_p and its multiplicative subgroups.
 
+Residues are int64 numpy arrays.  For p < 2**31 each power chain c*m^x is
+one outer product of about sqrt(count) giant steps and baby steps, where
+every product of two residues stays below 2**62; larger primes build the
+same arrays in Python loops.  Characters are gathered from the table of
+p-th roots of unity, or computed from cos and sin above the table limit.
 All sums accumulate real and imaginary parts through math.fsum, so the
 rounding error is one ulp of the exact value regardless of term count.
 """
 
 import re
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, isqrt
 
-from .field import prime_modulus, unit_root
+import numpy as np
+
+from .field import least_primitive_root, prime_modulus, unit_roots
+
+# Below this bound a product of two residues fits in int64.
+_INT64_PRIME_LIMIT = 1 << 31
 
 _TERM_RE = re.compile(r"^(\d+)\*[xX]\^(\d+)$")
 _CONST_RE = re.compile(r"^\d+$")
@@ -27,8 +37,9 @@ class SumValue:
         return abs(self.value)
 
 
-def _finish(parts: list, term_count: int, excluded: int = 0) -> SumValue:
-    val = complex(fsum(z.real for z in parts), fsum(z.imag for z in parts))
+def _finish(parts, term_count: int, excluded: int = 0) -> SumValue:
+    parts = np.asarray(parts, dtype=np.complex128)
+    val = complex(fsum(parts.real.tolist()), fsum(parts.imag.tolist()))
     # every summand is on the unit circle, so the triangle inequality is exact
     if abs(val) > term_count + 1e-6:
         raise ArithmeticError(f"|S| = {abs(val)} exceeds the {term_count} terms summed")
@@ -128,63 +139,84 @@ class SparsePolynomial:
         return poly
 
 
-def _orbit_residues(p: int, theta: int, f: SparsePolynomial, count: int) -> list:
-    """f(theta^x) mod p for x = 1..count, recycling power chains per term."""
-    const = f.constant % p
-    if not f.terms:
-        return [const] * count
-    muls = [pow(theta, n, p) for n, _ in f.terms]
-    coeffs = [c % p for _, c in f.terms]
-    out = []
-    append = out.append
-    if len(muls) == 1:
-        m0, c0 = muls[0], coeffs[0]
-        w = 1
+def _chain_sum(p: int, const: int, chains: list, count: int) -> np.ndarray:
+    """const + sum of c*m^x mod p over the (c, m) residue pairs of chains, for x = 1..count, as int64."""
+    if p >= _INT64_PRIME_LIMIT:
+        ws = [c for c, _ in chains]
+        ms = [m for _, m in chains]
+        out = []
         for _ in range(count):
-            w = w * m0 % p
-            append((c0 * w + const) % p)
-        return out
-    pows = [1] * len(muls)
-    rng = range(len(muls))
-    for _ in range(count):
-        z = const
-        for i in rng:
-            w = pows[i] * muls[i] % p
-            pows[i] = w
-            z += coeffs[i] * w
-        append(z % p)
+            ws = [w * m % p for w, m in zip(ws, ms)]
+            out.append((const + sum(ws)) % p)
+        return np.array(out, dtype=np.int64)
+    # x = s*j + i + 1 for i < s: c*m^x = (c*m^(s*j)) * m^(i+1), one outer product of about
+    # sqrt(count) giant steps and baby steps per chain
+    s = isqrt(count - 1) + 1 if count else 0
+    rows = -(-count // s) if count else 0
+    z = np.full(rows * s, const, dtype=np.int64)
+    for c, m in chains:
+        baby = [m]
+        for _ in range(s - 1):
+            baby.append(baby[-1] * m % p)
+        giant = [c]
+        for _ in range(rows - 1):
+            giant.append(giant[-1] * baby[-1] % p)
+        t = np.multiply.outer(np.array(giant, dtype=np.int64), np.array(baby, dtype=np.int64)).ravel()
+        np.remainder(t, p, out=t)
+        z += t
+    z = z[:count]
+    return np.remainder(z, p, out=z)
+
+
+def _orbit_residues(p: int, theta: int, f: SparsePolynomial, count: int) -> np.ndarray:
+    """f(theta^x) mod p for x = 1..count as int64: one power chain per term."""
+    return _chain_sum(p, f.constant % p, [(c % p, pow(theta, n, p)) for n, c in f.terms], count)
+
+
+def _inverses(t: np.ndarray, p: int) -> np.ndarray:
+    """t^(p-2) mod p entrywise: the inverse of each nonzero residue, by square-and-multiply."""
+    if p >= _INT64_PRIME_LIMIT:
+        return np.array([pow(v, p - 2, p) for v in t.tolist()], dtype=np.int64)
+    out = np.ones_like(t)
+    base = t.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            np.multiply(out, base, out=out)
+            np.remainder(out, p, out=out)
+        e >>= 1
+        if e:
+            np.multiply(base, base, out=base)
+            np.remainder(base, p, out=base)
     return out
 
 
-def _inversive_residues(p: int, theta: int, a: int, b: int, count: int) -> list:
-    """(a*theta^x + b)^-1 mod p for x = 1..count, with None where a*theta^x + b = 0."""
-    out = []
-    g = 1
-    for _ in range(count):
-        g = g * theta % p
-        t = (a * g + b) % p
-        out.append(None if t == 0 else pow(t, p - 2, p))
+def _inversive_residues(p: int, theta: int, a: int, b: int, count: int) -> np.ndarray:
+    """(a*theta^x + b)^-1 mod p for x = 1..count as int64, with 0 (never an inverse) where a*theta^x + b = 0."""
+    t = _chain_sum(p, b, [(a, theta)], count)
+    out = _inverses(t, p)
+    out[t == 0] = 0  # at p = 2 the exponent p - 2 = 0 would give 1
     return out
 
 
-def _characters(mod, residues) -> list:
+def _characters(mod, residues: np.ndarray) -> np.ndarray:
     """exp(2*pi*i*z/p) for each residue z in [0, p), from the table when p has one."""
     tab = mod.char_table()
     if tab is not None:
-        return [tab[z] for z in residues]
-    char = mod.character
-    return [char(z) for z in residues]
+        return tab[residues]
+    return unit_roots(residues, mod.p)
 
 
-def _char_sum(mod, residues, excluded: int = 0) -> SumValue:
+def _char_sum(mod, residues: np.ndarray, excluded: int = 0) -> SumValue:
     return _finish(_characters(mod, residues), len(residues), excluded)
 
 
 def complete_sum(p, f: SparsePolynomial) -> SumValue:
     """S(f) = sum over all x in F_p of exp(2*pi*i*f(x)/p)."""
     mod = prime_modulus(p)
-    residues = [f.evaluate(x, mod.p) for x in range(mod.p)]
-    return _char_sum(mod, residues)
+    # x = g^1..g^(p-1) for a primitive root g, then x = 0 where f(0) is the constant
+    orbit = _orbit_residues(mod.p, least_primitive_root(mod.p), f, mod.p - 1)
+    return _char_sum(mod, np.append(orbit, f.constant % mod.p))
 
 
 def subgroup_sum(G, f: SparsePolynomial) -> SumValue:
@@ -203,29 +235,23 @@ def incomplete_subgroup_sum(G, f: SparsePolynomial, count: int) -> SumValue:
 
 def twisted_sum(G, f: SparsePolynomial, b: int) -> SumValue:
     """Sum over x = 1..tau of exp(2*pi*i*f(theta^x)/p) * exp(2*pi*i*b*x/tau)."""
-    mod = G.modulus
     tau = G.tau
-    residues = _orbit_residues(mod.p, G.theta, f, tau)
-    b %= tau
-    parts = [c * unit_root(b * x, tau) for x, c in enumerate(_characters(mod, residues), start=1)]
+    c = _characters(G.modulus, _orbit_residues(G.modulus.p, G.theta, f, tau))
+    # b*x < tau**2 fits in int64 for every tau an array can hold
+    u = unit_roots(np.arange(1, tau + 1, dtype=np.int64) * (b % tau) % tau, tau)
+    # the products of Python's complex multiply, one float64 operation at a time
+    parts = np.empty(tau, dtype=np.complex128)
+    parts.real = c.real * u.real - c.imag * u.imag
+    parts.imag = c.real * u.imag + c.imag * u.real
     return _finish(parts, tau)
 
 
 def kloosterman_subgroup_sum(G, a: int, b: int) -> SumValue:
     """K(G; a, b) = sum over g in G of exp(2*pi*i*(a*g + b*g^-1)/p)."""
-    mod = G.modulus
-    p = mod.p
-    a %= p
-    b %= p
-    theta = G.theta
-    theta_inv = pow(theta, G.tau - 1, p)
-    residues = []
-    u = v = 1
-    for _ in range(G.tau):
-        u = u * theta % p
-        v = v * theta_inv % p
-        residues.append((a * u + b * v) % p)
-    return _char_sum(mod, residues)
+    p = G.modulus.p
+    theta_inv = pow(G.theta, G.tau - 1, p)
+    residues = _chain_sum(p, 0, [(a % p, G.theta), (b % p, theta_inv)], G.tau)
+    return _char_sum(G.modulus, residues)
 
 
 def inversive_subgroup_sum(G, a: int, b: int) -> SumValue:
@@ -235,5 +261,5 @@ def inversive_subgroup_sum(G, a: int, b: int) -> SumValue:
     """
     p = G.modulus.p
     terms = _inversive_residues(p, G.theta, a % p, b % p, G.tau)
-    residues = [z for z in terms if z is not None]
+    residues = terms[terms != 0]
     return _char_sum(G.modulus, residues, len(terms) - len(residues))

@@ -2,7 +2,9 @@
 
 import cmath
 import random
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 from weilsums import field
@@ -135,6 +137,30 @@ def test_unit_root():
     assert abs(field.unit_root(5, 4) - 1j) < 1e-15
     with pytest.raises(ValueError):
         field.unit_root(1, 0)
+
+
+def test_unit_tables_stay_under_the_byte_cap(monkeypatch):
+    # room for three tables of about 1000 entries (16 B each), not four
+    cap = 16 * 3100
+    monkeypatch.setattr(field, "CHAR_TABLE_BYTES", cap)
+    monkeypatch.setattr(field, "_unit_tables", OrderedDict())
+    first = {}
+    lru = []  # the three most recently used dens, least recent first
+    for den in [1000, 1001, 1002, 1003, 1000, 1004, 1000, 1001, 1005, 1002, 1000, 1003]:
+        tab = field._unit_table(den)
+        assert sum(t.nbytes for t in field._unit_tables.values()) <= cap
+        lru = [d for d in lru if d != den][-2:] + [den]
+        assert list(field._unit_tables) == lru
+        assert field._unit_table(den) is tab
+        assert not tab.flags.writeable  # shared by every caller
+        if den in first:
+            assert np.array_equal(tab, first[den])  # a rebuilt table equals the first build
+        else:
+            first[den] = tab.copy()
+    # a table larger than the cap is built but not held
+    big = field._unit_table(4001)
+    assert len(big) == 4001 and 4001 not in field._unit_tables
+    assert sum(t.nbytes for t in field._unit_tables.values()) <= cap
 
 
 def test_subgroup_examples():

@@ -8,7 +8,8 @@ merged into one implementation each.  The gauss, identity, binomial, monomial,
 theorem and json verify entries, and the stderr of every entry, were recorded
 before the verify suites were put on one (p, tau) walk.  The two curve entries
 at e = n - m = 5 and 4 were recorded before the root-of-unity products were
-computed from one inner constant per factor.  Regenerate it only for
+computed from one inner constant per factor.  The binomial json entry was
+recorded before the sums engine moved to numpy arrays.  Regenerate it only for
 an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -63,6 +64,8 @@ COMMANDS = (
     ("verify", "--suite", "monomial", "--pmin", "1000", "--pmax", "1040"),
     ("verify", "--suite", "theorem", "--pmin", "1000", "--pmax", "1040"),
     ("verify", "--suite", "theorem", "--pmin", "1000", "--pmax", "1040", "--format", "json", "--seed", "3"),
+    # json rows of sum magnitudes: a numpy scalar in a row would break json.dumps
+    ("verify", "--suite", "binomial", "--pmin", "1000", "--pmax", "1040", "--format", "json", "--seed", "2"),
     ("verify", "--suite", "lemma31", "--pmin", "11", "--pmax", "31", "--format", "json"),
 )
 

@@ -4,9 +4,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
-from weilsums import field, sums
+from weilsums import field, prng, sums
 from weilsums.sums import SparsePolynomial
 
 
@@ -293,3 +294,184 @@ def test_finish_checks_triangle_inequality():
     assert sums._finish([1j, 1j], 2).magnitude == 2
     with pytest.raises(ArithmeticError):
         sums._finish([1.0, 1.0, 1.0], 2)
+
+
+# --- bit-for-bit oracle: one cmath.exp per term, then fsum ---
+
+
+def _oracle_root(num: int, den: int) -> complex:
+    """exp(2*pi*i*num/den) by cmath.exp, with the scalar code's two angle formulas."""
+    k = num % den
+    if den <= field.CHAR_TABLE_LIMIT:
+        # a table entry: (tau/den) * k with k folded into (-den/2, den/2]
+        return cmath.exp(complex(0.0, (math.tau / den) * (k if k <= den // 2 else k - den)))
+    if 2 * k > den:
+        k -= den
+    return cmath.exp(complex(0.0, math.tau * k / den))
+
+
+def _oracle_sum(terms) -> complex:
+    terms = list(terms)
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+ORACLE_CASES = (
+    # p <= 2^20: character tables
+    (13, 4),
+    (1009, 16),
+    (1009, 1008),
+    (982801, 5040),
+    # 2^20 < p < 2^31: cos and sin per term, int64 residues
+    (1995841, 5040),
+    (2147483647, 4634),
+    # p >= 2^31: residues from Python loops
+    (2147483659, 298),
+    (4294967311, 1310),
+)
+
+
+@pytest.mark.parametrize("p, tau", ORACLE_CASES)
+def test_sums_equal_scalar_oracle(p, tau):
+    G = field.subgroup(p, tau)
+    orbit = [pow(G.theta, x, p) for x in range(1, tau + 1)]
+    f = poly((1, 3 * p + 5), (7, p - 2), (2**70 + 3, 2**65 + 11), constant=2**80 + 1)
+    chars = [_oracle_root(f.evaluate(g, p), p) for g in orbit]
+    assert sums.subgroup_sum(G, f).value == _oracle_sum(chars)
+    for count in (0, tau // 3, tau):
+        assert sums.incomplete_subgroup_sum(G, f, count).value == _oracle_sum(chars[:count])
+    b = tau + 5
+    twisted = (c * _oracle_root(b * x, tau) for x, c in enumerate(chars, start=1))
+    assert sums.twisted_sum(G, f, b).value == _oracle_sum(twisted)
+    a, b = 2**64 + 7, -3
+    kloosterman = (_oracle_root(a * g + b * pow(g, -1, p), p) for g in orbit)
+    assert sums.kloosterman_subgroup_sum(G, a, b).value == _oracle_sum(kloosterman)
+    # b = -a*g for one g in G excludes exactly that term
+    a = 3
+    b = -a * orbit[tau // 2]
+    s = sums.inversive_subgroup_sum(G, a, b)
+    inverses = [pow(t, -1, p) for t in ((a * g + b) % p for g in orbit) if t]
+    assert (s.excluded, s.term_count) == (1, tau - 1)
+    assert s.value == _oracle_sum(_oracle_root(z, p) for z in inverses)
+
+
+@pytest.mark.parametrize("p", (2, 3, 13, 1009, 65537))
+def test_complete_sum_equals_scalar_oracle(p):
+    f = poly((1, 7), (2, p + 3), (2**40 + 1, 5), constant=11)
+    want = _oracle_sum(_oracle_root(f.evaluate(x, p), p) for x in range(p))
+    assert sums.complete_sum(p, f).value == want
+
+
+def test_twisted_sum_above_the_table_equals_scalar_oracle():
+    # tau > 2^20: the twist's roots of unity come from cos and sin, not a table
+    p = 2097169
+    tau = (p - 1) // 2
+    G = field.subgroup(p, tau)
+    f = poly((1, 1))
+    b = 12345
+    terms = (
+        _oracle_root(g, p) * _oracle_root(b * x, tau)
+        for x, g in enumerate(G.enumerate(), start=1)
+    )
+    assert sums.twisted_sum(G, f, b).value == _oracle_sum(terms)
+
+
+def test_unit_table_equals_cmath_exp():
+    for den in list(range(1, 65)) + [1009]:
+        tab = field._unit_table(den)
+        assert tab.dtype == np.complex128
+        assert [complex(z) for z in tab] == [_oracle_root(k, den) for k in range(den)]
+    den = 982801
+    tab = field._unit_table(den)
+    ks = list(range(0, den, 997)) + [den // 2, den // 2 + 1, den - 1]
+    assert [complex(tab[k]) for k in ks] == [_oracle_root(k, den) for k in ks]
+    # the scalar unit_root reads the same tables and formula
+    for num, d in ((5, 1009), (-3, 982801), (10**6, 1995841), (2**40, 4294967311)):
+        assert field.unit_root(num, d) == _oracle_root(num, d)
+
+
+# --- no numpy scalar leaves the engine ---
+
+
+def test_results_are_python_numbers():
+    for p, tau in ((1009, 56), (1995841, 660), (2147483659, 6)):
+        G = field.subgroup(p, tau)
+        f = poly((1, 3), (5, 2), constant=1)
+        results = (
+            sums.subgroup_sum(G, f),
+            sums.incomplete_subgroup_sum(G, f, tau // 2),
+            sums.twisted_sum(G, f, 1),
+            sums.kloosterman_subgroup_sum(G, 2, 3),
+            sums.inversive_subgroup_sum(G, 1, -G.theta),
+        )
+        for s in results:
+            assert type(s.value) is complex
+            assert type(s.term_count) is int and type(s.excluded) is int
+        assert type(field.unit_root(7, p)) is complex
+        assert type(field.unit_root(7, tau)) is complex
+        seqs = (prng.power_generator(G, f, 2 * tau), prng.inversive_generator(G, 1, -G.theta, 2 * tau))
+        for seq in seqs:
+            assert {type(v) for v in seq.residues} <= {int, type(None)}
+    assert type(sums.complete_sum(13, poly((2, 1))).value) is complex
+
+
+# --- properties of the int64 engine (hypothesis) ---
+
+
+def _prime_at_least(n: int) -> int:
+    while not field.is_prime(n):
+        n += 1
+    return n
+
+
+def _hypothesis():
+    """(given, settings, strategies) with settings that replay the same examples on every run."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    return hyp.given, hyp.settings(derandomize=True, database=None, max_examples=40, deadline=None), st
+
+
+def _strategies(st):
+    """Primes below 2^31, arbitrary-size positive ints, and polynomials built from them."""
+    big = st.integers(1, 2**200)
+    polys = st.builds(SparsePolynomial.from_pairs, st.lists(st.tuples(big, big), max_size=4), st.integers(0, 2**200))
+    return st.integers(2, 2**31 - 1).map(_prime_at_least), big, polys
+
+
+def test_orbit_residues_property():
+    given, settings, st = _hypothesis()
+    primes, big, polys = _strategies(st)
+
+    @settings
+    @given(primes, big, polys, st.integers(0, 300))
+    def check(p, theta, f, count):
+        theta = theta % (p - 1) + 1 if p > 2 else 1
+        want = [f.evaluate(pow(theta, x, p), p) for x in range(1, count + 1)]
+        assert sums._orbit_residues(p, theta, f, count).tolist() == want
+
+    check()
+
+
+def test_inverses_property():
+    given, settings, st = _hypothesis()
+    primes, big, _ = _strategies(st)
+
+    @settings
+    @given(primes, st.lists(big, max_size=300))
+    def check(p, ts):
+        ts = [t % (p - 1) + 1 if p > 2 else 1 for t in ts]
+        got = sums._inverses(np.array(ts, dtype=np.int64), p).tolist()
+        assert got == [pow(t, p - 2, p) for t in ts]
+
+    check()
+
+
+def test_parse_format_property():
+    given, settings, st = _hypothesis()
+    _, _, polys = _strategies(st)
+
+    @settings
+    @given(polys)
+    def check(f):
+        assert SparsePolynomial.parse(f.format()) == f
+
+    check()
