@@ -40,7 +40,6 @@ from .field import (
     prime_modulus,
     roots_of_unity,
     subgroup,
-    unit_root,
 )
 from .moments import (
     MomentInequalityReport,

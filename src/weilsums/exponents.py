@@ -45,18 +45,11 @@ def eta(n: int, eps) -> Fraction:
         raise ValueError("n must be >= 1")
     if n <= 2:
         return Fraction(7, 27) * eps
-    cached = _eta_memo.get((n, eps))
-    if cached is not None:
-        return cached
-    prev = Fraction(7, 27) * eps
+    # fill the memo upward, so kappa(m, eps) finds eta_{m-1} there
     for m in range(3, n + 1):
-        cur = _eta_memo.get((m, eps))
-        if cur is None:
-            k_m = math.ceil((m - 2 - Fraction(7, 3) * eps) / (2 * prev) + 3)
-            cur = Fraction(7, 18) * eps / k_m
-            _eta_memo[(m, eps)] = cur
-        prev = cur
-    return prev
+        if (m, eps) not in _eta_memo:
+            _eta_memo[(m, eps)] = Fraction(7, 18) * eps / kappa(m, eps)
+    return _eta_memo[(n, eps)]
 
 
 def kappa(n: int, eps) -> int:

@@ -1,6 +1,5 @@
 """Prime fields, multiplicative subgroups, extension fields, and additive characters."""
 
-import cmath
 import math
 from collections import OrderedDict
 
@@ -151,34 +150,22 @@ def _unit_table(den: int) -> np.ndarray:
 
 
 def _cis(angle: np.ndarray) -> np.ndarray:
-    """cos(angle) + i*sin(angle) entrywise, the value cmath.exp(1j*angle) takes."""
+    """cos(angle) + i*sin(angle) entrywise: the complex exponential exp(1j*angle), bit for bit."""
     out = np.empty(angle.shape, np.complex128)
     out.real = np.cos(angle)
     out.imag = np.sin(angle)
     return out
 
 
-def unit_root(num: int, den: int) -> complex:
-    """exp(2*pi*i*num/den) for integer num and den >= 1."""
-    if den < 1:
-        raise ValueError("denominator must be positive")
-    k = num % den
-    if den <= CHAR_TABLE_LIMIT:
-        return complex(_unit_table(den)[k])
-    if 2 * k > den:
-        k -= den
-    return cmath.exp(complex(0.0, math.tau * k / den))
-
-
 def unit_roots(k: np.ndarray, den: int) -> np.ndarray:
-    """unit_root(z, den) for each z of an int64 array k with entries in [0, den), as complex128."""
+    """exp(2*pi*i*z/den) for each z of an int64 array k with entries in [0, den), as complex128."""
     if den <= CHAR_TABLE_LIMIT:
         return _unit_table(den)[k]
     return _cis(math.tau * np.where(2 * k > den, k - den, k) / den)
 
 
 class PrimeModulus:
-    """A prime p < 2**62 together with its additive character z -> exp(2*pi*i*z/p)."""
+    """A prime p < 2**62; char_table tabulates its additive character z -> exp(2*pi*i*z/p)."""
 
     __slots__ = ("p",)
 
@@ -205,10 +192,6 @@ class PrimeModulus:
         if self.p <= CHAR_TABLE_LIMIT:
             return _unit_table(self.p)
         return None
-
-    def character(self, z: int) -> complex:
-        """Additive character exp(2*pi*i*z/p)."""
-        return unit_root(z, self.p)
 
 
 _modulus_cache: dict = {}

@@ -1,10 +1,11 @@
 """Exponential sum evaluators over F_p and its multiplicative subgroups.
 
-Residues are int64 numpy arrays.  For p < 2**31 each power chain c*m^x is
-one outer product of about sqrt(count) giant steps and baby steps, where
-every product of two residues stays below 2**62; larger primes build the
-same arrays in Python loops.  Characters are gathered from the table of
-p-th roots of unity, or computed from cos and sin above the table limit.
+Residues are int64 numpy arrays.  Each power chain c*m^x is one outer
+product of about sqrt(count) giant steps and baby steps.  For p < 2**31
+every product of two residues fits in int64; larger primes form the same
+products as Python ints in object arrays.  Characters are gathered from the
+table of p-th roots of unity, or computed from cos and sin above the table
+limit.
 All sums accumulate real and imaginary parts through math.fsum, so the
 rounding error is one ulp of the exact value regardless of term count.
 """
@@ -141,19 +142,12 @@ class SparsePolynomial:
 
 def _chain_sum(p: int, const: int, chains: list, count: int) -> np.ndarray:
     """const + sum of c*m^x mod p over the (c, m) residue pairs of chains, for x = 1..count, as int64."""
-    if p >= _INT64_PRIME_LIMIT:
-        ws = [c for c, _ in chains]
-        ms = [m for _, m in chains]
-        out = []
-        for _ in range(count):
-            ws = [w * m % p for w, m in zip(ws, ms)]
-            out.append((const + sum(ws)) % p)
-        return np.array(out, dtype=np.int64)
     # x = s*j + i + 1 for i < s: c*m^x = (c*m^(s*j)) * m^(i+1), one outer product of about
     # sqrt(count) giant steps and baby steps per chain
+    dtype = np.int64 if p < _INT64_PRIME_LIMIT else object
     s = isqrt(count - 1) + 1 if count else 0
     rows = -(-count // s) if count else 0
-    z = np.full(rows * s, const, dtype=np.int64)
+    z = np.full(rows * s, const, dtype=dtype)
     for c, m in chains:
         baby = [m]
         for _ in range(s - 1):
@@ -161,11 +155,12 @@ def _chain_sum(p: int, const: int, chains: list, count: int) -> np.ndarray:
         giant = [c]
         for _ in range(rows - 1):
             giant.append(giant[-1] * baby[-1] % p)
-        t = np.multiply.outer(np.array(giant, dtype=np.int64), np.array(baby, dtype=np.int64)).ravel()
+        t = np.multiply.outer(np.array(giant, dtype=dtype), np.array(baby, dtype=dtype)).ravel()
         np.remainder(t, p, out=t)
         z += t
     z = z[:count]
-    return np.remainder(z, p, out=z)
+    # residues below p < 2**62 fit in int64
+    return np.remainder(z, p, out=z).astype(np.int64, copy=False)
 
 
 def _orbit_residues(p: int, theta: int, f: SparsePolynomial, count: int) -> np.ndarray:

@@ -242,6 +242,21 @@ def test_verify_json_format(capsys):
         assert list(row) == sorted(row)
 
 
+def test_main_twice_in_one_process_carries_nothing_over(capsys):
+    # the parser is built once per process; each call sees only its own options
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["verify", "--suite", "lemma31", "--pmin", "7", "--pmax", "13"]
+    rc, first, _ = run(capsys, *argv, "--format", "json", "--seed", "5", "--eps", "1/5")
+    assert rc == 0 and first.startswith("{")
+    rc, second, _ = run(capsys, *argv)
+    assert rc == 0
+    assert second.splitlines()[0] == ",".join(cli._FIELDS)
+    rc, explicit, _ = run(capsys, *argv, "--format", "csv", "--seed", "0", "--eps", "1/10")
+    assert rc == 0 and second == explicit
+    args = cli.build_parser().parse_args(argv)
+    assert (args.format, args.seed, args.eps, args.ceiling, args.out) == ("csv", 0, "1/10", 10.0, None)
+
+
 def test_verify_identity_suite(capsys):
     rc, _, err = run(capsys, "verify", "--suite", "identity", "--pmin", "7", "--pmax", "7")
     assert rc == 0

@@ -93,11 +93,17 @@ def test_prime_modulus_validation():
         field.PrimeModulus(13.0)
 
 
+def _characters(p, zs) -> list:
+    """exp(2*pi*i*z/p) for each integer z, through field.unit_roots."""
+    return [complex(c) for c in field.unit_roots(np.array([z % p for z in zs], dtype=np.int64), p)]
+
+
 def test_character_examples():
-    assert abs(field.prime_modulus(13).character(0) - 1) < 1e-15
-    assert abs(field.prime_modulus(13).character(13) - 1) < 1e-15
+    zero, wrap, one = _characters(13, (0, 13, 1))
+    assert abs(zero - 1) < 1e-15
+    assert abs(wrap - 1) < 1e-15
     want = complex(0.8854560256532099, 0.4647231720437685)
-    assert abs(field.prime_modulus(13).character(1) - want) < 1e-13
+    assert abs(one - want) < 1e-13
 
 
 def test_character_table_matches_direct():
@@ -105,38 +111,37 @@ def test_character_table_matches_direct():
     big = 1048583
     assert field.is_prime(big)
     for p in (13, big):
-        for z in (0, 1, 2, p - 1, p // 2, 7 * p + 3):
+        zs = (0, 1, 2, p - 1, p // 2, 7 * p + 3)
+        for z, c in zip(zs, _characters(p, zs)):
             direct = cmath.exp(2j * cmath.pi * (z % p) / p)
-            assert abs(field.prime_modulus(p).character(z) - direct) < 1e-12
+            assert abs(c - direct) < 1e-12
 
 
 def test_character_homomorphism():
     rng = random.Random("charhom")
     for p in (13, 9973):
-        for _ in range(5000):
-            z1 = rng.randrange(p)
-            z2 = rng.randrange(p)
-            lhs = field.prime_modulus(p).character(z1) * field.prime_modulus(p).character(z2)
-            rhs = field.prime_modulus(p).character(z1 + z2)
-            assert abs(lhs.real - rhs.real) < 1e-10
-            assert abs(lhs.imag - rhs.imag) < 1e-10
+        z1 = [rng.randrange(p) for _ in range(5000)]
+        z2 = [rng.randrange(p) for _ in range(5000)]
+        lhs = field.unit_roots(np.array(z1), p) * field.unit_roots(np.array(z2), p)
+        rhs = field.unit_roots((np.array(z1) + np.array(z2)) % p, p)
+        assert np.all(np.abs(lhs.real - rhs.real) < 1e-10)
+        assert np.all(np.abs(lhs.imag - rhs.imag) < 1e-10)
 
 
 def test_character_unit_modulus():
     rng = random.Random("unitmod")
     for p in (13, 101, 1048583):
-        for _ in range(100):
-            z = rng.randrange(p)
-            c = field.prime_modulus(p).character(z)
+        for c in _characters(p, [rng.randrange(p) for _ in range(100)]):
             assert abs(c.real * c.real + c.imag * c.imag - 1) <= 1e-12
 
 
 def test_unit_root():
-    assert field.unit_root(0, 4) == 1
-    assert abs(field.unit_root(1, 4) - 1j) < 1e-15
-    assert abs(field.unit_root(5, 4) - 1j) < 1e-15
-    with pytest.raises(ValueError):
-        field.unit_root(1, 0)
+    # the 4th roots of unity from the table, and from cos and sin above the table limit
+    big = 4 * (field.CHAR_TABLE_LIMIT + 1)
+    for den in (4, big):
+        roots = _characters(den, [k * den // 4 for k in (0, 1, 2, 3, 5)])
+        assert roots[0] == 1
+        assert max(abs(c - w) for c, w in zip(roots, (1, 1j, -1, -1j, 1j))) < 1e-15
 
 
 def test_unit_tables_stay_under_the_byte_cap(monkeypatch):

@@ -4,6 +4,7 @@ import io
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from weilsums import field, prng, sums
@@ -86,7 +87,7 @@ def test_power_generator_consistent_with_incomplete_sum():
     for count in (1, 7, 20):
         seq = prng.power_generator(G, f, count)
         s = sums.incomplete_subgroup_sum(G, f, count)
-        direct = sum(field.prime_modulus(101).character(v) for v in seq.residues)
+        direct = field.unit_roots(np.array(seq.residues), 101).sum()
         assert abs(s.value - direct) < 1e-12
 
 

@@ -114,7 +114,7 @@ def test_subgroup_sum_trivial_group():
     G = field.subgroup(13, 1)
     f = poly((3, 5))
     s = sums.subgroup_sum(G, f)
-    assert abs(s.value - field.prime_modulus(13).character(5)) < 1e-15
+    assert abs(s.value - _oracle_root(5, 13)) < 1e-15
 
 
 def test_subgroup_sum_shift_covariance():
@@ -128,7 +128,7 @@ def test_subgroup_sum_shift_covariance():
         f = poly((e, a))
         g = poly((e, a), constant=c)
         lhs = sums.subgroup_sum(G, g).value
-        rhs = field.prime_modulus(31).character(c) * sums.subgroup_sum(G, f).value
+        rhs = _oracle_root(c, 31) * sums.subgroup_sum(G, f).value
         assert abs(lhs - rhs) < 1e-10 * G.tau
 
 
@@ -172,7 +172,7 @@ def test_incomplete_subgroup_sum():
     f = poly((1, 1))
     assert sums.incomplete_subgroup_sum(G, f, 0).value == 0
     first = sums.incomplete_subgroup_sum(G, f, 1)
-    assert abs(first.value - field.prime_modulus(13).character(8)) < 1e-15
+    assert abs(first.value - _oracle_root(8, 13)) < 1e-15
     full = sums.incomplete_subgroup_sum(G, f, 4)
     assert full.value == sums.subgroup_sum(G, f).value
     with pytest.raises(ValueError):
@@ -279,7 +279,7 @@ def test_inversive_degenerate_a_zero():
     G = field.subgroup(13, 4)
     # a = 0, b != 0: every term is the constant e_p(b^{-1})
     s = sums.inversive_subgroup_sum(G, 0, 2)
-    want = 4 * field.prime_modulus(13).character(pow(2, -1, 13))
+    want = 4 * _oracle_root(pow(2, -1, 13), 13)
     assert abs(s.value - want) < 1e-12
     assert s.excluded == 0
     # a = b = 0: everything is excluded
@@ -300,7 +300,7 @@ def test_finish_checks_triangle_inequality():
 
 
 def _oracle_root(num: int, den: int) -> complex:
-    """exp(2*pi*i*num/den) by cmath.exp, with the scalar code's two angle formulas."""
+    """exp(2*pi*i*num/den) by cmath.exp, with the angle formulas of the table and of the cos/sin path."""
     k = num % den
     if den <= field.CHAR_TABLE_LIMIT:
         # a table entry: (tau/den) * k with k folded into (-den/2, den/2]
@@ -324,9 +324,10 @@ ORACLE_CASES = (
     # 2^20 < p < 2^31: cos and sin per term, int64 residues
     (1995841, 5040),
     (2147483647, 4634),
-    # p >= 2^31: residues from Python loops
+    # p >= 2^31: residues as Python ints in object arrays
     (2147483659, 298),
     (4294967311, 1310),
+    (2**61 - 1, 2310),
 )
 
 
@@ -384,9 +385,9 @@ def test_unit_table_equals_cmath_exp():
     tab = field._unit_table(den)
     ks = list(range(0, den, 997)) + [den // 2, den // 2 + 1, den - 1]
     assert [complex(tab[k]) for k in ks] == [_oracle_root(k, den) for k in ks]
-    # the scalar unit_root reads the same tables and formula
+    # unit_roots reads the same tables, and above them computes the same formula
     for num, d in ((5, 1009), (-3, 982801), (10**6, 1995841), (2**40, 4294967311)):
-        assert field.unit_root(num, d) == _oracle_root(num, d)
+        assert complex(field.unit_roots(np.array([num % d]), d)[0]) == _oracle_root(num, d)
 
 
 # --- no numpy scalar leaves the engine ---
@@ -406,8 +407,6 @@ def test_results_are_python_numbers():
         for s in results:
             assert type(s.value) is complex
             assert type(s.term_count) is int and type(s.excluded) is int
-        assert type(field.unit_root(7, p)) is complex
-        assert type(field.unit_root(7, tau)) is complex
         seqs = (prng.power_generator(G, f, 2 * tau), prng.inversive_generator(G, 1, -G.theta, 2 * tau))
         for seq in seqs:
             assert {type(v) for v in seq.residues} <= {int, type(None)}
@@ -431,10 +430,12 @@ def _hypothesis():
 
 
 def _strategies(st):
-    """Primes below 2^31, arbitrary-size positive ints, and polynomials built from them."""
+    """Primes on both sides of 2^31 up to 2^62 - 57, the largest prime below 2^62,
+    arbitrary-size positive ints, and polynomials built from them."""
     big = st.integers(1, 2**200)
     polys = st.builds(SparsePolynomial.from_pairs, st.lists(st.tuples(big, big), max_size=4), st.integers(0, 2**200))
-    return st.integers(2, 2**31 - 1).map(_prime_at_least), big, polys
+    primes = st.one_of(st.integers(2, 2**31 - 1), st.integers(2**31, 2**62 - 57)).map(_prime_at_least)
+    return primes, big, polys
 
 
 def test_orbit_residues_property():
