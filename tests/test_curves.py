@@ -4,9 +4,10 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
-from weilsums import curves, field, poly
+from weilsums import cli, curves, field, poly
 from weilsums.curves import CurveSpec
 from weilsums.field import GuardExceeded
 
@@ -324,6 +325,19 @@ def test_count_points_frozen():
     assert curves.count_points(CurveSpec(13, 2, 4, 1, 0, 0)) == 73
 
 
+def double_loop_count(spec):
+    """Points of F(X, Y) = 0 by evaluating F at every (x, y) in F_p^2."""
+    p, m, n, s = spec.p, spec.m, spec.n, spec.s
+    want = 0
+    for x in range(p):
+        for y in range(p):
+            u = (pow(x, s * m, p) + pow(y, s * m, p) - spec.A) % p
+            v = (pow(x, s * n, p) + pow(y, s * n, p) - spec.B) % p
+            if pow(u, n, p) == pow(v, m, p):
+                want += 1
+    return want
+
+
 def test_count_points_matches_double_loop():
     rng = random.Random("curvepts")
     for _ in range(8):
@@ -334,14 +348,46 @@ def test_count_points_matches_double_loop():
         if s % p == 0:
             s += 1
         spec = CurveSpec(p, m, n, s, rng.randrange(p), rng.randrange(p))
-        want = 0
-        for x in range(p):
-            for y in range(p):
-                u = (pow(x, s * m, p) + pow(y, s * m, p) - spec.A) % p
-                v = (pow(x, s * n, p) + pow(y, s * n, p) - spec.B) % p
-                if pow(u, n, p) == pow(v, m, p):
-                    want += 1
-        assert curves.count_points(spec) == want
+        assert curves.count_points(spec) == double_loop_count(spec)
+
+
+# the verify suite's cells, a pair that is not coprime, s = 3, and p | n at p = 13
+_ORACLE_SHAPES = cli._CURVE_CELLS + ((2, 4, 1), (1, 2, 3), (2, 3, 3), (1, 13, 1))
+
+
+@pytest.mark.parametrize("m,n,s", _ORACLE_SHAPES, ids=lambda v: str(v))
+def test_count_points_every_draw_matches_double_loop(m, n, s):
+    for p in (5, 7, 11, 13):
+        for A in range(p):
+            for B in range(p):
+                spec = CurveSpec(p, m, n, s, A, B)
+                assert curves.count_points(spec) == double_loop_count(spec), (p, A, B)
+
+
+def test_count_tables_cache_serves_only_its_cell():
+    # alternate two cells of one prime and return to the first: each count
+    # must come from its own cell's tables, and one entry is ever held
+    curves._count_tables.cache_clear()
+    draws = [(2, 3, 1, 4, 9), (1, 3, 2, 4, 9), (2, 3, 1, 7, 1), (1, 3, 2, 0, 5), (2, 3, 1, 4, 9)]
+    for m, n, s, A, B in draws:
+        spec = CurveSpec(31, m, n, s, A, B)
+        assert curves.count_points(spec) == double_loop_count(spec), (m, n, s, A, B)
+        assert curves._count_tables.cache_info().currsize == 1
+    # another draw of the last cell is served from the cache
+    hits = curves._count_tables.cache_info().hits
+    curves.count_points(CurveSpec(31, 2, 3, 1, 1, 1))
+    assert curves._count_tables.cache_info().hits == hits + 1
+
+
+def test_count_tables_read_only():
+    H, su, sv = curves._count_tables(13, 2, 3, 1)
+    assert H.dtype == np.int32 and H.shape == (13, 13)
+    assert int(H.sum()) == 13 * 13
+    assert su.size == sv.size == 13  # S = {(t^m, t^n)} when gcd(m, n) = 1
+    for table in (H, su, sv):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 def test_count_points_guard():

@@ -9,7 +9,9 @@ theorem and json verify entries, and the stderr of every entry, were recorded
 before the verify suites were put on one (p, tau) walk.  The two curve entries
 at e = n - m = 5 and 4 were recorded before the root-of-unity products were
 computed from one inner constant per factor.  The binomial json entry was
-recorded before the sums engine moved to numpy arrays.  Regenerate it only for
+recorded before the sums engine moved to numpy arrays.  The curve entry at
+p = 1999 was recorded before point counts moved to one pair histogram per
+cell.  Regenerate it only for
 an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -51,6 +53,8 @@ COMMANDS = (
     # delta over a degree-4 splitting field (e = 5), and a full report at e = 4
     ("curve", "--p", "43", "--m", "2", "--n", "7", "--A", "4", "--B", "6", "--delta-only"),
     ("curve", "--p", "101", "--m", "3", "--n", "7", "--A", "5", "--B", "9"),
+    # the largest grid under POINT_COUNT_LIMIT
+    ("curve", "--p", "1999", "--m", "2", "--n", "3", "--s", "2", "--A", "5", "--B", "7"),
     # the character accumulator: table and no-table paths, excluded terms, prng statistics
     ("sum", "--p", "1009", "--tau", "56", "--poly", "3*x^2+5*x^7", "--twist", "5"),
     ("sum", "--p", "1995841", "--tau", "1980", "--poly", "3*x^1+2*x^5", "--twist", "7"),

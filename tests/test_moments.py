@@ -380,3 +380,30 @@ def test_moment_inequality_large_k():
     assert rep.holds and rep.q_k == rep.q_l
     rep = moments.verify_moment_inequality(field.subgroup(31, 5), SparsePolynomial.parse("1*x^1+3*x^2"), 40, 40)
     assert rep.lhs == math.inf and rep.holds
+
+
+def test_routes_agree_property():
+    # the sparse and orbit routes are exact integer counts, so they agree on
+    # every cell; k steps down until the sparse route stays cheap
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    primes = [p for p in range(2, 110) if field.is_prime(p)]
+
+    @hyp.settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @hyp.given(
+        st.sampled_from(primes),
+        st.integers(0, 2**32),
+        st.lists(st.integers(1, 12), min_size=1, max_size=2, unique=True),
+        st.integers(1, 4),
+    )
+    def check(p, t, nvec, k):
+        taus = field.divisors(p - 1)
+        G = field.subgroup(p, taus[t % len(taus)])
+        r = len(nvec)
+        hist = _subgroup_hist(G, tuple(nvec))
+        while k > 1 and convolution.sparse_work(len(hist), k, p**r) > 300_000:
+            k -= 1
+        orbit, sparse = _routes(hist, k, p, r)
+        assert orbit == sparse, (p, G.tau, nvec, k)
+
+    check()

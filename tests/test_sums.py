@@ -476,3 +476,20 @@ def test_parse_format_property():
         assert SparsePolynomial.parse(f.format()) == f
 
     check()
+
+
+def test_subgroup_sum_dilation_property():
+    # S(G; f(lambda x)) sums the same terms in another order for lambda in G,
+    # and fsum is exact whatever the order, so the values agree bit for bit
+    given, settings, st = _hypothesis()
+    primes, _, polys = _strategies(st)
+
+    @settings
+    @given(primes, polys, st.integers(0, 2**64), st.integers(0, 2**64))
+    def check(p, f, t, j):
+        taus = [d for d in field.divisors(p - 1) if d <= 2000]
+        G = field.subgroup(p, taus[t % len(taus)])
+        lam = pow(G.theta, j, p)
+        assert sums.subgroup_sum(G, f.dilate(lam, p)) == sums.subgroup_sum(G, f)
+
+    check()
