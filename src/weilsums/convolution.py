@@ -1,59 +1,146 @@
-"""Exact iterated cyclic convolution of integer histograms on (Z/p)^r.
+"""Exact iterated cyclic convolution of integer histograms on (Z/p)^r, r <= 2.
 
-Sparse dicts of Python integers keep every count exact at any size.
-`sparse_work` estimates the cost up front, for callers that choose between
-routes or refuse a histogram that would take too long.
+A histogram is a pair of numpy arrays (vectors, counts): an int64 (n, r)
+array of residue vectors and their positive counts.  Each step of
+`self_convolution_power` pairs the support of the running power with the
+support of the histogram by broadcasting, in blocks of at most _CHUNK pairs,
+and names each sum by one mixed-radix int64 key (v_1 p + v_2 for r = 2).
+The counts of equal keys are added exactly.  Where the grid of p^r keys holds
+at most _TABLE_RATIO cells per pair of the step, each block adds its counts
+into a table of p^r counts (`np.add.at`).  Otherwise the keys of a block are
+sorted with the index of their pair packed into the same int64, the counts
+gathered in that order and added over each run of equal keys, and the
+distinct keys of several blocks are merged the same way.  Counts are int64
+when mass^(2k) < 2^63, so that every count of every power and the sum of
+their squares fit; otherwise they are numpy `object` arrays of Python ints, on
+the same code path.  `sparse_work` counts the pairs up front, for callers that
+choose between routes or refuse a histogram that would take too long.
 """
 
+import math
 
-def _sparse_pair(cur: dict, base: dict, p: int, r: int) -> dict:
-    out: dict = {}
-    if r == 1:
-        for a, ca in cur.items():
-            for b, cb in base.items():
-                k = a + b
-                if k >= p:
-                    k -= p
-                out[k] = out.get(k, 0) + ca * cb
-        return out
-    for a, ca in cur.items():
-        for b, cb in base.items():
-            k = tuple((x + y) % p for x, y in zip(a, b))
-            out[k] = out.get(k, 0) + ca * cb
-    return out
+import numpy as np
+
+_CHUNK = 2**20  # pairs in one block of int64 temporaries (8 MB each), or one row of the support if longer
+# Sums of one step go into a table of p^r counts where p^r <= _TABLE_RATIO * pairs, and are
+# sorted above.  On a 2-core x86-64 host, 10^5 pairs took 1.6 ms by a table of 10^5 cells, 3.1 ms
+# by one of 2*10^5 and 4.3 ms by one of 4*10^5, against 3.5-5.8 ms by sorting.
+_TABLE_RATIO = 2
+
+
+def _keys(vectors, p: int):
+    """One mixed-radix key per row of vectors, the first coordinate most significant."""
+    key = vectors[:, 0]
+    for j in range(1, vectors.shape[1]):
+        key = key * p + vectors[:, j]
+    return key
+
+
+def _coordinates(keys, p: int, r: int) -> list:
+    """The r coordinate columns of mixed-radix keys, the most significant first."""
+    cols = []
+    for _ in range(r - 1):
+        keys, low = np.divmod(keys, p)
+        cols.append(low)
+    return [keys, *cols[::-1]]
+
+
+def _sum_equal(keys, counts) -> tuple:
+    """The distinct keys, sorted, with the exact sum of the counts of each; keys may be overwritten."""
+    shift = max(1, (len(keys) - 1).bit_length())
+    keys <<= shift
+    keys |= np.arange(len(keys))
+    keys.sort()
+    total = counts[keys & ((1 << shift) - 1)]
+    np.cumsum(total, out=total)  # below mass^k, by the dtype rule
+    keys >>= shift
+    last = np.empty(len(keys), dtype=bool)  # the last entry of each run of equal keys
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    last[-1] = True
+    total = total[last]
+    total[1:] -= total[:-1].copy()
+    return keys[last], total
+
+
+def _merge(parts: list) -> tuple:
+    if len(parts) == 1:
+        return parts[0]
+    return _sum_equal(np.concatenate([k for k, _ in parts]), np.concatenate([c for _, c in parts]))
+
+
+def _pair(cur: tuple, base: tuple, p: int, r: int) -> tuple:
+    """The (keys, counts) of the convolution of cur and base, from every pair of their entries."""
+    (ckeys, ccounts), (bkeys, bcounts) = cur, base
+    ccols, bcols = _coordinates(ckeys, p, r), _coordinates(bkeys, p, r)
+    # a grid of at most _TABLE_RATIO cells per pair is summed in place, by key
+    table = np.zeros(p**r, dtype=ccounts.dtype) if p**r <= _TABLE_RATIO * len(ckeys) * len(bkeys) else None
+    step = max(1, _CHUNK // len(bkeys))
+    parts = []
+    for s in range(0, len(ckeys), step):
+        key = None
+        for c, b in zip(ccols, bcols):
+            t = c[s : s + step, None] + b
+            u = t.view(np.uint64)
+            np.minimum(u, u - np.uint64(p), out=u)  # t - p, unless that wraps below 0
+            if key is None:
+                key = t
+            else:
+                key *= p
+                key += t
+        key, counts = key.reshape(-1), np.multiply.outer(ccounts[s : s + step], bcounts).reshape(-1)
+        if table is not None:
+            np.add.at(table, key, counts)  # 1-D: numpy's fast path
+            continue
+        parts.append(_sum_equal(key, counts))
+        # merge once the later blocks hold as many keys as the merged ones
+        if sum(len(k) for k, _ in parts[1:]) >= len(parts[0][0]):
+            parts = [_merge(parts)]
+    if table is not None:
+        keys = np.flatnonzero(table)
+        return keys, table[keys]
+    return _merge(parts)
 
 
 def sparse_work(nnz: int, k: int, size: int) -> int:
-    """Worst-case dict updates of a k-fold self-convolution of nnz cells on a grid of size cells.
+    """Worst-case pairs formed by a k-fold self-convolution of nnz cells on a grid of size cells.
 
-    Step j pairs the at most min(nnz^j, size) cells of the j-fold power with the nnz base cells.
+    Step j pairs the support of the j-fold power with the nnz base cells; a sum
+    of j base cells depends only on their multiset, so that support holds at
+    most min(C(nnz + j - 1, j), size) cells.
     """
-    work = 0
-    grown = nnz
-    for _ in range(k - 1):
-        work += grown * nnz
-        grown = min(grown * nnz, size)
-    return work
+    return sum(min(math.comb(nnz + j - 1, j), size) * nnz for j in range(1, k))
 
 
-def self_convolution_power(hist: dict, k: int, p: int, r: int):
+def self_convolution_power(hist: tuple, k: int, p: int, r: int) -> tuple:
     """k-fold cyclic self-convolution of hist on (Z/p)^r, exactly.
 
-    hist maps residues (ints for r=1, r-tuples otherwise) to nonnegative
-    counts.  Returns a dict of exact integer counts.
+    hist is (vectors, counts): an (n, r) array of residue vectors and their
+    positive counts.  Returns the power in the same form, its vectors distinct
+    and sorted, its counts int64 or Python ints (see the module docstring).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if r not in (1, 2):
         raise ValueError(f"only r in {{1, 2}} is supported, got r={r}")
-    if not hist:
+    vectors, counts = hist
+    if not len(counts):
         raise ValueError("empty histogram")
-    cur = dict(hist)
+    if vectors.shape != (len(counts), r):
+        raise ValueError(f"need an (n, {r}) array of vectors, got shape {vectors.shape}")
+    if p**r > 2**28:  # a key below 2^28 and a pair index below 2^30 share one int64
+        raise ValueError(f"p^r = {p**r} exceeds 2^28")
+    if vectors.min() < 0 or vectors.max() >= p:
+        raise ValueError(f"vectors must be residues in [0, {p})")
+    if min(counts.tolist()) < 1:
+        raise ValueError("counts must be positive")
+    dtype = np.int64 if sum(counts.tolist()) ** (2 * k) < 2**63 else object
+    cur = base = _sum_equal(_keys(np.array(vectors, dtype=np.int64), p), np.asarray(counts).astype(dtype))
     for _ in range(k - 1):
-        cur = _sparse_pair(cur, hist, p, r)
-    return cur
+        cur = _pair(cur, base, p, r)
+    return np.stack(_coordinates(cur[0], p, r), axis=1), cur[1]
 
 
-def sum_of_squares(result: dict) -> int:
+def sum_of_squares(result: tuple) -> int:
     """Sum of squared counts of a convolution result, exact."""
-    return sum(c * c for c in result.values())
+    counts = result[1]
+    return int((counts * counts).sum())

@@ -3,10 +3,14 @@
 Q_k counts 2k-tuples (u_1..u_k, v_1..v_k) in G^2k solving the diagonal system
 sum_i u_i^{n_j} = sum_i v_i^{n_j} for j = 1..r, so Q_k = sum_x H(x)^2 for H the
 k-fold cyclic self-convolution of the histogram h of the power vectors
-(g^{n_1}, ..., g^{n_r}), g in G.  Three exact routes compute it: enumeration of
-the tau^k tuples (`q_bruteforce`, the oracle), sparse dict convolution, and the
-orbit route.  Enumeration visits every tuple and shares nothing with the other
-two.  It forms the sums mod p of the last m factors once, as an inner block of
+(g^{n_1}, ..., g^{n_r}), g in G.  The power vectors are an int64 (tau, r)
+array, one power chain per exponent in generator order (`sums._chain_sum`),
+and h is the pair of arrays (vectors, counts) of its distinct rows, counted by
+one mixed-radix key per row.  Three exact routes compute Q_k: enumeration of
+the tau^k tuples (`q_bruteforce`, the oracle), the sparse route
+(`convolution.self_convolution_power` on h, see that module), and the orbit
+route.  Enumeration visits every tuple and shares no counting code with the
+other two.  It forms the sums mod p of the last m factors once, as an inner block of
 tau^m vectors with r tau^m <= _CHUNK, adds the sums of the first k - m factors
 to it in blocks of at most _CHUNK int64 entries, and counts equal sums.  Where
 p^r is small it counts them in a table of p^r entries.  Otherwise it sorts each
@@ -25,14 +29,13 @@ p^r gcd(n_1, tau)/tau points xi, each a sum over the support of h.  Residues
 modulo primes q < 2^31 keep int64 products below 2^62, and CRT over moduli
 whose product exceeds p^r tau^(2k) >= p^r Q_k recovers p^r Q_k exactly; the
 result is checked to be divisible by p^r.  `q_convolution` and `t3_count` take
-the route with the smaller estimated work.  Where the sparse route is the only
-one (`j_histogram`, which needs all of H, or too few such q for the bound), it
-refuses more than SPARSE_WORK_LIMIT dict updates.
+the route with the smaller estimated cost (`_route`).  Where the sparse route is
+the only one (`j_histogram`, which needs all of H, or too few such q for the
+bound), it refuses more than SPARSE_WORK_LIMIT pairs.
 """
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -41,30 +44,34 @@ from operator import itemgetter
 import numpy as np
 
 from . import convolution
-from .field import GuardExceeded, is_prime, least_primitive_root, prime_modulus
-from .sums import SparsePolynomial, subgroup_sum
+from .field import GuardExceeded, is_prime, least_primitive_root, prime_modulus, subgroup
+from .sums import SparsePolynomial, _chain_sum, subgroup_sum
 
 BRUTE_FORCE_LIMIT = 10**8
 GRID_SIZE_LIMIT = 10**8  # largest p^r the convolution routes accept
-SPARSE_WORK_LIMIT = 20_000_000  # sparse work accepted where no other route can run, about 10-30 s
+# Pairs the sparse route may form where no other route can run.  Near the limit it took
+# 0.3-1.3 s and 66-205 MB peak RSS (j_histogram at k = 3: subgroup(541, 270) and
+# subgroup(1021, 340) with exponents (1, 2), subgroup(9860681, 340) with exponent 1).
+SPARSE_WORK_LIMIT = 20_000_000
 
 _MODULUS_LIMIT = 2**31
-_CHUNK = 2**20  # int64 entries of an orbit-route or enumeration temporary (8 MB), or one row if longer
+_CHUNK = convolution._CHUNK  # int64 entries of an orbit-route or enumeration temporary (8 MB), or one row if longer
 # Largest p with whole tables of w^j and w^-j (256 KB per modulus); above it (r = 1 only, by
 # GRID_SIZE_LIMIT) each is two tables of about sqrt(p) entries, at 4x the cost per gather.
 _FULL_TABLE = 2**14
-# Cost of one sparse dict update in orbit work units, for r = 1 and r = 2 (see `_route`).
-# On a 2-core x86-64 host (Python 3.11, numpy 2.4) an orbit unit took 11-18 ns on grids
-# of 7561 to 601^2 points; a sparse update took 75-155 ns for r = 1 (k = 2, 3, p = 601
-# and 7561) and 490-620 ns for r = 2 (k = 3, p = 31 to 601), where the routes tie at
-# subgroup(601, 30) (27900 updates in 15.8 ms, 722402 units in 9.5 ms, two moduli).
-_SPARSE_COST = (8, 40)
+# Costs of `_route` in orbit units (one int64 gather of the orbit route), fitted by
+# tools/route_costs.py; three runs on a 2-core x86-64 host (Python 3.11, numpy 2.4) gave
+# 14.3-15.5 ns per orbit unit and, for the sparse route, 0.6-0.8 units per pair for r = 1
+# (most steps sum into a table), 1.8-2.0 for r = 2 (most sort) and 5000-6100 units
+# (73-87 us) per step.
+_SPARSE_COST = (0.8, 2.0)
+_SPARSE_STEP = 5000
 # Fixed orbit-route cost of one pass over a coordinate, and of each modulus in it, in
-# orbit units: about 40 us each on the same host (r = 1, p = 13 and 29: 0.06-0.09 ms with
-# one modulus, 0.13 ms with two; r = 2, p = 31: 0.18-0.23 ms and 0.25-0.29 ms).  At
-# p = 7561, k = 3, r = 1 the rule picks sparse for tau <= 15 (0.36 ms against 0.56 ms)
-# and orbit from tau = 21 (0.54 ms against 0.92 ms).
-_ORBIT_PASS = 3300
+# orbit units: 3000-4900 (47-69 us) in the same runs.  With these costs the rule picks the
+# faster route on the script's ladder, or one within 0.3 ms or 25% of it; at p = 7561,
+# k = 3, r = 1 it picks sparse up to tau = 35 (0.48 ms against 0.93 ms) and orbit from
+# tau = 45 (0.67 ms against 0.91 ms) on.
+_ORBIT_PASS = 4200
 # q_bruteforce counts sums in a table of p^r entries up to _TABLE_RATIO per tuple, and sorts
 # them above.  On the host above, 10^5 keys took 0.45 ms by a table of 2*10^5 entries, 3.3 ms
 # by one of 4*10^5 (page faults) and 1.0 ms by sorting.
@@ -84,11 +91,35 @@ def _validate_exponents(nvec) -> tuple:
 
 
 def _power_vectors(G, nvec, coeffs=None):
-    """(a_1 g^{n_1}, ..., a_r g^{n_r}) mod p for each g in G, in generator order."""
+    """(a_1 g^{n_1}, ..., a_r g^{n_r}) mod p for each g in G, in generator order, as an int64 (tau, r) array.
+
+    Column j is the chain a_j (theta^{n_j})^x for x = 1..tau, coefficients below p.
+    """
     p = G.modulus.p
     if coeffs is None:
         coeffs = (1,) * len(nvec)
-    return [tuple(a * pow(g, n, p) % p for n, a in zip(nvec, coeffs)) for g in G.elements]
+    return np.stack([_chain_sum(p, 0, [(a, pow(G.theta, n, p))], G.tau) for n, a in zip(nvec, coeffs)], axis=1)
+
+
+def _distinct_count(values) -> int:
+    """The number of distinct entries of a 1-D array.
+
+    Plain np.unique(values) imports numpy.ma on its first call, about 20 ms
+    of every process that counts a moment.
+    """
+    values = np.sort(values)
+    return 1 + int(np.count_nonzero(values[1:] != values[:-1]))
+
+
+def _histogram(vecs, p: int) -> tuple:
+    """(vectors, counts): the distinct rows of the int64 (n, r) array vecs, sorted, and how often each occurs.
+
+    Rows are told apart by one mixed-radix key each (v_1 p + v_2 for r = 2, so
+    p^r must be below 2^63) and a 1-D np.unique, which is many times faster
+    than np.unique(axis=0) on the rows.
+    """
+    _, first, counts = np.unique(convolution._keys(vecs, p), return_index=True, return_counts=True)
+    return vecs[first], counts
 
 
 def _add_mod(a, b, p: int):
@@ -196,7 +227,7 @@ def q_bruteforce(G, nvec, k: int) -> int:
     if tuples > BRUTE_FORCE_LIMIT:
         raise GuardExceeded("tau^k", tuples, BRUTE_FORCE_LIMIT)
     p, r = G.modulus.p, len(nvec)
-    vecs = np.array(_power_vectors(G, nvec), dtype=np.int64).T
+    vecs = _power_vectors(G, nvec).T
     if p**r <= min(_CHUNK, _TABLE_RATIO * tuples):
         counts = sum(np.bincount(cols[0], minlength=p**r) for _, cols in _sum_blocks(vecs, k, p, 1))
         return int((counts * counts).sum())  # at most tau^(2k) <= 10^16
@@ -214,10 +245,6 @@ def q_bruteforce(G, nvec, k: int) -> int:
             counts = _merge(parts)[1]
             total += int((counts * counts).sum())
     return total
-
-
-def _hist_from_vectors(vecs, r: int) -> dict:
-    return Counter(v[0] for v in vecs) if r == 1 else Counter(vecs)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -261,16 +288,15 @@ def _root_tables(q: int, w: int, p: int, s: int) -> tuple:
     return _geometric(w, min(s, p), q), _geometric(pow(w, s, q), (p - 1) // s + 1, q)
 
 
-def _orbit_count(hist: dict, k: int, p: int, r: int, moduli) -> int:
+def _orbit_count(hist: tuple, k: int, p: int, r: int, moduli) -> int:
     """sum_x H(x)^2 for H = hist^{*k}, by the orbit route (see the module docstring).
 
     hist must be the power-vector histogram of a subgroup of F_p*, of mass
-    below p < 2^27; moduli must come from `_moduli(p, p^r * mass^(2k))`.
+    below p < 2^27; moduli must come from `_moduli(p, _bound(hist, k, p, r))`.
     Up to p = _FULL_TABLE, w^j and w^-j are one lookup each in tables of p
     entries; above, each is the product of two lookups in tables of about sqrt(p).
     """
-    vecs = np.array(list(hist), dtype=np.int64).reshape(len(hist), r)
-    wts = np.array(list(hist.values()), dtype=np.int64)
+    vecs, wts = hist
     split = p > _FULL_TABLE
     s = math.isqrt(p) + 1 if split else p
     tables = [(q, _root_tables(q, w, p, s), _root_tables(q, pow(w, p - 1, q), p, s)) for q, w in moduli]
@@ -279,9 +305,10 @@ def _orbit_count(hist: dict, k: int, p: int, r: int, moduli) -> int:
     for j in range(r):
         # xi_1..xi_j = 0 and xi_{j+1} != 0, over the marginal of hist on coordinates j+1..r
         if j:
-            vecs, inverse = np.unique(vecs[:, 1:], axis=0, return_inverse=True)
-            wts = np.bincount(inverse.ravel(), weights=wts, minlength=len(vecs)).astype(np.int64)
-        orbit = len(np.unique(vecs[:, 0]))
+            _, first, inverse = np.unique(convolution._keys(vecs[:, 1:], p), return_index=True, return_inverse=True)
+            vecs = vecs[first, 1:]
+            wts = np.bincount(inverse, weights=wts, minlength=len(vecs)).astype(np.int64)
+        orbit = _distinct_count(vecs[:, 0])
         reps = _geometric(gen, (p - 1) // orbit, p)  # one point per coset of H_1
         free = p ** (r - j - 1)
         rows = len(reps) * free
@@ -314,32 +341,46 @@ def _orbit_count(hist: dict, k: int, p: int, r: int, moduli) -> int:
     return q_k
 
 
-def _route(hist: dict, k: int, p: int, r: int):
+def _bound(hist: tuple, k: int, p: int, r: int) -> int:
+    """p^r mass^(2k) >= p^r Q_k: the product of the orbit route's moduli must exceed it."""
+    return p**r * int(hist[1].sum()) ** (2 * k)
+
+
+def _work(hist: tuple, k: int, p: int, r: int) -> tuple:
+    """(pairs, gathers, n_moduli): the work terms that `_route` prices.
+
+    pairs is what `convolution.self_convolution_power` forms
+    (`convolution.sparse_work`); gathers the orbit route's int64 gathers per
+    modulus (points xi times support size, plus the root tables) times
+    n_moduli, the moduli of `_bound` at 30 bits each.
+    """
+    vectors, counts = hist
+    points = (p - 1) // _distinct_count(vectors[:, 0]) * p ** (r - 1)
+    n_moduli = _bound(hist, k, p, r).bit_length() // 30 + 1
+    return convolution.sparse_work(len(counts), k, p**r), n_moduli * (points * len(counts) + p), n_moduli
+
+
+def _route(hist: tuple, k: int, p: int, r: int):
     """The moduli for the orbit route, or None for the sparse route.
 
-    Sparse work counts dict updates (`convolution.sparse_work`), each worth
-    _SPARSE_COST[r - 1] orbit units.  Orbit work counts the moduli, estimated
-    at 30 bits each, times the int64 gathers per modulus (points xi times
-    support size, plus the root tables), and _ORBIT_PASS for each of the r
-    passes and for each modulus in a pass.  The sparse route is taken when it
-    costs no more, and, up to SPARSE_WORK_LIMIT dict updates, when too few
-    primes q = 1 (mod p) lie below 2^31 for the bound (large p and k).
+    In orbit units (one int64 gather), the sparse route costs
+    _SPARSE_COST[r - 1] per pair it forms and _SPARSE_STEP for each of its
+    k - 1 steps; the orbit route costs its gathers and _ORBIT_PASS for each of
+    its r passes and for each modulus in a pass (see `_work`).  The sparse
+    route is taken when it costs no more, and, up to SPARSE_WORK_LIMIT pairs,
+    when too few primes q = 1 (mod p) lie below 2^31 for the bound (large p
+    and k).
     """
-    bound = p**r * sum(hist.values()) ** (2 * k)
-    orbit_size = len({key[0] for key in hist}) if r > 1 else len(hist)
-    points = (p - 1) // orbit_size * p ** (r - 1)
-    n_moduli = bound.bit_length() // 30 + 1
-    orbit = n_moduli * (points * len(hist) + p) + r * (n_moduli + 1) * _ORBIT_PASS
-    sparse = convolution.sparse_work(len(hist), k, p**r)
-    if _SPARSE_COST[r - 1] * sparse <= orbit:
+    pairs, gathers, n_moduli = _work(hist, k, p, r)
+    if _SPARSE_COST[r - 1] * pairs + (k - 1) * _SPARSE_STEP <= gathers + r * (n_moduli + 1) * _ORBIT_PASS:
         return None
-    moduli = _moduli(p, bound)
-    if moduli is None and sparse > SPARSE_WORK_LIMIT:
-        raise GuardExceeded("sparse work", sparse, SPARSE_WORK_LIMIT)
+    moduli = _moduli(p, _bound(hist, k, p, r))
+    if moduli is None and pairs > SPARSE_WORK_LIMIT:
+        raise GuardExceeded("sparse work", pairs, SPARSE_WORK_LIMIT)
     return moduli
 
 
-def _collision_count(hist: dict, k: int, p: int, r: int) -> int:
+def _collision_count(hist: tuple, k: int, p: int, r: int) -> int:
     """sum_x H(x)^2 for H = hist^{*k}, exactly, by the cheaper of the sparse and orbit routes."""
     if (moduli := _route(hist, k, p, r)) is not None:
         return _orbit_count(hist, k, p, r, moduli)
@@ -358,25 +399,33 @@ def q_convolution(G, nvec, k: int) -> int:
     p = G.modulus.p
     if p**r > GRID_SIZE_LIMIT:
         raise GuardExceeded("p^r", p**r, GRID_SIZE_LIMIT)
-    return _collision_count(_hist_from_vectors(_power_vectors(G, nvec), r), k, p, r)
+    return _collision_count(_histogram(_power_vectors(G, nvec), p), k, p, r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerVectorHistogram:
-    """Counts J(lam) of k-tuples from G whose weighted power sums equal lam."""
+    """Counts J(lam) of k-tuples from G whose weighted power sums equal lam.
+
+    vectors is an int64 (n, r) array of the lam with J(lam) > 0, distinct and
+    sorted, and counts their counts (int64, or Python ints in an object array
+    where the convolution's dtype rule asks for them).
+    """
 
     p: int
     k: int
-    counts: dict
+    vectors: np.ndarray
+    counts: np.ndarray
 
     def mass(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
     def sum_of_squares(self) -> int:
-        return sum(c * c for c in self.counts.values())
+        return convolution.sum_of_squares((self.vectors, self.counts))
 
     def __getitem__(self, key) -> int:
-        return self.counts.get(key, 0)
+        """J(key) for a residue (r = 1) or an r-tuple of residues; 0 off the support."""
+        hit = np.flatnonzero((self.vectors == np.atleast_1d(key)).all(axis=1))
+        return int(self.counts[hit[0]]) if len(hit) else 0
 
 
 def j_histogram(G, nvec, coeffs, k: int) -> PowerVectorHistogram:
@@ -395,11 +444,11 @@ def j_histogram(G, nvec, coeffs, k: int) -> PowerVectorHistogram:
     p = G.modulus.p
     if p**r > GRID_SIZE_LIMIT:
         raise GuardExceeded("p^r", p**r, GRID_SIZE_LIMIT)
-    hist = _hist_from_vectors(_power_vectors(G, nvec, coeffs), r)
-    work = convolution.sparse_work(len(hist), k, p**r)
+    hist = _histogram(_power_vectors(G, nvec, coeffs), p)
+    work = convolution.sparse_work(len(hist[1]), k, p**r)
     if work > SPARSE_WORK_LIMIT:
         raise GuardExceeded("sparse work", work, SPARSE_WORK_LIMIT)
-    return PowerVectorHistogram(p, k, convolution.self_convolution_power(hist, k, p, r))
+    return PowerVectorHistogram(p, k, *convolution.self_convolution_power(hist, k, p, r))
 
 
 def t3_count(p, s: int, m: int, n: int) -> int:
@@ -416,7 +465,7 @@ def t3_count(p, s: int, m: int, n: int) -> int:
     P = mod.p
     if P**2 > GRID_SIZE_LIMIT:
         raise GuardExceeded("p^2", P**2, GRID_SIZE_LIMIT)
-    hist = Counter((pow(x, s * m, P), pow(x, s * n, P)) for x in range(1, P))
+    hist = _histogram(_power_vectors(subgroup(P, P - 1), (s * m, s * n)), P)
     return _collision_count(hist, 3, P, 2)
 
 

@@ -493,3 +493,27 @@ def test_subgroup_sum_dilation_property():
         assert sums.subgroup_sum(G, f.dilate(lam, p)) == sums.subgroup_sum(G, f)
 
     check()
+
+
+def test_subgroup_sum_shift_property():
+    # S(G; f + c) = e(c/p) S(G; f) holds only up to rounding.  A term is
+    # cos and sin of an angle of at most pi, formed with at most three
+    # roundings (2^-53 relative each): at most (3 pi + 2) 2^-53 off.  Each
+    # side sums tau terms exactly (fsum), and e(c/p) adds its own error to
+    # each of them, so the sides differ by at most 3 tau such errors, plus
+    # 4 ulps of tau for the complex product.
+    given, settings, st = _hypothesis()
+    primes, big, polys = _strategies(st)
+    term = (3 * math.pi + 2) * 2**-53
+
+    @settings
+    @given(primes, polys, big, st.integers(0, 2**64))
+    def check(p, f, c, t):
+        taus = [d for d in field.divisors(p - 1) if d <= 2000]
+        G = field.subgroup(p, taus[t % len(taus)])
+        shifted = SparsePolynomial(f.terms, f.constant + c)
+        lhs = sums.subgroup_sum(G, shifted).value
+        rhs = cmath.exp(2j * math.pi * (c % p) / p) * sums.subgroup_sum(G, f).value
+        assert abs(lhs - rhs) <= G.tau * (3 * term + 4 * 2**-53), (p, G.tau, c)
+
+    check()
