@@ -23,9 +23,10 @@ import numpy as np
 
 _CHUNK = 2**20  # pairs in one block of int64 temporaries (8 MB each), or one row of the support if longer
 # Sums of one step go into a table of p^r counts where p^r <= _TABLE_RATIO * pairs, and are
-# sorted above.  On a 2-core x86-64 host, 10^5 pairs took 1.6 ms by a table of 10^5 cells, 3.1 ms
-# by one of 2*10^5 and 4.3 ms by one of 4*10^5, against 3.5-5.8 ms by sorting.
-_TABLE_RATIO = 2
+# sorted above.  On a 2-core x86-64 host, random keys with 1, 2, 3, 4 and 6 table cells per
+# pair took 1.3, 1.5, 1.9, 2.2 and 2.8 ms by table against 3.4, 2.3, 2.1, 1.9 and 1.8 ms by
+# sorting for 10^5 pairs, and 15, 21, 26, 34 and 46 ms against 39, 31, 29, 30 and 29 ms for 10^6.
+_TABLE_RATIO = 3
 
 
 def _keys(vectors, p: int):

@@ -49,9 +49,10 @@ from .sums import SparsePolynomial, _chain_sum, subgroup_sum
 
 BRUTE_FORCE_LIMIT = 10**8
 GRID_SIZE_LIMIT = 10**8  # largest p^r the convolution routes accept
-# Pairs the sparse route may form where no other route can run.  Near the limit it took
-# 0.3-1.3 s and 66-205 MB peak RSS (j_histogram at k = 3: subgroup(541, 270) and
-# subgroup(1021, 340) with exponents (1, 2), subgroup(9860681, 340) with exponent 1).
+# Pairs the sparse route may form; above it the route is refused where no other can run.
+# Near the limit it took 0.13-0.49 s and 65-204 MB peak RSS on a 2-core x86-64 host
+# (j_histogram at k = 3: subgroup(541, 270) and subgroup(1021, 340) with exponents (1, 2),
+# subgroup(9860681, 340) with exponent 1).
 SPARSE_WORK_LIMIT = 20_000_000
 
 _MODULUS_LIMIT = 2**31
@@ -60,18 +61,20 @@ _CHUNK = convolution._CHUNK  # int64 entries of an orbit-route or enumeration te
 # GRID_SIZE_LIMIT) each is two tables of about sqrt(p) entries, at 4x the cost per gather.
 _FULL_TABLE = 2**14
 # Costs of `_route` in orbit units (one int64 gather of the orbit route), fitted by
-# tools/route_costs.py; three runs on a 2-core x86-64 host (Python 3.11, numpy 2.4) gave
-# 14.3-15.5 ns per orbit unit and, for the sparse route, 0.6-0.8 units per pair for r = 1
-# (most steps sum into a table), 1.8-2.0 for r = 2 (most sort) and 5000-6100 units
-# (73-87 us) per step.
-_SPARSE_COST = (0.8, 2.0)
-_SPARSE_STEP = 5000
-# Fixed orbit-route cost of one pass over a coordinate, and of each modulus in it, in
-# orbit units: 3000-4900 (47-69 us) in the same runs.  With these costs the rule picks the
-# faster route on the script's ladder, or one within 0.3 ms or 25% of it; at p = 7561,
-# k = 3, r = 1 it picks sparse up to tau = 35 (0.48 ms against 0.93 ms) and orbit from
-# tau = 45 (0.67 ms against 0.91 ms) on.
-_ORBIT_PASS = 4200
+# tools/route_costs.py on 92 cells; three runs on a 2-core x86-64 host (Python 3.11,
+# numpy 2.4) gave 5.7-5.8 ns per orbit unit and, for the sparse route, 0.9-1.0 units per
+# pair for r = 1 (most steps sum into a table), 3.4 for r = 2 and 6400-6600 units
+# (37 us) per step.
+_SPARSE_COST = (0.9, 3.4)
+_SPARSE_STEP = 6500
+# Fixed orbit-route cost of one pass over a coordinate, and of each modulus in it, and
+# cost of one row (point xi) beside its gathers, in orbit units: 5200-5500 (30-31 us) and
+# 10-11 (60-62 ns) in the same runs.  With these costs the rule picks the faster route on
+# the script's ladder, or one within 0.15 ms or 25% of it; at p = 7561, k = 3, r = 1 it
+# picks sparse up to tau = 35 (0.24 ms against 0.52 ms) and orbit from tau = 45 (0.35 ms
+# against 0.49 ms) on, and at subgroup(1009, 1008), r = 2, k = 2 orbit (13 ms against 25 ms).
+_ORBIT_PASS = 5400
+_ORBIT_ROW = 11
 # q_bruteforce counts sums in a table of p^r entries up to _TABLE_RATIO per tuple, and sorts
 # them above.  On the host above, 10^5 keys took 0.45 ms by a table of 2*10^5 entries, 3.3 ms
 # by one of 4*10^5 (page faults) and 1.0 ms by sorting.
@@ -115,11 +118,11 @@ def _histogram(vecs, p: int) -> tuple:
     """(vectors, counts): the distinct rows of the int64 (n, r) array vecs, sorted, and how often each occurs.
 
     Rows are told apart by one mixed-radix key each (v_1 p + v_2 for r = 2, so
-    p^r must be below 2^63) and a 1-D np.unique, which is many times faster
-    than np.unique(axis=0) on the rows.
+    p^r must be below 2^63), counted by a 1-D np.unique and decoded again: at
+    tau = 7560, r = 2, 0.11 ms against 3.9 ms for np.unique(axis=0) on the rows.
     """
-    _, first, counts = np.unique(convolution._keys(vecs, p), return_index=True, return_counts=True)
-    return vecs[first], counts
+    keys, counts = np.unique(convolution._keys(vecs, p), return_counts=True)
+    return np.stack(convolution._coordinates(keys, p, vecs.shape[1]), axis=1), counts
 
 
 def _add_mod(a, b, p: int):
@@ -347,17 +350,19 @@ def _bound(hist: tuple, k: int, p: int, r: int) -> int:
 
 
 def _work(hist: tuple, k: int, p: int, r: int) -> tuple:
-    """(pairs, gathers, n_moduli): the work terms that `_route` prices.
+    """(pairs, gathers, rows, n_moduli): the work terms that `_route` prices.
 
     pairs is what `convolution.self_convolution_power` forms
-    (`convolution.sparse_work`); gathers the orbit route's int64 gathers per
-    modulus (points xi times support size, plus the root tables) times
-    n_moduli, the moduli of `_bound` at 30 bits each.
+    (`convolution.sparse_work`).  n_moduli counts the moduli of `_bound` at 30
+    bits each; for each of them the orbit route evaluates one row per point
+    xi, of one int64 gather per support vector, and builds root tables of p
+    entries: rows and gathers are totals over the moduli.
     """
     vectors, counts = hist
     points = (p - 1) // _distinct_count(vectors[:, 0]) * p ** (r - 1)
     n_moduli = _bound(hist, k, p, r).bit_length() // 30 + 1
-    return convolution.sparse_work(len(counts), k, p**r), n_moduli * (points * len(counts) + p), n_moduli
+    pairs = convolution.sparse_work(len(counts), k, p**r)
+    return pairs, n_moduli * (points * len(counts) + p), n_moduli * points, n_moduli
 
 
 def _route(hist: tuple, k: int, p: int, r: int):
@@ -365,14 +370,16 @@ def _route(hist: tuple, k: int, p: int, r: int):
 
     In orbit units (one int64 gather), the sparse route costs
     _SPARSE_COST[r - 1] per pair it forms and _SPARSE_STEP for each of its
-    k - 1 steps; the orbit route costs its gathers and _ORBIT_PASS for each of
-    its r passes and for each modulus in a pass (see `_work`).  The sparse
-    route is taken when it costs no more, and, up to SPARSE_WORK_LIMIT pairs,
-    when too few primes q = 1 (mod p) lie below 2^31 for the bound (large p
-    and k).
+    k - 1 steps; the orbit route costs its gathers, _ORBIT_ROW per row and
+    _ORBIT_PASS for each of its r passes and for each modulus in a pass (see
+    `_work`).  Up to
+    SPARSE_WORK_LIMIT pairs, which bounds its memory, the sparse route is
+    taken when it costs no more, and when too few primes q = 1 (mod p) lie
+    below 2^31 for the bound (large p and k).
     """
-    pairs, gathers, n_moduli = _work(hist, k, p, r)
-    if _SPARSE_COST[r - 1] * pairs + (k - 1) * _SPARSE_STEP <= gathers + r * (n_moduli + 1) * _ORBIT_PASS:
+    pairs, gathers, rows, n_moduli = _work(hist, k, p, r)
+    sparse = _SPARSE_COST[r - 1] * pairs + (k - 1) * _SPARSE_STEP
+    if pairs <= SPARSE_WORK_LIMIT and sparse <= gathers + _ORBIT_ROW * rows + r * (n_moduli + 1) * _ORBIT_PASS:
         return None
     moduli = _moduli(p, _bound(hist, k, p, r))
     if moduli is None and pairs > SPARSE_WORK_LIMIT:

@@ -348,7 +348,7 @@ def test_route_choice():
     # k = 1 needs no convolution at all
     assert moments._route(big, 1, 1009, 2) is None
     # r = 1, k = 3 at p = 7561: sparse while the orbit route's fixed cost dominates
-    # (tools/route_costs.py: 0.26 ms against 0.90 ms at tau = 21, 2.2 ms against 0.90 ms at 63)
+    # (tools/route_costs.py: 0.11 ms against 0.45 ms at tau = 21, 1.0 ms against 0.44 ms at 63)
     for tau, orbit in ((9, False), (21, False), (63, True), (90, True)):
         hist = _subgroup_hist(field.subgroup(7561, tau), (1,))
         assert (moments._route(hist, 3, 7561, 1) is not None) == orbit, tau

@@ -9,11 +9,12 @@ Each cell (p, tau, nvec, k) of a fixed ladder is timed on both routes, min of
 (each cell weighted by 1/time, so small cells count as much as large ones)
 then fits
 
-    orbit  = unit * gathers + pass_ * r * (n_moduli + 1)
+    orbit  = unit * gathers + row * rows + pass_ * r * (n_moduli + 1)
     sparse = pair[r] * pairs + step * (k - 1)
 
 with the work terms of `moments._work`, and prints the costs in ns and in
-orbit units, the unit of `_SPARSE_COST`, `_SPARSE_STEP` and `_ORBIT_PASS`.
+orbit units, the unit of `_SPARSE_COST`, `_SPARSE_STEP`, `_ORBIT_ROW` and
+`_ORBIT_PASS`.
 The cells span both sides of the switch between the routes, for r = 1 and 2.
 """
 
@@ -38,6 +39,10 @@ LADDER = (
     (937, (13, 26, 39, 52), (1, 3), (2, 3)),
     (277, (69, 138, 276), (1, 2), (2,)),
     (467, (233, 466), (1, 2), (2,)),
+    (1009, (126, 144), (1, 2), (3,)),
+    (1009, (504, 1008), (1, 2), (2,)),
+    (2003, (143, 154, 182), (1, 3), (3,)),
+    (2003, (1001, 2002), (1, 3), (2,)),
 )
 
 
@@ -73,22 +78,22 @@ def main():
         for tau in taus:
             hist = moments._histogram(moments._power_vectors(field.subgroup(p, tau), nvec), p)
             for k in ks:
-                pairs, gathers, n_moduli = moments._work(hist, k, p, r)
+                pairs, gathers, rows, n_moduli = moments._work(hist, k, p, r)
                 moduli = moments._moduli(p, moments._bound(hist, k, p, r))
                 ts = _best(lambda: _sparse(hist, k, p, r), args.repeat)
                 to = _best(lambda: moments._orbit_count(hist, k, p, r, moduli), args.repeat)
                 sparse_rows.append((pairs * (r == 1), pairs * (r == 2), k - 1))
                 sparse_t.append(ts)
-                orbit_rows.append((gathers, r * (n_moduli + 1)))
+                orbit_rows.append((gathers, rows, r * (n_moduli + 1)))
                 orbit_t.append(to)
                 picked = "sparse" if moments._route(hist, k, p, r) is None else "orbit"
                 faster = "sparse" if ts <= to else "orbit"
                 print(f"  {p:>5} {tau:>4} {','.join(map(str, nvec)):>6} {k:>2} {pairs:>9} {ts * 1e3:>9.3f}"
                       f" {gathers:>10} {n_moduli:>6} {to * 1e3:>8.3f} {picked:>6} {faster:>6}")
-    unit, pass_ = _fit(orbit_rows, orbit_t)
+    unit, row, pass_ = _fit(orbit_rows, orbit_t)
     pair1, pair2, step = _fit(sparse_rows, sparse_t)
     print(f"orbit unit (one int64 gather): {unit * 1e9:.2f} ns")
-    for name, cost in (("_ORBIT_PASS", pass_), ("_SPARSE_COST[0] (pair, r = 1)", pair1),
+    for name, cost in (("_ORBIT_PASS", pass_), ("_ORBIT_ROW", row), ("_SPARSE_COST[0] (pair, r = 1)", pair1),
                        ("_SPARSE_COST[1] (pair, r = 2)", pair2), ("_SPARSE_STEP", step)):
         print(f"{name}: {cost * 1e9:.1f} ns = {cost / unit:.1f} orbit units")
 
