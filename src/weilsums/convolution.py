@@ -132,9 +132,10 @@ def self_convolution_power(hist: tuple, k: int, p: int, r: int) -> tuple:
         raise ValueError(f"p^r = {p**r} exceeds 2^28")
     if vectors.min() < 0 or vectors.max() >= p:
         raise ValueError(f"vectors must be residues in [0, {p})")
-    if min(counts.tolist()) < 1:
+    values = counts.tolist()
+    if min(values) < 1:
         raise ValueError("counts must be positive")
-    dtype = np.int64 if sum(counts.tolist()) ** (2 * k) < 2**63 else object
+    dtype = np.int64 if sum(values) ** (2 * k) < 2**63 else object
     cur = base = _sum_equal(_keys(np.array(vectors, dtype=np.int64), p), np.asarray(counts).astype(dtype))
     for _ in range(k - 1):
         cur = _pair(cur, base, p, r)
