@@ -1,4 +1,5 @@
-"""Prime fields, multiplicative subgroups, extension fields, and additive characters."""
+"""Prime fields, multiplicative subgroups, extension fields, additive characters,
+and the tables of powers c*m^j mod q that every orbit of F_p* is built from."""
 
 import math
 from collections import OrderedDict
@@ -8,6 +9,8 @@ import numpy as np
 from . import poly
 
 MAX_PRIME = 1 << 62
+# Below this modulus a product of two residues fits in int64.
+INT64_MODULUS_LIMIT = 1 << 31
 CHAR_TABLE_LIMIT = 1 << 20
 
 
@@ -121,6 +124,25 @@ def least_primitive_root(p: int) -> int:
         if all(pow(g, e, p) != 1 for e in exps):
             return g
     raise ArithmeticError(f"no primitive root found modulo {p}")
+
+
+def powers(c: int, m: int, n: int, q: int) -> np.ndarray:
+    """c*m^j mod q for j = 0..n-1, as int64, for residues c, m below q < 2^62.
+
+    j = s*i + l for l < s: c*m^j = (c*m^(s*i)) * m^l, one outer product of about
+    sqrt(n) giant steps and baby steps, in int64 below INT64_MODULUS_LIMIT and
+    as Python ints in an object array above.
+    """
+    s = math.isqrt(max(n - 1, 0)) + 1
+    baby, giant = [1], [c]
+    for _ in range(s - 1):
+        baby.append(baby[-1] * m % q)
+    stride = baby[-1] * m % q
+    for _ in range(-(-n // s) - 1):
+        giant.append(giant[-1] * stride % q)
+    dtype = np.int64 if q < INT64_MODULUS_LIMIT else object
+    t = np.multiply.outer(np.array(giant, dtype=dtype), np.array(baby, dtype=dtype)).ravel()
+    return np.remainder(t, q, out=t)[:n].astype(np.int64, copy=False)  # residues below q < 2^62 fit in int64
 
 
 # Character tables held at once, in bytes: eight full-size complex128 tables.

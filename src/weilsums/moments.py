@@ -4,9 +4,9 @@ Q_k counts 2k-tuples (u_1..u_k, v_1..v_k) in G^2k solving the diagonal system
 sum_i u_i^{n_j} = sum_i v_i^{n_j} for j = 1..r, so Q_k = sum_x H(x)^2 for H the
 k-fold cyclic self-convolution of the histogram h of the power vectors
 (g^{n_1}, ..., g^{n_r}), g in G.  The power vectors are an int64 (tau, r)
-array, one power chain per exponent in generator order (`sums._chain_sum`),
-and h is the pair of arrays (vectors, counts) of its distinct rows, counted by
-one mixed-radix key per row.  Three exact routes compute Q_k: enumeration of
+array, one table of `field.powers` per exponent in generator order, and h
+is the pair of arrays (vectors, counts) of its distinct rows, counted by one
+mixed-radix key per row.  Three exact routes compute Q_k: enumeration of
 the tau^k tuples (`q_bruteforce`, the oracle), the sparse route
 (`convolution.self_convolution_power` on h, see that module), and the orbit
 route.  Enumeration visits every tuple and shares no counting code with the
@@ -44,8 +44,8 @@ from operator import itemgetter
 import numpy as np
 
 from . import convolution
-from .field import GuardExceeded, is_prime, least_primitive_root, prime_modulus, subgroup
-from .sums import SparsePolynomial, _chain_sum, subgroup_sum
+from .field import GuardExceeded, is_prime, least_primitive_root, powers, prime_modulus, subgroup
+from .sums import SparsePolynomial, subgroup_sum
 
 BRUTE_FORCE_LIMIT = 10**8
 GRID_SIZE_LIMIT = 10**8  # largest p^r the convolution routes accept
@@ -96,12 +96,13 @@ def _validate_exponents(nvec) -> tuple:
 def _power_vectors(G, nvec, coeffs=None):
     """(a_1 g^{n_1}, ..., a_r g^{n_r}) mod p for each g in G, in generator order, as an int64 (tau, r) array.
 
-    Column j is the chain a_j (theta^{n_j})^x for x = 1..tau, coefficients below p.
+    Column j is a_j (theta^{n_j})^x for x = 1..tau, coefficients below p.
     """
     p = G.modulus.p
     if coeffs is None:
         coeffs = (1,) * len(nvec)
-    return np.stack([_chain_sum(p, 0, [(a, pow(G.theta, n, p))], G.tau) for n, a in zip(nvec, coeffs)], axis=1)
+    steps = [pow(G.theta, n, p) for n in nvec]
+    return np.stack([powers(a * t % p, t, G.tau, p) for t, a in zip(steps, coeffs)], axis=1)
 
 
 def _distinct_count(values) -> int:
@@ -276,19 +277,9 @@ def _moduli(p: int, bound: int):
     return out
 
 
-def _geometric(x: int, n: int, q: int):
-    """x^j mod q for j = 0..n-1, as an int64 array."""
-    table = np.ones(n, dtype=np.int64)
-    m, xm = 1, x
-    while m < n:
-        table[m : 2 * m] = table[: min(m, n - m)] * xm % q
-        m, xm = 2 * m, xm * xm % q
-    return table
-
-
 def _root_tables(q: int, w: int, p: int, s: int) -> tuple:
     """(low, high) with w^j = low[j % s] * high[j // s] mod q for j = 0..p-1, as int64 arrays."""
-    return _geometric(w, min(s, p), q), _geometric(pow(w, s, q), (p - 1) // s + 1, q)
+    return powers(1, w, min(s, p), q), powers(1, pow(w, s, q), (p - 1) // s + 1, q)
 
 
 def _orbit_count(hist: tuple, k: int, p: int, r: int, moduli) -> int:
@@ -312,7 +303,7 @@ def _orbit_count(hist: tuple, k: int, p: int, r: int, moduli) -> int:
             vecs = vecs[first, 1:]
             wts = np.bincount(inverse, weights=wts, minlength=len(vecs)).astype(np.int64)
         orbit = _distinct_count(vecs[:, 0])
-        reps = _geometric(gen, (p - 1) // orbit, p)  # one point per coset of H_1
+        reps = powers(1, gen, (p - 1) // orbit, p)  # one point per coset of H_1
         free = p ** (r - j - 1)
         rows = len(reps) * free
         step = max(1, _CHUNK // len(vecs))

@@ -1,9 +1,8 @@
 """Exponential sum evaluators over F_p and its multiplicative subgroups.
 
-Residues are int64 numpy arrays.  Each power chain c*m^x is one outer
-product of about sqrt(count) giant steps and baby steps.  For p < 2**31
-every product of two residues fits in int64; larger primes form the same
-products as Python ints in object arrays.  Characters are gathered from the
+Residues are int64 numpy arrays.  Each power chain c*m^x is one table of
+`field.powers` (giant steps and baby steps), and the chains of a sum are
+added unreduced and reduced mod p once.  Characters are gathered from the
 table of p-th roots of unity, or computed from cos and sin above the table
 limit.
 All sums accumulate real and imaginary parts through math.fsum, so the
@@ -12,14 +11,11 @@ rounding error is one ulp of the exact value regardless of term count.
 
 import re
 from dataclasses import dataclass
-from math import fsum, isqrt
+from math import fsum
 
 import numpy as np
 
-from .field import least_primitive_root, prime_modulus, unit_roots
-
-# Below this bound a product of two residues fits in int64.
-_INT64_PRIME_LIMIT = 1 << 31
+from .field import INT64_MODULUS_LIMIT, least_primitive_root, powers, prime_modulus, unit_roots
 
 _TERM_RE = re.compile(r"^(\d+)\*[xX]\^(\d+)$")
 _CONST_RE = re.compile(r"^\d+$")
@@ -142,24 +138,10 @@ class SparsePolynomial:
 
 def _chain_sum(p: int, const: int, chains: list, count: int) -> np.ndarray:
     """const + sum of c*m^x mod p over the (c, m) residue pairs of chains, for x = 1..count, as int64."""
-    # x = s*j + i + 1 for i < s: c*m^x = (c*m^(s*j)) * m^(i+1), one outer product of about
-    # sqrt(count) giant steps and baby steps per chain
-    dtype = np.int64 if p < _INT64_PRIME_LIMIT else object
-    s = isqrt(count - 1) + 1 if count else 0
-    rows = -(-count // s) if count else 0
-    z = np.full(rows * s, const, dtype=dtype)
+    # the unreduced sum of the chains' residues fits in int64 below INT64_MODULUS_LIMIT
+    z = np.full(count, const, dtype=np.int64 if p < INT64_MODULUS_LIMIT else object)
     for c, m in chains:
-        baby = [m]
-        for _ in range(s - 1):
-            baby.append(baby[-1] * m % p)
-        giant = [c]
-        for _ in range(rows - 1):
-            giant.append(giant[-1] * baby[-1] % p)
-        t = np.multiply.outer(np.array(giant, dtype=dtype), np.array(baby, dtype=dtype)).ravel()
-        np.remainder(t, p, out=t)
-        z += t
-    z = z[:count]
-    # residues below p < 2**62 fit in int64
+        z += powers(c * m % p, m, count, p)
     return np.remainder(z, p, out=z).astype(np.int64, copy=False)
 
 
@@ -170,7 +152,7 @@ def _orbit_residues(p: int, theta: int, f: SparsePolynomial, count: int) -> np.n
 
 def _inverses(t: np.ndarray, p: int) -> np.ndarray:
     """t^(p-2) mod p entrywise: the inverse of each nonzero residue, by square-and-multiply."""
-    if p >= _INT64_PRIME_LIMIT:
+    if p >= INT64_MODULUS_LIMIT:
         return np.array([pow(v, p - 2, p) for v in t.tolist()], dtype=np.int64)
     out = np.ones_like(t)
     base = t.copy()
