@@ -3,11 +3,12 @@
 import json
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from weilsums import cli
+from weilsums import cli, sums
 
 
 def run(capsys, *argv):
@@ -167,6 +168,30 @@ def test_guard_is_exit_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sum", "--p", "1000000007", "--tau", "1000000006", "--poly", "1*x^1"),
+        ("kloosterman", "--p", "1000000007", "--tau", "500000003", "--a", "1", "--b", "1"),
+        ("prng", "--p", "13", "--tau", "4", "--poly", "1*x^1", "--count", "1000000000"),
+        ("prng", "--p", "13", "--tau", "4", "--inversive", "1,1", "--count", "1000000000"),
+    ],
+    ids=("sum", "kloosterman", "prng", "prng-inversive"),
+)
+def test_term_guard_is_exit_2_before_allocating(capsys, argv):
+    # each would need 4-8 GB of arrays; the guard refuses before one is allocated
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: guard terms: ") and err.endswith(f" exceeds limit {sums.TERM_LIMIT}\n")
+    assert peak < 1 << 20
+
+
 def test_arithmetic_error_is_exit_2(capsys, monkeypatch):
     # a failed internal arithmetic check (orbit route divisibility, primitive root
     # search) is reported on stderr with exit 2, not as a traceback with exit 1
@@ -283,9 +308,16 @@ def test_verify_tiny_ceiling_fails(capsys):
 
 
 def test_verify_pmin_pmax_validation(capsys):
-    rc, _, err = run(capsys, "verify", "--suite", "gauss", "--pmin", "31", "--pmax", "13")
-    assert rc == 2
-    assert "error:" in err
+    for argv in (
+        ("--suite", "gauss", "--pmin", "31", "--pmax", "13"),
+        # no ratio is at most a negative or NaN ceiling: every row would fail
+        ("--suite", "monomial", "--pmin", "2", "--pmax", "40", "--ceiling", "nan"),
+        ("--suite", "monomial", "--pmin", "2", "--pmax", "40", "--ceiling", "-1"),
+    ):
+        rc, out, err = run(capsys, "verify", *argv)
+        assert rc == 2, argv
+        assert out == "", argv
+        assert err.startswith("error:"), argv
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 """Moment counters Q_k, value histograms, six-tuple counts, and the moment bound."""
 
+import importlib.util
 import math
+import pathlib
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -352,6 +355,21 @@ def test_route_choice():
     for tau, orbit in ((9, False), (21, False), (63, True), (90, True)):
         hist = _subgroup_hist(field.subgroup(7561, tau), (1,))
         assert (moments._route(hist, 3, 7561, 1) is not None) == orbit, tau
+
+
+def test_route_costs_script_runs(monkeypatch, capsys):
+    # tools/route_costs.py on the cells of its ladder below p = 900 (both routes, r = 1 and 2)
+    path = pathlib.Path(__file__).parents[1] / "tools" / "route_costs.py"
+    spec = importlib.util.spec_from_file_location("route_costs", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "LADDER", tuple(cell for cell in script.LADDER if cell[0] < 900))
+    monkeypatch.setattr(sys, "argv", [str(path), "--repeat", "1"])
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    costs = ("_ORBIT_PASS", "_ORBIT_ROW", "_SPARSE_COST[0] (pair, r = 1)", "_SPARSE_COST[1] (pair, r = 2)", "_SPARSE_STEP")
+    assert [line.split(":")[0] for line in lines[-5:]] == list(costs)
+    assert all(line.endswith(" orbit units") for line in lines[-5:])
 
 
 def test_moduli():

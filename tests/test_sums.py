@@ -452,6 +452,23 @@ def test_orbit_residues_property():
     check()
 
 
+def test_powers_property():
+    # field.powers on the primes above and on any modulus below 2^62, with c = 0 and m = 0 allowed
+    given, settings, st = _hypothesis()
+    primes, big, _ = _strategies(st)
+    residues = st.one_of(st.just(0), big)
+
+    @settings
+    @given(st.one_of(primes, st.integers(1, 2**62 - 1)), residues, residues, st.integers(0, 300))
+    def check(q, c, m, n):
+        c, m = c % q, m % q
+        got = field.powers(c, m, n, q)
+        assert got.dtype == np.int64
+        assert got.tolist() == [c * pow(m, j, q) % q for j in range(n)]
+
+    check()
+
+
 def test_inverses_property():
     given, settings, st = _hypothesis()
     primes, big, _ = _strategies(st)
