@@ -352,7 +352,7 @@ def cmd_verify(args) -> int:
     if args.pmin > args.pmax:
         raise ValueError("pmin must be <= pmax")
     exponents._check_eps(args.eps)
-    if not args.ceiling >= 0:  # NaN too: no ratio compares as at most NaN
+    if not args.ceiling >= 0:  # also catches NaN, which fails every comparison
         raise ValueError(f"ceiling must be >= 0, got {args.ceiling}")
     rng = random.Random(f"{args.suite}:{args.seed}")
     # open --out before the sweep, so a path that cannot be written fails at once
