@@ -93,12 +93,10 @@ def _suite_identity(args, rng):
         if full is None or full.p != p:
             full = subgroup(p, p - 1)
         cof = G.cofactor
-        for i in range(20):
-            f = _random_sparse(rng, p, rng.randint(1, 3), 3 * tau + 3)
-            lhs = sums.subgroup_sum(G, f).value
-            composed = SparsePolynomial(tuple((n * cof, c) for n, c in f.terms), f.constant)
-            rhs = sums.subgroup_sum(full, composed).value * tau / (p - 1)
-            diff = abs(lhs - rhs)
+        fs = [_random_sparse(rng, p, rng.randint(1, 3), 3 * tau + 3) for _ in range(20)]
+        composed = [SparsePolynomial(tuple((n * cof, c) for n, c in f.terms), f.constant) for f in fs]
+        for i, (f, lhs, rhs) in enumerate(zip(fs, sums.subgroup_sums(G, fs), sums.subgroup_sums(full, composed))):
+            diff = abs(lhs.value - rhs.value * tau / (p - 1))
             bound = 1e-8 * p
             params = f"i={i};f={f.format()}"
             yield ReportRow("identity", p, tau, params, diff, bound, diff / bound, win.inside, diff <= bound)
@@ -156,15 +154,16 @@ def _suite_q3(args, rng):
 def _soft_suite(suite: str, keep, draw, bound):
     """A soft suite: ten drawn polynomials f per kept cell, |S(G; f)| against bound(p, tau, f, eps).
 
-    A row passes when its ratio is at most the ceiling.
+    A cell's polynomials are drawn first and summed in one batch; bounds and
+    sums draw nothing from rng.  A row passes when its ratio is at most the ceiling.
     """
 
     def run(args, rng):
         for p, tau, G, win in _cells(args, keep):
-            for i in range(10):
-                f = draw(rng, p, tau)
+            fs = [draw(rng, p, tau) for _ in range(10)]
+            for i, (f, s) in enumerate(zip(fs, sums.subgroup_sums(G, fs))):
                 b = bound(p, tau, f, args.eps)
-                mag = sums.subgroup_sum(G, f).magnitude
+                mag = s.magnitude
                 ratio = mag / b
                 params = f"i={i};f={f.format()}"
                 yield ReportRow(suite, p, tau, params, mag, b, ratio, win.inside, ratio <= args.ceiling)

@@ -45,6 +45,8 @@ def eta(n: int, eps) -> Fraction:
         raise ValueError("n must be >= 1")
     if n <= 2:
         return Fraction(7, 27) * eps
+    if (known := _eta_memo.get((n, eps))) is not None:
+        return known
     # fill the memo upward, so kappa(m, eps) finds eta_{m-1} there
     for m in range(3, n + 1):
         if (m, eps) not in _eta_memo:

@@ -126,23 +126,43 @@ def least_primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found modulo {p}")
 
 
-def powers(c: int, m: int, n: int, q: int) -> np.ndarray:
+def powers(c, m, n: int, q: int) -> np.ndarray:
     """c*m^j mod q for j = 0..n-1, as int64, for residues c, m below q < 2^62.
 
     j = s*i + l for l < s: c*m^j = (c*m^(s*i)) * m^l, one outer product of about
     sqrt(n) giant steps and baby steps, in int64 below INT64_MODULUS_LIMIT and
-    as Python ints in an object array above.
+    as Python ints in an object array above.  With equal-length lists c and m
+    the result is an (R, n) array whose row i is c[i]*m[i]^j: the step lists of
+    all R chains go through one np.array each, one broadcast product and one
+    remainder, so a batch pays the fixed numpy cost of a chain once.
     """
+    batch = isinstance(c, list)
     s = math.isqrt(max(n - 1, 0)) + 1
-    baby, giant = [1], [c]
-    for _ in range(s - 1):
-        baby.append(baby[-1] * m % q)
-    stride = baby[-1] * m % q
-    for _ in range(-(-n // s) - 1):
-        giant.append(giant[-1] * stride % q)
+    g = -(-n // s) or 1
+    # the steps of every chain, one chain after another
+    babies, giants = [], []
+    for ci, mi in zip(c, m) if batch else ((c, m),):
+        x = 1
+        babies.append(x)
+        for _ in range(s - 1):
+            x = x * mi % q
+            babies.append(x)
+        stride = x * mi % q
+        x = ci
+        giants.append(x)
+        for _ in range(g - 1):
+            x = x * stride % q
+            giants.append(x)
     dtype = np.int64 if q < INT64_MODULUS_LIMIT else object
-    t = np.multiply.outer(np.array(giant, dtype=dtype), np.array(baby, dtype=dtype)).ravel()
-    return np.remainder(t, q, out=t)[:n].astype(np.int64, copy=False)  # residues below q < 2^62 fit in int64
+    gs, bs = np.array(giants, dtype=dtype), np.array(babies, dtype=dtype)
+    if batch:
+        # every chain's giant steps times its own baby steps, in one broadcast product
+        t = gs.reshape(len(c), g, 1) * bs.reshape(len(c), 1, s)
+        t = np.remainder(t, q, out=t).reshape(len(c), g * s)[:, :n]
+    else:
+        t = np.multiply.outer(gs, bs)
+        t = np.remainder(t, q, out=t).ravel()[:n]
+    return t if dtype is np.int64 else t.astype(np.int64)  # residues below q < 2^62 fit in int64
 
 
 # Character tables held at once, in bytes: eight full-size complex128 tables.

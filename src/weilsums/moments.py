@@ -4,7 +4,7 @@ Q_k counts 2k-tuples (u_1..u_k, v_1..v_k) in G^2k solving the diagonal system
 sum_i u_i^{n_j} = sum_i v_i^{n_j} for j = 1..r, so Q_k = sum_x H(x)^2 for H the
 k-fold cyclic self-convolution of the histogram h of the power vectors
 (g^{n_1}, ..., g^{n_r}), g in G.  The power vectors are an int64 (tau, r)
-array, one table of `field.powers` per exponent in generator order, and h
+array in generator order, one `field.powers` call with a chain per exponent, and h
 is the pair of arrays (vectors, counts) of its distinct rows, counted by one
 mixed-radix key per row.  Three exact routes compute Q_k: enumeration of
 the tau^k tuples (`q_bruteforce`, the oracle), the sparse route
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import convolution
 from .field import GuardExceeded, is_prime, least_primitive_root, powers, prime_modulus, subgroup
-from .sums import SparsePolynomial, subgroup_sum
+from .sums import TERM_LIMIT, SparsePolynomial, subgroup_sum
 
 BRUTE_FORCE_LIMIT = 10**8
 GRID_SIZE_LIMIT = 10**8  # largest p^r the convolution routes accept
@@ -96,13 +96,16 @@ def _validate_exponents(nvec) -> tuple:
 def _power_vectors(G, nvec, coeffs=None):
     """(a_1 g^{n_1}, ..., a_r g^{n_r}) mod p for each g in G, in generator order, as an int64 (tau, r) array.
 
-    Column j is a_j (theta^{n_j})^x for x = 1..tau, coefficients below p.
+    Column j is a_j (theta^{n_j})^x for x = 1..tau, coefficients below p.  A
+    subgroup of more than TERM_LIMIT elements is refused, as a sum of that many terms is.
     """
     p = G.modulus.p
+    if G.tau > TERM_LIMIT:
+        raise GuardExceeded("terms", G.tau, TERM_LIMIT)
     if coeffs is None:
         coeffs = (1,) * len(nvec)
     steps = [pow(G.theta, n, p) for n in nvec]
-    return np.stack([powers(a * t % p, t, G.tau, p) for t, a in zip(steps, coeffs)], axis=1)
+    return powers([a * t % p for t, a in zip(steps, coeffs)], steps, G.tau, p).T
 
 
 def _distinct_count(values) -> int:

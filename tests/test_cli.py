@@ -175,11 +175,13 @@ def test_guard_is_exit_2(capsys):
         ("kloosterman", "--p", "1000000007", "--tau", "500000003", "--a", "1", "--b", "1"),
         ("prng", "--p", "13", "--tau", "4", "--poly", "1*x^1", "--count", "1000000000"),
         ("prng", "--p", "13", "--tau", "4", "--inversive", "1,1", "--count", "1000000000"),
+        ("moment", "--p", "99999989", "--tau", "99999988", "--k", "1", "--exps", "1", "--method", "brute"),
+        ("moment", "--p", "99999989", "--tau", "99999988", "--k", "2", "--exps", "1", "--method", "conv"),
     ],
-    ids=("sum", "kloosterman", "prng", "prng-inversive"),
+    ids=("sum", "kloosterman", "prng", "prng-inversive", "moment-brute", "moment-conv"),
 )
 def test_term_guard_is_exit_2_before_allocating(capsys, argv):
-    # each would need 4-8 GB of arrays; the guard refuses before one is allocated
+    # each would need 0.7-8 GB of arrays; the guard refuses before one is allocated
     tracemalloc.start()
     try:
         rc, out, err = run(capsys, *argv)

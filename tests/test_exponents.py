@@ -75,6 +75,20 @@ def test_recursion_consistency():
             assert k >= 4
 
 
+def test_eta_memo_hits_equal_the_recursion(monkeypatch):
+    # a memo hit returns what the upward walk computed, in any query order, from an empty memo
+    for eps in (TENTH, Fraction(1, 3), Fraction(7, 100), Fraction(1, 1000)):
+        want = [Fraction(7, 27) * eps] * 2
+        for n in range(3, 41):
+            k = math.ceil((n - 2 - Fraction(7, 3) * eps) / (2 * want[-1]) + 3)
+            want.append(Fraction(7, 18) * eps / k)
+        for order in (range(40, 0, -1), range(1, 41), random.Random(str(eps)).sample(range(1, 41), 40)):
+            monkeypatch.setattr(exponents, "_eta_memo", {})
+            for n in order:
+                assert eta(n, eps) == want[n - 1]
+                assert eta(n, str(eps)) == want[n - 1]
+
+
 def test_eta_positive_and_decreasing():
     for eps in (Fraction(1, 100), TENTH, Fraction(1, 4)):
         prev = None

@@ -355,6 +355,46 @@ def test_sums_equal_scalar_oracle(p, tau):
     assert s.value == _oracle_sum(_oracle_root(z, p) for z in inverses)
 
 
+@pytest.mark.parametrize("p, tau", ORACLE_CASES)
+def test_subgroup_sums_equal_subgroup_sum_and_oracle(monkeypatch, p, tau):
+    # one batch: three, one and two terms, constant-only, empty, and a repeated polynomial
+    G = field.subgroup(p, tau)
+    f = poly((1, 3 * p + 5), (7, p - 2), (2**70 + 3, 2**65 + 11), constant=2**80 + 1)
+    fs = [f, poly((2, 1)), poly(constant=5), poly((3, 4), (tau + 1, p - 1), constant=p + 2), SparsePolynomial(()), f]
+    got = sums.subgroup_sums(G, fs)
+    assert got == [sums.subgroup_sum(G, g) for g in fs]
+    orbit = [pow(G.theta, x, p) for x in range(1, tau + 1)]
+    for g, s in zip(fs, got):
+        assert s.term_count == tau
+        assert s.value == _oracle_sum(_oracle_root(g.evaluate(x, p), p) for x in orbit)
+    assert sums.subgroup_sums(G, []) == []
+    # one powers call per round of chains gives the same values as one call for the batch
+    monkeypatch.setattr(sums, "_BATCH_ENTRIES", 0)
+    assert sums.subgroup_sums(G, fs) == got
+
+
+def test_subgroup_sums_split_into_batches_of_term_limit(monkeypatch):
+    # at most TERM_LIMIT terms per batch: three batches of two sums and one of one
+    G = field.subgroup(1009, 16)
+    fs = [poly((1, a), (a + 2, 3), constant=a) for a in range(1, 8)]
+    want = [sums.subgroup_sum(G, f) for f in fs]
+    calls = []
+    chain_sums = sums._chain_sums
+
+    def counted(p, rows, count):
+        calls.append(len(rows))
+        return chain_sums(p, rows, count)
+
+    monkeypatch.setattr(sums, "_chain_sums", counted)
+    monkeypatch.setattr(sums, "TERM_LIMIT", 2 * 16 + 5)
+    assert sums.subgroup_sums(G, fs) == want
+    assert calls == [2, 2, 2, 1]
+    # the term guard of a single sum still holds
+    monkeypatch.setattr(sums, "TERM_LIMIT", 15)
+    with pytest.raises(field.GuardExceeded):
+        sums.subgroup_sums(G, fs)
+
+
 @pytest.mark.parametrize("p", (2, 3, 13, 1009, 65537))
 def test_complete_sum_equals_scalar_oracle(p):
     f = poly((1, 7), (2, p + 3), (2**40 + 1, 5), constant=11)
@@ -466,7 +506,19 @@ def test_powers_property():
         assert got.dtype == np.int64
         assert got.tolist() == [c * pow(m, j, q) % q for j in range(n)]
 
+    # lists of chains: row i of one call equals the scalar call on chain i
+    moduli = st.one_of(primes, st.integers(1, 2**62 - 1))
+
+    @settings
+    @given(moduli, st.lists(st.tuples(residues, residues), max_size=5), st.integers(0, 300))
+    def check_rows(q, chains, n):
+        cs, ms = [c % q for c, _ in chains], [m % q for _, m in chains]
+        got = field.powers(cs, ms, n, q)
+        assert got.dtype == np.int64 and got.shape == (len(chains), n)
+        assert got.tolist() == [field.powers(c, m, n, q).tolist() for c, m in zip(cs, ms)]
+
     check()
+    check_rows()
 
 
 def test_inverses_property():
