@@ -131,12 +131,13 @@ def powers(c, m, n: int, q: int) -> np.ndarray:
 
     j = s*i + l for l < s: c*m^j = (c*m^(s*i)) * m^l, one outer product of about
     sqrt(n) giant steps and baby steps, in int64 below INT64_MODULUS_LIMIT and
-    as Python ints in an object array above.  With equal-length lists c and m
-    the result is an (R, n) array whose row i is c[i]*m[i]^j: the step lists of
-    all R chains go through one np.array each, one broadcast product and one
+    as Python ints in an object array above.  With equal-length sequences c and
+    m the result is an (R, n) array whose row i is c[i]*m[i]^j: the step lists
+    of all R chains go through one np.array each, one broadcast product and one
     remainder, so a batch pays the fixed numpy cost of a chain once.
     """
-    batch = isinstance(c, list)
+    # a scalar chain is a batch of one, and its row is returned
+    batch = not isinstance(c, (int, np.integer))
     s = math.isqrt(max(n - 1, 0)) + 1
     g = -(-n // s) or 1
     # the steps of every chain, one chain after another
@@ -155,14 +156,10 @@ def powers(c, m, n: int, q: int) -> np.ndarray:
             giants.append(x)
     dtype = np.int64 if q < INT64_MODULUS_LIMIT else object
     gs, bs = np.array(giants, dtype=dtype), np.array(babies, dtype=dtype)
-    if batch:
-        # every chain's giant steps times its own baby steps, in one broadcast product
-        t = gs.reshape(len(c), g, 1) * bs.reshape(len(c), 1, s)
-        t = np.remainder(t, q, out=t).reshape(len(c), g * s)[:, :n]
-    else:
-        t = np.multiply.outer(gs, bs)
-        t = np.remainder(t, q, out=t).ravel()[:n]
-    return t if dtype is np.int64 else t.astype(np.int64)  # residues below q < 2^62 fit in int64
+    # every chain's giant steps times its own baby steps, in one broadcast product
+    t = (gs.reshape(-1, g, 1) * bs.reshape(-1, 1, s)).reshape(-1, g * s)
+    t = np.remainder(t, q, out=t)[:, :n].astype(np.int64, copy=False)  # residues below q < 2^62 fit in int64
+    return t if batch else t[0]
 
 
 # Character tables held at once, in bytes: eight full-size complex128 tables.

@@ -1,10 +1,9 @@
 """Exponential sum evaluators over F_p and its multiplicative subgroups.
 
 Residues are int64 numpy arrays.  Each power chain c*m^x is one row of a
-`field.powers` table (giant steps and baby steps): the chains of a sum, or of
-a batch of sums on one subgroup (`subgroup_sums`), come from one call while
-their tables are small, and the chains of each sum are added unreduced and
-reduced mod p once.
+`field.powers` table (giant steps and baby steps): the j-th chains of a sum,
+or of every sum in a batch on one subgroup (`subgroup_sums`), come from one
+call, and the chains of each sum are added unreduced and reduced mod p once.
 Characters are gathered from the table of p-th roots of unity, or computed
 from cos and sin above the table limit.
 All sums accumulate real and imaginary parts through math.fsum, so the
@@ -13,6 +12,7 @@ rounding error is one ulp of the exact value regardless of term count.
 
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import fsum
 
 import numpy as np
@@ -24,12 +24,6 @@ from .field import INT64_MODULUS_LIMIT, GuardExceeded, least_primitive_root, pow
 # arrays above 2^31), and a power-generator CSV stream 244 MB, on a 2-core x86-64 host
 # (Python 3.11, numpy 2.4).
 TERM_LIMIT = 1 << 22
-
-# Entries of the power tables one `field.powers` call may build for a batch of
-# sums: 512 KB of int64.  Above it the tables of a batch no longer stay in cache
-# while they are added, and one call per round of chains is faster (three-chain
-# residues at 10^5 terms: 5% slower from one call, on a 2-core x86-64 host).
-_BATCH_ENTRIES = 1 << 16
 
 _TERM_RE = re.compile(r"^(\d+)\*[xX]\^(\d+)$")
 _CONST_RE = re.compile(r"^\d+$")
@@ -151,45 +145,35 @@ class SparsePolynomial:
 
 
 def _chain_sums(p: int, rows: list, count: int) -> np.ndarray:
-    """Residues of a nonempty batch of sums, as an int64 (len(rows), count) array.
+    """Residues of a batch of sums, as an int64 (len(rows), count) array.
 
     Row i is const + sum of c*m^x mod p over the (c, m) residue pairs of
     chains, for x = 1..count and (const, chains) = rows[i].  The chains are
-    taken in rounds: round j holds the j-th chain of every row that has one,
-    and round 0 gives a row without chains the zero chain (0, 1).  Each round
-    is added into the rows it came from, unreduced, and the sums are reduced
-    mod p once.  All rounds come from one `field.powers` call when their
-    tables hold at most _BATCH_ENTRIES entries together, and from one call
-    each otherwise.
+    taken in rounds: round j is one `field.powers` call for the j-th chain of
+    every row that has one, added into those rows unreduced, and the sums are
+    reduced mod p once.  A batch holds one round's table at a time, so a long
+    sum keeps the peak memory of one chain's table.
     """
     if count > TERM_LIMIT:
         raise GuardExceeded("terms", count, TERM_LIMIT)
-    cs, ms, rounds = [], [], []
-    held = range(len(rows))
-    while held:
-        for i in held:
-            chains = rows[i][1]
-            c, m = chains[len(rounds)] if chains else (0, 1)
-            cs.append(c * m % p)
-            ms.append(m)
-        rounds.append(held)
-        held = [i for i in held if len(rounds) < len(rows[i][1])]
-    consts = [const for const, _ in rows]
-    if len(rounds) == 1 and not any(consts):
-        return powers(cs, ms, count, p)  # each row is one chain, already reduced
-    whole = powers(cs, ms, count, p) if len(cs) * count <= _BATCH_ENTRIES else None
     # above INT64_MODULUS_LIMIT the unreduced sum of residues may pass 2^63: Python ints
-    z = np.array(consts, dtype=np.int64 if p < INT64_MODULUS_LIMIT else object)[:, None].repeat(count, axis=1)
-    at = 0
-    for held in rounds:
-        k = slice(at, at + len(held))
-        at += len(held)
-        t = powers(cs[k], ms[k], count, p) if whole is None else whole[k]
+    z = np.empty((len(rows), count), dtype=np.int64 if p < INT64_MODULUS_LIMIT else object)
+    z[:] = [[const] for const, _ in rows]
+    # round j: the j-th chain of each row, None where a row has fewer chains
+    for steps in zip_longest(*[chains for _, chains in rows]):
+        held, cs, ms = [], [], []
+        for i, step in enumerate(steps):
+            if step:
+                c, m = step
+                held.append(i)
+                cs.append(c * m % p)  # x starts at 1
+                ms.append(m)
+        t = powers(cs, ms, count, p)
         if len(held) == len(rows):
             z += t
         else:
             z[held] += t
-        del t  # a round's own table is freed before the next one is built
+        del t  # a round's table is freed before the next one is built
     return np.remainder(z, p, out=z).astype(np.int64, copy=False)
 
 
@@ -265,9 +249,9 @@ def subgroup_sums(G, fs) -> list:
 
     The sums are evaluated in batches of at most TERM_LIMIT terms, so a batch
     holds no more memory than one sum may.  A batch makes one `field.powers`
-    call for every term of its polynomials, reduces their residues mod p once
-    and gathers their characters at once; each sum is then finished by `fsum`
-    on its own row.
+    call for the j-th terms of all its polynomials, for each j, reduces their
+    residues mod p once and gathers their characters at once; each sum is then
+    finished by `fsum` on its own row.
     """
     p, tau = G.modulus.p, G.tau
     step = max(TERM_LIMIT // tau, 1)
