@@ -3,26 +3,28 @@
 Residues are int64 numpy arrays.  Each power chain c*m^x is one row of a
 `field.powers` table (giant steps and baby steps): the j-th chains of a sum,
 or of every sum in a batch on one subgroup (`subgroup_sums`), come from one
-call, and the chains of each sum are added unreduced and reduced mod p once.
+call, and the chains of each sum are added unreduced and reduced mod p once
+(after every chain for p above 2^31, so the residues stay int64).
 Characters are gathered from the table of p-th roots of unity, or computed
 from cos and sin above the table limit.
-All sums accumulate real and imaginary parts through math.fsum, so the
-rounding error is one ulp of the exact value regardless of term count.
+Every sum is the exact sum of its terms' real and imaginary parts, rounded
+once (`_row_sums`): one vectorized pass splits the parts of a whole batch
+into 26-bit limbs that float64 adds without error, and each row's limb sums
+are joined into one integer and divided once.  The result equals math.fsum
+of the parts bit for bit, whatever the term count.
 """
 
 import re
 from dataclasses import dataclass
 from itertools import zip_longest
-from math import fsum
 
 import numpy as np
 
 from .field import INT64_MODULUS_LIMIT, GuardExceeded, least_primitive_root, powers, prime_modulus, unit_roots
 
-# Terms a sum or generator may have; each costs 55-110 bytes of peak RSS.  At 4*10^6
-# terms a three-term sum took 275 MB at p = 24000001 and 463 MB at p = 2184000001 (object
-# arrays above 2^31), and a power-generator CSV stream 244 MB, on a 2-core x86-64 host
-# (Python 3.11, numpy 2.4).
+# Terms a sum or generator may have; each costs 45-75 bytes of peak RSS.  At 4*10^6
+# terms a three-term sum took 190 MB at p = 24000001 and 294 MB at p = 2184000001, and
+# a power-generator CSV stream 247 MB, on a 2-core x86-64 host (Python 3.11, numpy 2.4).
 TERM_LIMIT = 1 << 22
 
 _TERM_RE = re.compile(r"^(\d+)\*[xX]\^(\d+)$")
@@ -42,13 +44,94 @@ class SumValue:
         return abs(self.value)
 
 
-def _finish(parts, term_count: int, excluded: int = 0) -> SumValue:
-    parts = np.asarray(parts, dtype=np.complex128)
-    val = complex(fsum(parts.real.tolist()), fsum(parts.imag.tolist()))
-    # every summand is on the unit circle, so the triangle inequality is exact
-    if abs(val) > term_count + 1e-6:
-        raise ArithmeticError(f"|S| = {abs(val)} exceeds the {term_count} terms summed")
-    return SumValue(val, term_count, excluded)
+# The exact row sum.  A part v, |v| <= 2, is split into 26-bit limbs: x = v*2^26,
+# w = trunc(x), x = (x - w)*2^26, and so on until every remainder is 0, so that
+# v = sum of w_l*2^(-26(l+1)) over integers |w_0| <= 2^27 and |w_l| < 2^26 after it.
+# Scaling by a power of two, trunc and x - trunc(x) are all exact.  A row of n < 2^26
+# parts (the term guard keeps every sum to n <= TERM_LIMIT + 1) has limb sums below
+# n*2^27 < 2^53, so float64 adds them exactly in any order and any blocking.  A part
+# whose lowest bit is 2^-1074, the smallest subnormal, takes 42 limbs (26*42 >= 1074).
+_LIMB = 26
+_SCALE = float(1 << _LIMB)
+# A part below 1 in magnitude with all 53 bits in use reaches below 2^-52, where two
+# limbs stop, and nearly every rounded cos and sin does, so the remainders are first
+# tested for zero after the third limb; a limb taken early only adds zeros.
+_MIN_LIMBS = 3
+# Doubles per block of the limb pass: its temporaries stay in cache, and its memory
+# stays flat whatever the shape of the batch.
+_BLOCK = 1 << 16
+
+
+def _add_limb_sums(block: np.ndarray, x: np.ndarray, t: np.ndarray, limbs: list) -> None:
+    """Add the limb sums of each row of the complex block to limbs, real parts first.
+
+    x and t are float64 work arrays of shape (2 * rows, columns) of the block.
+    """
+    h, c = block.shape
+    # the real parts of the block into the first h rows of x, the imaginary parts below
+    np.multiply(block.view(np.float64).reshape(h, c, 2).transpose(2, 0, 1), _SCALE, out=x.reshape(2, h, c))
+    # the bound on the limb sums needs |v| <= 2; NaN fails the comparison
+    if not np.abs(x, out=t).max() <= 2 * (1 << _LIMB):
+        raise ArithmeticError("a summand has a part outside [-2, 2]")
+    l = 0
+    while True:
+        np.trunc(x, out=t)
+        if l < len(limbs):
+            limbs[l] += t.sum(axis=1)
+        else:
+            limbs.append(t.sum(axis=1))
+        l += 1
+        x -= t
+        if l >= _MIN_LIMBS and not x.any():
+            return
+        x *= _SCALE
+
+
+def _row_sums(parts: np.ndarray) -> list:
+    """The sum of each row of a 2-D complex128 array, as a list of complex.
+
+    Each part is the exact sum rounded once, half to even: equal bit for bit
+    to complex(fsum(row.real), fsum(row.imag)), an empty row 0j.  The limb
+    sums of a row part are joined into one integer N and divided by 2^(26 L)
+    once; CPython's int division rounds correctly, and N = 0 gives +0.0, as
+    fsum gives for an exact zero.
+    """
+    rows, n = parts.shape
+    cols = min(n, _BLOCK // 2) or 1
+    step = max(_BLOCK // (2 * cols), 1)
+    size = 2 * min(step, rows) * cols
+    x, t = np.empty(size), np.empty(size)
+    out = []
+    for r in range(0, rows, step):
+        block = parts[r : r + step]
+        h = len(block)
+        # limbs[l]: the sum of limb l over each row, real parts then imaginary parts
+        limbs = []
+        for c in range(0, n, cols):
+            part = block[:, c : c + cols]
+            k = 2 * part.size
+            _add_limb_sums(part, x[:k].reshape(2 * h, -1), t[:k].reshape(2 * h, -1), limbs)
+        d = 1 << (_LIMB * len(limbs))
+        vals = []
+        # a row of no terms has no limbs and sums to 0 / 1
+        for row in np.array(limbs, dtype=np.int64).reshape(len(limbs), 2 * h).T.tolist():
+            total = 0
+            for s in row:
+                total = (total << _LIMB) + s
+            vals.append(total / d)
+        out += map(complex, vals[:h], vals[h:])
+    return out
+
+
+def _finish(parts: np.ndarray, term_count: int, excluded: int = 0) -> list:
+    """A SumValue for each row of the 2-D complex128 array parts, each row term_count summands."""
+    out = []
+    for val in _row_sums(parts):
+        # every summand is on the unit circle, so the triangle inequality is exact
+        if abs(val) > term_count + 1e-6:
+            raise ArithmeticError(f"|S| = {abs(val)} exceeds the {term_count} terms summed")
+        out.append(SumValue(val, term_count, excluded))
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,15 +233,17 @@ def _chain_sums(p: int, rows: list, count: int) -> np.ndarray:
     Row i is const + sum of c*m^x mod p over the (c, m) residue pairs of
     chains, for x = 1..count and (const, chains) = rows[i].  The chains are
     taken in rounds: round j is one `field.powers` call for the j-th chain of
-    every row that has one, added into those rows unreduced, and the sums are
-    reduced mod p once.  A batch holds one round's table at a time, so a long
-    sum keeps the peak memory of one chain's table.
+    every row that has one.  Round 0's table becomes the batch's array, and
+    the later rounds and the constants are added into it unreduced below
+    INT64_MODULUS_LIMIT; above it, where two residues may pass 2^63, each
+    round is reduced mod p before the next is added.  A batch holds one
+    round's table at a time, so a long sum keeps the peak memory of one
+    chain's table.
     """
     if count > TERM_LIMIT:
         raise GuardExceeded("terms", count, TERM_LIMIT)
-    # above INT64_MODULUS_LIMIT the unreduced sum of residues may pass 2^63: Python ints
-    z = np.empty((len(rows), count), dtype=np.int64 if p < INT64_MODULUS_LIMIT else object)
-    z[:] = [[const] for const, _ in rows]
+    # round 0 covers every row unless some row has no chain
+    z = None if all(chains for _, chains in rows) else np.zeros((len(rows), count), dtype=np.int64)
     # round j: the j-th chain of each row, None where a row has fewer chains
     for steps in zip_longest(*[chains for _, chains in rows]):
         held, cs, ms = [], [], []
@@ -169,12 +254,20 @@ def _chain_sums(p: int, rows: list, count: int) -> np.ndarray:
                 cs.append(c * m % p)  # x starts at 1
                 ms.append(m)
         t = powers(cs, ms, count, p)
+        if z is None:
+            z = t
+            continue
         if len(held) == len(rows):
             z += t
         else:
             z[held] += t
+        if p >= INT64_MODULUS_LIMIT:
+            np.remainder(z, p, out=z)
         del t  # a round's table is freed before the next one is built
-    return np.remainder(z, p, out=z).astype(np.int64, copy=False)
+    consts = [const for const, _ in rows]
+    if any(consts):
+        z += np.array(consts, dtype=np.int64)[:, None]
+    return np.remainder(z, p, out=z)
 
 
 def _chain_sum(p: int, const: int, chains: list, count: int) -> np.ndarray:
@@ -227,7 +320,7 @@ def _characters(mod, residues: np.ndarray) -> np.ndarray:
 
 
 def _char_sum(mod, residues: np.ndarray, excluded: int = 0) -> SumValue:
-    return _finish(_characters(mod, residues), len(residues), excluded)
+    return _finish(_characters(mod, residues)[None], len(residues), excluded)[0]
 
 
 def complete_sum(p, f: SparsePolynomial) -> SumValue:
@@ -250,15 +343,15 @@ def subgroup_sums(G, fs) -> list:
     The sums are evaluated in batches of at most TERM_LIMIT terms, so a batch
     holds no more memory than one sum may.  A batch makes one `field.powers`
     call for the j-th terms of all its polynomials, for each j, reduces their
-    residues mod p once and gathers their characters at once; each sum is then
-    finished by `fsum` on its own row.
+    residues mod p once, gathers their characters at once and sums all the rows
+    of characters in one limb pass (`_row_sums`).
     """
     p, tau = G.modulus.p, G.tau
     step = max(TERM_LIMIT // tau, 1)
     out = []
     for i in range(0, len(fs), step):
         residues = _chain_sums(p, [_orbit_chains(p, G.theta, f) for f in fs[i : i + step]], tau)
-        out += [_finish(row, tau) for row in _characters(G.modulus, residues)]
+        out += _finish(_characters(G.modulus, residues), tau)
     return out
 
 
@@ -280,7 +373,7 @@ def twisted_sum(G, f: SparsePolynomial, b: int) -> SumValue:
     parts = np.empty(tau, dtype=np.complex128)
     parts.real = c.real * u.real - c.imag * u.imag
     parts.imag = c.real * u.imag + c.imag * u.real
-    return _finish(parts, tau)
+    return _finish(parts[None], tau)[0]
 
 
 def kloosterman_subgroup_sum(G, a: int, b: int) -> SumValue:

@@ -1,8 +1,13 @@
 """Exponential sum evaluators: complete, subgroup, twisted, Kloosterman, inversive."""
 
 import cmath
+import importlib.util
 import math
+import pathlib
 import random
+import sys
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -291,9 +296,54 @@ def test_inversive_degenerate_a_zero():
 
 def test_finish_checks_triangle_inequality():
     # every summand is on the unit circle, so |S| <= terms; the check survives python -O
-    assert sums._finish([1j, 1j], 2).magnitude == 2
+    assert sums._finish(np.array([[1j, 1j]]), 2)[0].magnitude == 2
     with pytest.raises(ArithmeticError):
-        sums._finish([1.0, 1.0, 1.0], 2)
+        sums._finish(np.array([[1.0, 1.0, 1.0]], dtype=complex), 2)
+    # each row of a batch is checked, not only the first
+    with pytest.raises(ArithmeticError):
+        sums._finish(np.array([[1.0, -1.0, 1j], [1.0, 1.0, 1.0 + 1j]]), 2)
+
+
+def test_row_sums_reject_parts_outside_the_bound():
+    # the limb sums are exact only for parts in [-2, 2]; NaN and inf are refused too
+    assert sums._row_sums(np.array([[2.0 - 2.0j, -2.0 + 2.0j]])) == [0j]
+    for bad in (2.5, -2.0000000000000004j, math.nan, complex(0.0, math.inf)):
+        with pytest.raises(ArithmeticError):
+            sums._row_sums(np.array([[0.5, bad]], dtype=complex))
+
+
+def test_sum_costs_script_runs(monkeypatch, capsys):
+    # tools/sum_costs.py on two small shapes: both routes agree and are timed
+    path = pathlib.Path(__file__).parents[1] / "tools" / "sum_costs.py"
+    spec = importlib.util.spec_from_file_location("sum_costs", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "SHAPES", ((3, 40, 1009), (1, 300, 1995841)))
+    monkeypatch.setattr(sys, "argv", [str(path), "--repeat", "1"])
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# ") and "numpy" in lines[0]
+    assert [line.split()[:3] for line in lines[2:]] == [["3", "40", "1009"], ["1", "300", "1995841"]]
+    assert all(line.endswith("x") for line in lines[2:])
+
+
+def test_finish_of_a_long_row_allocates_little():
+    # the limb pass works in blocks of sums._BLOCK doubles; per-row fsum over
+    # tolist() made two lists of 2^22 floats, about 128 MB
+    n = sums.TERM_LIMIT
+    row = field.unit_roots(np.arange(n, dtype=np.int64) % 1009, 1009)[None]
+    tracemalloc.start()
+    try:
+        (s,) = sums._finish(row, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+    def streamed(part):
+        return math.fsum(chain.from_iterable(part[i : i + (1 << 16)].tolist() for i in range(0, n, 1 << 16)))
+
+    assert s.value == complex(streamed(row[0].real), streamed(row[0].imag))
 
 
 # --- bit-for-bit oracle: one cmath.exp per term, then fsum ---
@@ -547,7 +597,7 @@ def test_parse_format_property():
 
 def test_subgroup_sum_dilation_property():
     # S(G; f(lambda x)) sums the same terms in another order for lambda in G,
-    # and fsum is exact whatever the order, so the values agree bit for bit
+    # and each sum is its exact value rounded once, so the values agree bit for bit
     given, settings, st = _hypothesis()
     primes, _, polys = _strategies(st)
 
@@ -566,7 +616,7 @@ def test_subgroup_sum_shift_property():
     # S(G; f + c) = e(c/p) S(G; f) holds only up to rounding.  A term is
     # cos and sin of an angle of at most pi, formed with at most three
     # roundings (2^-53 relative each): at most (3 pi + 2) 2^-53 off.  Each
-    # side sums tau terms exactly (fsum), and e(c/p) adds its own error to
+    # side sums tau terms exactly, rounding once, and e(c/p) adds its own error to
     # each of them, so the sides differ by at most 3 tau such errors, plus
     # 4 ulps of tau for the complex product.
     given, settings, st = _hypothesis()
@@ -582,5 +632,59 @@ def test_subgroup_sum_shift_property():
         lhs = sums.subgroup_sum(G, shifted).value
         rhs = cmath.exp(2j * math.pi * (c % p) / p) * sums.subgroup_sum(G, f).value
         assert abs(lhs - rhs) <= G.tau * (3 * term + 4 * 2**-53), (p, G.tau, c)
+
+    check()
+
+
+def _fsum_parts(row) -> complex:
+    return complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist()))
+
+
+def test_row_sums_equal_fsum_property():
+    # the limb pass against per-row fsum, bit for bit and sign of zero, on parts
+    # that stress it: table values at several p, signed zeros, the smallest
+    # subnormal, cos(fl(pi/2)) from the twist tables of 4 | tau, half-ulp ties
+    # at 1 and exactly cancelling runs, in rows and batches larger than a block
+    given, settings, st = _hypothesis()
+    pool = [0.0, 5e-324, 6.123233995736766e-17, 1.0, 0.5, 2.0, 2.0**-53, 1 + 2.0**-52, 3 * 2.0**-53]
+    for p in (13, 1009, 982801, 1995841):
+        k = np.arange(0, p, max(p // 101, 1), dtype=np.int64)
+        roots = field.unit_roots(k, p)
+        pool += roots.real.tolist() + roots.imag.tolist()
+    pool = np.array(pool + [-v for v in pool])
+    block = sums._BLOCK // 2  # complex summands per block
+    shapes = st.sampled_from(((0, 3), (3, 0), (1, 1), (2, 7), (10, 250), (1, 1000), (2, block + 3), (block // 6, 7), (300, 250)))
+
+    @settings
+    @given(shapes, st.integers(0, 2**64), st.sampled_from(("pool", "cancel", "ones", "zeros")))
+    def check(shape, seed, kind):
+        rows, n = shape
+        rng = np.random.default_rng(seed)
+        parts = np.empty((rows, n), dtype=np.complex128)
+        if kind == "ones":
+            # runs of +-1 that cancel exactly, in both parts
+            parts.real = rng.choice((-1.0, 1.0), size=(rows, n))
+            parts.imag = -parts.real
+        elif kind == "zeros":
+            parts.real = rng.choice((0.0, -0.0), size=(rows, n))
+            parts.imag = -0.0
+        else:
+            parts.real = rng.choice(pool, size=(rows, n))
+            parts.imag = rng.choice(pool, size=(rows, n))
+            if kind == "cancel":
+                # the second half of each row negates the first: every exact sum is 0
+                half = n // 2
+                parts[:, n - half :] = -parts[:, :half]
+                if n % 2:
+                    parts[:, half] = 0
+        got = sums._row_sums(parts)
+        assert len(got) == rows
+        for row, z in zip(parts, got):
+            want = _fsum_parts(row)
+            assert (z.real, z.imag) == (want.real, want.imag)
+            assert (math.copysign(1, z.real), math.copysign(1, z.imag)) == (
+                math.copysign(1, want.real),
+                math.copysign(1, want.imag),
+            )
 
     check()

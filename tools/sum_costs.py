@@ -1,0 +1,61 @@
+"""Time the finish step of the character sums: per-row math.fsum against the limb pass.
+
+    PYTHONPATH=src python3 tools/sum_costs.py [--repeat 7]
+
+Each shape (rows, terms) is a batch of character rows gathered from the table
+of p-th roots of unity at seeded random residues: 10 x 250 at p = 1009, the
+cells of the verify suites, and 1 x 1000, 1 x 2*10^4 and 1 x 2*10^5 at
+p = 982801, the criterion-13 sum and the long sums.  Both routes are timed,
+min of --repeat runs: per-row fsum over tolist(), the accumulator the sums
+used before, and `sums._row_sums`, the one they use now.  The two must agree
+bit for bit, signs of zero included, or the script stops.
+"""
+
+import argparse
+import math
+import platform
+import time
+
+import numpy as np
+
+from weilsums import field, sums
+
+# (rows, terms, p)
+SHAPES = ((10, 250, 1009), (1, 1000, 982801), (1, 20000, 982801), (1, 200000, 982801))
+
+
+def _best(fn, repeat: int) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        t = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t)
+    return best
+
+
+def _fsum_rows(parts: np.ndarray) -> list:
+    return [complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist())) for row in parts]
+
+
+def _bits(values: list) -> list:
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeat", type=int, default=7, help="runs per route and shape; the minimum is kept")
+    args = ap.parse_args()
+    print(f"# {platform.machine()} Python {platform.python_version()} numpy {np.__version__}")
+    print(f"# {'rows':>4} {'terms':>7} {'p':>7} {'fsum_ms':>9} {'limbs_ms':>9} {'speedup':>7}")
+    rng = np.random.default_rng(0)
+    for rows, terms, p in SHAPES:
+        parts = field.unit_roots(rng.integers(0, p, size=(rows, terms)), p)
+        if _bits(sums._row_sums(parts)) != _bits(_fsum_rows(parts)):
+            raise SystemExit(f"the limb pass differs from fsum at {rows} x {terms}, p = {p}")
+        old = _best(lambda: _fsum_rows(parts), args.repeat)
+        new = _best(lambda: sums._row_sums(parts), args.repeat)
+        print(f"  {rows:>4} {terms:>7} {p:>7} {old * 1e3:>9.3f} {new * 1e3:>9.3f} {old / new:>6.1f}x")
+
+
+if __name__ == "__main__":
+    main()
