@@ -96,6 +96,7 @@ def _row_sums(parts: np.ndarray) -> list:
     once; CPython's int division rounds correctly, and N = 0 gives +0.0, as
     fsum gives for an exact zero.
     """
+    parts = np.ascontiguousarray(parts, dtype=np.complex128)
     rows, n = parts.shape
     cols = min(n, _BLOCK // 2) or 1
     step = max(_BLOCK // (2 * cols), 1)

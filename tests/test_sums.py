@@ -298,7 +298,7 @@ def test_finish_checks_triangle_inequality():
     # every summand is on the unit circle, so |S| <= terms; the check survives python -O
     assert sums._finish(np.array([[1j, 1j]]), 2)[0].magnitude == 2
     with pytest.raises(ArithmeticError):
-        sums._finish(np.array([[1.0, 1.0, 1.0]], dtype=complex), 2)
+        sums._finish(np.array([[1.0, 1.0, 1.0]]), 2)
     # each row of a batch is checked, not only the first
     with pytest.raises(ArithmeticError):
         sums._finish(np.array([[1.0, -1.0, 1j], [1.0, 1.0, 1.0 + 1j]]), 2)
