@@ -181,7 +181,7 @@ _CURVE_CELLS = ((1, 2, 1), (1, 2, 2), (2, 3, 1), (2, 3, 2), (1, 3, 1), (1, 3, 2)
 
 
 def _suite_curve(args, rng):
-    for p in _primes_in(args.pmin, min(args.pmax, curves.POINT_COUNT_LIMIT)):
+    for p in _primes_in(args.pmin, args.pmax):
         for m, n, s in _CURVE_CELLS:
             if (m * n * (n - m)) % p == 0:
                 continue

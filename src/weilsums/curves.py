@@ -11,10 +11,10 @@ bound.  Univariate polynomials are dense ascending coefficient lists over F_p
 Point counts factor through two tables of the cell (p, m, n, s) that do not
 depend on (A, B): the pair histogram H[a, b] = #{(x, y) : x^{sm} + y^{sm} = a,
 x^{sn} + y^{sn} = b} and the set S = {(u, v) : u^n = v^m}.  A point (x, y) is
-on the curve exactly when its pair (a, b) satisfies (a - A, b - B) in S, so
-grouping the points by their pair gives
-count(A, B) = sum over (u, v) in S of H[u + A, v + B], one gather of |S| entries
-per (A, B).
+on the curve exactly when (a - A, b - B) is in S for its pair (a, b), so
+count(A, B) = sum over (u, v) in S of H[u + A, v + B].  H is constant on the
+orbits (a, b) -> (l^{sm} a, l^{sn} b), l in F_p*, and is held as one entry per
+orbit, filled in O(p) from the pairs of the points (z, 1).
 """
 
 import functools
@@ -26,7 +26,7 @@ import numpy as np
 from . import poly
 from .field import GuardExceeded, least_primitive_root, powers, prime_modulus, roots_of_unity
 
-POINT_COUNT_LIMIT = 2000
+LABEL_TABLE_LIMIT = 1 << 22  # entries of one cell's table of H over orbit labels
 
 
 def resultant(f, g, p: int) -> int:
@@ -199,71 +199,74 @@ class CurveSpec:
         return self.s * self.m * self.n
 
 
-_ROW_BLOCK = 256  # rows of the pair grid keyed per step of _count_tables
-
-
 @functools.lru_cache(maxsize=1)
 def _count_tables(p: int, m: int, n: int, s: int) -> tuple:
-    """(H, su, sv) for the cell (p, m, n, s), read-only.
+    """(H, label, su, sv) for the cell (p, m, n, s), read-only.
 
-    H is the p x p int32 pair histogram of (x^{sm} + y^{sm}, x^{sn} + y^{sn})
-    over F_p^2 (counts are at most p^2 < 2^31), and (su, sv) lists the points
-    of S = {(u, v) : u^n = v^m}.  One entry is cached: the curve suite draws
-    each cell's (A, B) back to back.
+    label maps int64 arrays (a, b) to orbit labels, H[label(a, b)] is the pair
+    histogram and (su, sv) lists the points of S.  One entry is cached: the
+    curve suite draws each cell's (A, B) back to back.
     """
-    # free the previous cell's tables before the p^2 temporaries below are
-    # allocated; with both alive, heap fragmentation raised the peak RSS of
-    # `verify --suite curve --pmin 1900 --pmax 2000` from 118 to 182 MB
-    # (x86-64 Linux, glibc malloc, numpy 2.4)
-    _count_tables.cache_clear()
-    # x -> x^e on F_p for e >= 1: x = g^j goes to g^(e*j mod (p - 1)), and 0 to 0
-    g_j = powers(1, least_primitive_root(p), p - 1, p)
-    pw = np.zeros((4, p), dtype=np.int64)
-    pw[:, g_j] = g_j[np.outer([e % (p - 1) for e in (s * m, s * n, n, m)], np.arange(p - 1)) % (p - 1)]
-    psm, psn, pw_n, pw_m = pw
-    # the pair of (x, y) is a * p + b; for t the sum of two residues, a_key[t] is
-    # (t mod p) * p and b_key[t] is t mod p
-    b_key = np.arange(2 * p, dtype=np.int64) % p
-    a_key = b_key * p
-    # (x, y) and (y, x) have the same pair: key the p(p - 1)/2 grid points with
-    # x < y, in row blocks, count them twice and add the diagonal x = y
-    key = np.empty(p * (p - 1) // 2, dtype=np.int64)
-    idx = np.arange(p)
-    filled = 0
-    for i in range(0, p, _ROW_BLOCK):
-        j = min(p, i + _ROW_BLOCK)
-        block = a_key[psm[i:j, None] + psm[i:]]
-        block += b_key[psn[i:j, None] + psn[i:]]
-        upper = block[idx[i:j, None] < idx[i:]]
-        key[filled : filled + upper.size] = upper
-        filled += upper.size
-    H = np.bincount(key, minlength=p * p)
-    del key
-    H *= 2
-    np.add.at(H, a_key[2 * psm] + b_key[2 * psn], 1)
-    H = H.astype(np.int32).reshape(p, p)
-    su, sv = np.divmod(np.flatnonzero(pw_n[:, None] == pw_m), p)
-    for table in (H, su, sv):
+    N = p - 1
+    d = gcd(m, n)
+    c, ca, cb = gcd(s * d, N), gcd(s * m, N), gcd(s * n, N)
+    # labels: a, b != 0 below N*c, then (a, 0), (0, b) and (0, 0).  The guard
+    # bounds S too, which has 1 + N*gcd(d, N) <= 1 + N*c points
+    on_a, on_b, origin = N * c, N * c + ca, N * c + ca + cb
+    if origin >= LABEL_TABLE_LIMIT:
+        raise GuardExceeded("label table", origin + 1, LABEL_TABLE_LIMIT)
+    # a = g^i, b = g^j != 0 is labelled (n'i - m'j mod N, e1 i + e2 j mod c), with
+    # m' = m/d, n' = n/d and e1 m' + e2 n' = 1; each factor is reduced first, so
+    # the int64 products stay below N^2 whatever the exponents
+    m1, n1 = m // d, n // d
+    e1 = pow(m1, -1, n1)
+    m1, n1, e1, e2 = m1 % N, n1 % N, e1 % c, (1 - e1 * m1) // n1 % c
+    g_j = powers(1, least_primitive_root(p), N, p)
+    log = np.zeros(p, dtype=np.int64)
+    log[g_j] = np.arange(N)
+    # x^e is g^(e log x mod N) for x != 0, and 0 at 0
+    psm, psn, pw_n, pw_m = pw = g_j[np.outer([e % N for e in (s * m, s * n, n, m)], log) % N]
+    pw[:, 0] = 0
+
+    def label(a, b):
+        i, j = log[a], log[b]
+        out = (n1 * i - m1 * j) % N * c + (e1 * i + e2 * j) % c
+        za, zb = a == 0, b == 0
+        out[zb] = on_a + i[zb] % ca
+        out[za] = on_b + j[za] % cb
+        out[za & zb] = origin
+        return out
+
+    # (x, y) with y != 0 is y*(z, 1), z = x/y, in the orbit of (z, 1)'s pair; the
+    # N points (x, 0), x != 0, are in the orbit of (1, 1), label 0, and (0, 0) is
+    # its own; then each orbit's total over its size, N/c, N/ca, N/cb or 1
+    H = np.bincount(label((psm + 1) % p, (psn + 1) % p), minlength=origin + 1)
+    H *= N
+    H[[0, origin]] += (N, 1)
+    H[:on_a] //= N // c
+    H[on_a:on_b] //= N // ca
+    H[on_b:origin] //= N // cb
+    # S = {u^n = v^m} by an equi-join: the v with v^m = w are a run of the v sorted by v^m
+    order = np.argsort(pw_m, kind="stable")
+    runs = np.bincount(pw_m, minlength=p)
+    lo, run = (np.cumsum(runs) - runs)[pw_n], runs[pw_n]
+    su = np.repeat(np.arange(p), run)
+    sv = order[np.arange(su.size) - np.repeat(np.cumsum(run) - run - lo, run)]
+    for table in (H, log, su, sv):
         table.setflags(write=False)
-    return H, su, sv
+    return H, label, su, sv
 
 
 def count_points(spec: CurveSpec) -> int:
     """Number of affine F_p-points of F(X, Y) = 0.
 
-    F(x, y) = u^n - v^m with u = x^{sm} + y^{sm} - A and v = x^{sn} + y^{sn} - B,
-    so (x, y) is a point exactly when (u, v) lies in S = {(u, v) : u^n = v^m}.
-    Counting the points by their pair (u + A, v + B) gives, with no
-    approximation, count = sum over (u, v) in S of H[u + A, v + B], where
-    H[a, b] = #{(x, y) : x^{sm} + y^{sm} = a, x^{sn} + y^{sn} = b}.  H and S
-    depend only on (p, m, n, s) and are built once per cell in O(p^2); each
-    (A, B) then costs one gather of |S| entries (|S| = p when gcd(m, n) = 1).
+    count = sum over (u, v) in S of H[u + A, v + B], with no approximation (see
+    the module docstring).  H and S are built once per cell in O(p) time; each
+    (A, B) then costs one label gather of |S| entries (|S| = p when gcd(m, n) = 1).
     """
     p = spec.p
-    if p > POINT_COUNT_LIMIT:
-        raise GuardExceeded("p", p, POINT_COUNT_LIMIT)
-    H, su, sv = _count_tables(p, spec.m, spec.n, spec.s)
-    return int(H[(su + spec.A) % p, (sv + spec.B) % p].sum())
+    H, label, su, sv = _count_tables(p, spec.m, spec.n, spec.s)
+    return int(H[label((su + spec.A) % p, (sv + spec.B) % p)].sum())
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,7 @@ def _unit_table(den: int) -> np.ndarray:
     k = np.arange(den, dtype=np.int64)
     # fold k into (-den/2, den/2] so the angle argument stays small
     k[den // 2 + 1 :] -= den
-    tab = _cis((math.tau / den) * k)
+    tab = _cis(math.tau / den, k)
     tab.flags.writeable = False  # every caller shares the cached table
     if tab.nbytes <= CHAR_TABLE_BYTES:
         held = sum(t.nbytes for t in _unit_tables.values())
@@ -188,11 +188,14 @@ def _unit_table(den: int) -> np.ndarray:
     return tab
 
 
-def _cis(angle: np.ndarray) -> np.ndarray:
-    """cos(angle) + i*sin(angle) entrywise: the complex exponential exp(1j*angle), bit for bit."""
-    out = np.empty(angle.shape, np.complex128)
-    out.real = np.cos(angle)
-    out.imag = np.sin(angle)
+def _cis(scale: float, k: np.ndarray, den=None) -> np.ndarray:
+    """cos(angle) + i*sin(angle) = exp(1j*angle) at angle = scale*k (/den), bit for bit, formed in the result."""
+    out = np.empty(k.shape, np.complex128)
+    angle = np.multiply(scale, k, out=out.real)
+    if den is not None:
+        angle /= den
+    np.sin(angle, out=out.imag)
+    np.cos(angle, out=angle)
     return out
 
 
@@ -200,7 +203,11 @@ def unit_roots(k: np.ndarray, den: int) -> np.ndarray:
     """exp(2*pi*i*z/den) for each z of an int64 array k with entries in [0, den), as complex128."""
     if den <= CHAR_TABLE_LIMIT:
         return _unit_table(den)[k]
-    return _cis(math.tau * np.where(2 * k > den, k - den, k) / den)
+    # fold k into (-den/2, den/2] by integer ops, the one temporary beside the result
+    folded = k + (den - 1) // 2
+    folded %= den
+    folded -= (den - 1) // 2
+    return _cis(math.tau, folded, den)
 
 
 class PrimeModulus:
@@ -424,14 +431,9 @@ def _least_irreducible(p: int, j: int) -> tuple:
         _irreducible_cache[key] = out
         return out
     for idx in range(p**j):
-        rev = []
-        t = idx
-        for _ in range(j):
-            rev.append(t % p)
-            t //= p
-        # rev is (c_0, ..., c_{j-1}) read off little-endian from idx so that
-        # idx orders candidates by (c_{j-1}, ..., c_0)
-        f = tuple(rev) + (1,)
+        # (c_0, ..., c_{j-1}) read off little-endian from idx, so that idx
+        # orders candidates by (c_{j-1}, ..., c_0)
+        f = tuple(idx // p**i % p for i in range(j)) + (1,)
         if _is_irreducible(f, p):
             _irreducible_cache[key] = f
             return f
@@ -463,12 +465,7 @@ def roots_of_unity(p, e: int):
     prime_parts = [e // q for q in factorize(e)]
     # scan field elements in index order until one powers to a primitive root
     for idx in range(1, field.order):
-        rev = []
-        t = idx
-        for _ in range(j):
-            rev.append(t % mod.p)
-            t //= mod.p
-        w = field.pow(tuple(rev), cofactor)
+        w = field.pow(tuple(idx // mod.p**i % mod.p for i in range(j)), cofactor)
         if w == field.one():
             continue
         if all(field.pow(w, m) != field.one() for m in prime_parts):

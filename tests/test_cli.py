@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weilsums import cli, sums
+from weilsums import cli, curves, sums
 
 
 def run(capsys, *argv):
@@ -166,6 +166,10 @@ def test_guard_is_exit_2(capsys):
     rc, _, err = run(capsys, "moment", "--p", "10007", "--tau", "2", "--k", "2", "--exps", "1,2", "--method", "conv")
     assert rc == 2
     assert "error:" in err
+    # s = p - 1 asks for a label table of p^2 entries
+    rc, _, err = run(capsys, "curve", "--p", "2053", "--m", "1", "--n", "2", "--s", "2052", "--A", "0", "--B", "0")
+    assert rc == 2
+    assert err == f"error: guard label table: {2053**2} exceeds limit {curves.LABEL_TABLE_LIMIT}\n"
 
 
 @pytest.mark.parametrize(
@@ -297,6 +301,11 @@ def test_verify_q3_and_curve_suites(capsys):
     rc, _, err = run(capsys, "verify", "--suite", "curve", "--pmin", "31", "--pmax", "37")
     assert rc == 0
     assert "failures=0" in err
+    # the guard is on each cell's label table, not on p: p = 2003 has its rows
+    rc, out, err = run(capsys, "verify", "--suite", "curve", "--pmin", "2003", "--pmax", "2003")
+    assert rc == 0
+    assert len(out.splitlines()) == 31
+    assert "rows=30 failures=0" in err
 
 
 def test_verify_tiny_ceiling_fails(capsys):
@@ -408,8 +417,16 @@ def _fuzz_argv(rng, command, tmp_path):
         s = (p - 1) // tau if tau in divs else tau
         return ["t3", "--p", str(p), "--s", str(s), "--m", str(m), "--n", str(n)]
     if command == "curve":
-        argv = ["curve", "--p", str(p), "--m", str(m), "--n", str(n), "--s", small(-1, 3)]
-        argv += ["--A", small(-3, 60), "--B", small(-3, 60)]
+        # s = p - 1 asks for the largest label table, over its guard at p = 2053;
+        # m, n past 2^63 reach count_points when A = B = 0 mod p ends delta_eval early
+        p = rng.choice((p, p, 2053))
+        s = rng.choice((small(-1, 3), str(p - 1)))
+        A, B = small(-3, 60), small(-3, 60)
+        if rng.random() < 0.3:
+            m = 2**64 + 1
+            n = m + rng.choice((2, 4))
+            A, B = str(p * rng.randint(0, 2)), str(p * rng.randint(-1, 2))
+        argv = ["curve", "--p", str(p), "--m", str(m), "--n", str(n), "--s", s, "--A", A, "--B", B]
         return argv + (["--delta-only"] if rng.random() < 0.3 else [])
     if command == "eta":
         return ["eta", "--nmax", small(-1, 5), "--eps", eps] + (["--json"] if rng.random() < 0.5 else [])

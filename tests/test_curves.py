@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,8 +352,13 @@ def test_count_points_matches_double_loop():
         assert curves.count_points(spec) == double_loop_count(spec)
 
 
-# the verify suite's cells, a pair that is not coprime, s = 3, and p | n at p = 13
-_ORACLE_SHAPES = cli._CURVE_CELLS + ((2, 4, 1), (1, 2, 3), (2, 3, 3), (1, 13, 1))
+# the verify suite's cells, a pair that is not coprime, s = 3, and p | n at p = 13;
+# three with c = gcd(s*gcd(m, n), p - 1) > 1 at some p and axis moduli
+# gcd(sm, p - 1) != gcd(sn, p - 1); and exponents past 2^63, which are reduced
+# mod p - 1 before any int64 product
+_BIG = 2**64 + 1
+_ORACLE_SHAPES = cli._CURVE_CELLS + ((2, 4, 1), (1, 2, 3), (2, 3, 3), (1, 13, 1), (2, 5, 3), (2, 6, 4), (3, 6, 2))
+_ORACLE_SHAPES += ((_BIG, _BIG + 2, 1), (2, _BIG, 3), (_BIG, 2 * _BIG, 1), (3, 2**70, 2**65 + 1))
 
 
 @pytest.mark.parametrize("m,n,s", _ORACLE_SHAPES, ids=lambda v: str(v))
@@ -382,20 +388,86 @@ def test_count_tables_cache_serves_only_its_cell():
     assert curves._count_tables.cache_info().hits == hits + 1
 
 
+@pytest.mark.parametrize("p", (307, 1999, 100003))
+def test_count_points_closed_form(p):
+    # (m, n, s) = (1, 2, 1): F = 2(X - A)(Y - A) - (A^2 - B), two lines through
+    # (A, A) when B = A^2 and a hyperbola with p - 1 points otherwise
+    rng = random.Random(f"closed:{p}")
+    for _ in range(4):
+        A = rng.randrange(p)
+        for B in (A * A % p, rng.randrange(p)):
+            want = 2 * p - 1 if B == A * A % p else p - 1
+            assert curves.count_points(CurveSpec(p, 1, 2, 1, A, B)) == want, (A, B)
+
+
+def pair_histogram(p, m, n, s):
+    """{(a, b): #{(x, y) : x^{sm} + y^{sm} = a, x^{sn} + y^{sn} = b}} by enumeration."""
+    hist = {}
+    for x in range(p):
+        for y in range(p):
+            key = ((pow(x, s * m, p) + pow(y, s * m, p)) % p, (pow(x, s * n, p) + pow(y, s * n, p)) % p)
+            hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
 def test_count_tables_read_only():
-    H, su, sv = curves._count_tables(13, 2, 3, 1)
-    assert H.dtype == np.int32 and H.shape == (13, 13)
-    assert int(H.sum()) == 13 * 13
-    assert su.size == sv.size == 13  # S = {(t^m, t^n)} when gcd(m, n) = 1
+    H, label, su, sv = curves._count_tables(13, 2, 3, 1)
     for table in (H, su, sv):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 1
 
 
+@pytest.mark.parametrize("m,n,s", _ORACLE_SHAPES, ids=lambda v: str(v))
+def test_count_tables_invariants(m, n, s):
+    for p in (2, 3, 5, 7, 11, 13):
+        if s % p == 0:
+            continue
+        H, label, su, sv = curves._count_tables(p, m, n, s)
+        a, b = np.divmod(np.arange(p * p), p)
+        labels = label(a, b)
+        # every label is an orbit: reached, and of the size the segment says
+        N = p - 1
+        d = math.gcd(m, n)
+        c, ca, cb = math.gcd(s * d, N), math.gcd(s * m, N), math.gcd(s * n, N)
+        sizes = np.bincount(labels, minlength=H.size)
+        assert H.size == N * c + ca + cb + 1
+        assert sizes.tolist() == [N // c] * (N * c) + [N // ca] * ca + [N // cb] * cb + [1]
+        # sum of H times orbit size is p^2, and H is the pair histogram
+        assert int((H * sizes).sum()) == p * p
+        hist = pair_histogram(p, m, n, s)
+        assert H[labels].tolist() == [hist.get((int(x), int(y)), 0) for x, y in zip(a, b)]
+        # S = {u^n = v^m} has 1 + N gcd(d, N) <= H.size points
+        pairs = sorted(zip(su.tolist(), sv.tolist()))
+        assert pairs == [(u, v) for u in range(p) for v in range(p) if pow(u, n, p) == pow(v, m, p)]
+        assert len(pairs) == 1 + N * math.gcd(d, N) <= H.size
+
+
+def test_count_tables_allocate_o_of_p():
+    # a p x p table at p = 1999 is 4 million entries, 32 MB as int64
+    curves._count_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        curves._count_tables(1999, 2, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_count_points_guard():
-    with pytest.raises(GuardExceeded):
-        curves.count_points(CurveSpec(2003, 1, 2, 1, 0, 0))
+    # c = gcd(2052, 2052): the label table would hold 2052^2 + 2*2052 + 1 entries
+    with pytest.raises(GuardExceeded) as exc:
+        curves.count_points(CurveSpec(2053, 1, 2, 2052, 0, 0))
+    assert exc.value.guard == "label table"
+    assert exc.value.actual == 2053**2 > curves.LABEL_TABLE_LIMIT
+    # the largest table below p = 2000 fits.  With s = p - 1, x^s is 1 for x != 0,
+    # so a point with k nonzero coordinates has (u, v) = (k - A, k - B): the
+    # count is the number of (x, y) with the k that solve (k - A)^2 = k - B
+    p = 1999
+    for k, points in ((1, 2 * (p - 1)), (2, (p - 1) ** 2)):
+        B = (k - (k - 5) ** 2) % p
+        assert curves.count_points(CurveSpec(p, 1, 2, p - 1, 5, B)) == points
 
 
 def test_check_curve_bound_asserted():

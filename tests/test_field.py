@@ -1,7 +1,9 @@
 """Prime field arithmetic, subgroups, extension fields, characters."""
 
 import cmath
+import math
 import random
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -142,6 +144,36 @@ def test_unit_root():
         roots = _characters(den, [k * den // 4 for k in (0, 1, 2, 3, 5)])
         assert roots[0] == 1
         assert max(abs(c - w) for c, w in zip(roots, (1, 1j, -1, -1j, 1j))) < 1e-15
+
+
+@pytest.mark.parametrize("den", (24000001, 2184000001, 2305843009213693951))
+def test_unit_roots_above_the_table_equal_the_folded_formula(den):
+    # bit for bit the expression the in-place evaluation replaced
+    rng = np.random.default_rng(den % 1000)
+    half = (den - 1) // 2
+    edges = [0, 1, half - 1, half, half + 1, den // 2, den // 2 + 1, den - 2, den - 1]
+    k = np.concatenate([np.array(edges, dtype=np.int64), rng.integers(0, den, 1 << 16)])
+    angle = math.tau * np.where(2 * k > den, k - den, k) / den
+    want = np.empty(k.shape, np.complex128)
+    want.real, want.imag = np.cos(angle), np.sin(angle)
+    got = field.unit_roots(k, den)
+    assert got.dtype == np.complex128 and got.shape == k.shape
+    assert got.tobytes() == want.tobytes()
+    # a 2-D batch keeps its shape and its rows
+    assert field.unit_roots(k[:12].reshape(3, 4), den).tobytes() == want[:12].tobytes()
+
+
+def test_unit_roots_above_the_table_allocate_one_temporary():
+    # the result (16 B per residue) and one int64 temporary (8 B); the folded
+    # formula held about twice the result
+    k = np.random.default_rng(0).integers(0, 24000001, 1 << 20)
+    tracemalloc.start()
+    try:
+        out = field.unit_roots(k, 24000001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * out.nbytes, peak
 
 
 def test_unit_tables_stay_under_the_byte_cap(monkeypatch):

@@ -53,7 +53,7 @@ COMMANDS = (
     # delta over a degree-4 splitting field (e = 5), and a full report at e = 4
     ("curve", "--p", "43", "--m", "2", "--n", "7", "--A", "4", "--B", "6", "--delta-only"),
     ("curve", "--p", "101", "--m", "3", "--n", "7", "--A", "5", "--B", "9"),
-    # the largest grid under POINT_COUNT_LIMIT
+    # point counts at p = 1999, recorded when they came from a p x p histogram
     ("curve", "--p", "1999", "--m", "2", "--n", "3", "--s", "2", "--A", "5", "--B", "7"),
     # the character accumulator: table and no-table paths, excluded terms, prng statistics
     ("sum", "--p", "1009", "--tau", "56", "--poly", "3*x^2+5*x^7", "--twist", "5"),
