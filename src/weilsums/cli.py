@@ -137,8 +137,8 @@ def _suite_q3(args, rng):
     """T_3(p; s, m, n) against s^6 Q_3(G; (m, n)) for every subgroup G of order tau = (p-1)/s.
 
     Up to tau^3 = 2^20 tuples Q_3 comes from enumeration, a route independent of
-    t3_count's; above that from q_convolution, which for s = 1 counts the same
-    histogram by the same route as t3_count, so those rows check only the histogram.
+    t3_count's; above that from q_convolution, which t3_count(p, 1, m, n) calls
+    with the same arguments, so the s = 1 rows above 2^20 check nothing.
     """
     for p, tau, G, win in _cells(args):
         s = G.cofactor

@@ -13,14 +13,20 @@ gathered in that order and added over each run of equal keys, and the
 distinct keys of several blocks are merged the same way.  Counts are int64
 when mass^(2k) < 2^63, so that every count of every power and the sum of
 their squares fit; otherwise they are numpy `object` arrays of Python ints, on
-the same code path.  `sparse_work` counts the pairs up front, for callers that
-choose between routes or refuse a histogram that would take too long.
+the same code path.  `sparse_work` counts the pairs up front, and `admit`
+refuses a histogram whose pairs or keys exceed the route's limits.
 """
 
 import math
 
 import numpy as np
 
+from .field import GuardExceeded
+
+# Pairs the route may form: near it, 0.13-0.49 s and 65-204 MB peak RSS on a 2-core x86-64
+# host (moments.j_histogram at k = 3: subgroup(541, 270), subgroup(1021, 340), exponents
+# (1, 2); subgroup(9860681, 340), exponent 1).
+SPARSE_WORK_LIMIT = 20_000_000
 _CHUNK = 2**20  # pairs in one block of int64 temporaries (8 MB each), or one row of the support if longer
 # Sums of one step go into a table of p^r counts where p^r <= _TABLE_RATIO * pairs, and are
 # sorted above.  On a 2-core x86-64 host, random keys with 1, 2, 3, 4 and 6 table cells per
@@ -112,6 +118,24 @@ def sparse_work(nnz: int, k: int, size: int) -> int:
     return sum(min(math.comb(nnz + j - 1, j), size) * nnz for j in range(1, k))
 
 
+def admit(nnz: int, k: int, p: int, r: int) -> int:
+    """`sparse_work` for nnz cells on (Z/p)^r, or GuardExceeded where the route refuses them.
+
+    It refuses more than SPARSE_WORK_LIMIT pairs, and keys below a p^r that, shifted past
+    the entry index `_sum_equal` packs below them, could reach 2^63.  Within the pairs limit
+    `_sum_equal` packs fewer than 2 SPARSE_WORK_LIMIT + max(_CHUNK, nnz) entries: a block
+    holds at most max(_CHUNK, nnz) pairs, and a merge joins the distinct keys so far (at most
+    the step's pairs), fewer keys again and one block.  Below 2^26 for nnz <= 2^22: p^r <= 2^37.
+    """
+    pairs = sparse_work(nnz, k, p**r)
+    if pairs > SPARSE_WORK_LIMIT:
+        raise GuardExceeded("sparse work", pairs, SPARSE_WORK_LIMIT)
+    keys = 2 ** (63 - (2 * SPARSE_WORK_LIMIT + max(_CHUNK, nnz) - 1).bit_length())
+    if p**r > keys:
+        raise GuardExceeded("sparse keys", p**r, keys)
+    return pairs
+
+
 def self_convolution_power(hist: tuple, k: int, p: int, r: int) -> tuple:
     """k-fold cyclic self-convolution of hist on (Z/p)^r, exactly.
 
@@ -128,8 +152,7 @@ def self_convolution_power(hist: tuple, k: int, p: int, r: int) -> tuple:
         raise ValueError("empty histogram")
     if vectors.shape != (len(counts), r):
         raise ValueError(f"need an (n, {r}) array of vectors, got shape {vectors.shape}")
-    if p**r > 2**28:  # a key below 2^28 and a pair index below 2^30 share one int64
-        raise ValueError(f"p^r = {p**r} exceeds 2^28")
+    admit(len(counts), k, p, r)
     if vectors.min() < 0 or vectors.max() >= p:
         raise ValueError(f"vectors must be residues in [0, {p})")
     values = counts.tolist()
@@ -144,5 +167,4 @@ def self_convolution_power(hist: tuple, k: int, p: int, r: int) -> tuple:
 
 def sum_of_squares(result: tuple) -> int:
     """Sum of squared counts of a convolution result, exact."""
-    counts = result[1]
-    return int((counts * counts).sum())
+    return int((result[1] * result[1]).sum())

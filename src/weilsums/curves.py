@@ -27,6 +27,10 @@ from . import poly
 from .field import GuardExceeded, least_primitive_root, powers, prime_modulus, roots_of_unity
 
 LABEL_TABLE_LIMIT = 1 << 22  # entries of one cell's table of H over orbit labels
+# Largest degree m*n of F(0, Y): it bounds the discriminant's (m n)^2 steps and the e^2 < (m n)^2
+# factors over the e-th roots of unity, e = n - m.  On a 2-core x86-64 host delta_eval(1, n, 1, 2, p)
+# took 0.03 s at n = 64 in F_p (p = 127), 0.37 s in F_{p^2} (p = 71); at n = 128, 0.14 s and 1.6 s.
+FIBER_DEGREE_LIMIT = 64
 
 
 def resultant(f, g, p: int) -> int:
@@ -81,17 +85,6 @@ def discriminant(f, p: int) -> int:
     return sign * r * pow(f[-1], p - 2, p) % p
 
 
-def _f0y(m: int, n: int, A: int, B: int, p: int):
-    """F(0, Y) at s = 1, i.e. (Y^m - A)^n - (Y^n - B)^m over F_p."""
-    left = [0] * (m + 1)
-    left[0] = -A % p
-    left[m] = 1
-    right = [0] * (n + 1)
-    right[0] = -B % p
-    right[n] = 1
-    return poly.sub(poly.power(left, n, p), poly.power(right, m, p), p)
-
-
 def _validate_family(m: int, n: int, p: int):
     if not (1 <= m < n):
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
@@ -102,13 +95,16 @@ def _validate_family(m: int, n: int, p: int):
 
 
 def discriminant_f0y(m: int, n: int, A: int, B: int, p) -> int:
-    """Discriminant of the Y-fiber F(0, Y) of the s = 1 curve."""
-    mod = prime_modulus(p)
-    _validate_family(m, n, mod.p)
-    f0 = _f0y(m, n, A % mod.p, B % mod.p, mod.p)
+    """Discriminant of the Y-fiber F(0, Y) = (Y^m - A)^n - (Y^n - B)^m of the s = 1 curve, of degree m*n."""
+    p = prime_modulus(p).p
+    _validate_family(m, n, p)
+    if m * n > FIBER_DEGREE_LIMIT:
+        raise GuardExceeded("fiber degree", m * n, FIBER_DEGREE_LIMIT)
+    left, right = [-A % p] + [0] * (m - 1) + [1], [-B % p] + [0] * (n - 1) + [1]
+    f0 = poly.sub(poly.power(left, n, p), poly.power(right, m, p), p)
     if not f0:
         raise ValueError("F(0, Y) is identically zero")
-    return discriminant(f0, mod.p)
+    return discriminant(f0, p)
 
 
 def _cond_products(m: int, n: int, A: int, B: int, field, roots):
@@ -154,20 +150,18 @@ def delta_eval(m: int, n: int, A: int, B: int, p) -> int:
     mod = prime_modulus(p)
     P = mod.p
     _validate_family(m, n, P)
-    A %= P
-    B %= P
+    A, B = A % P, B % P
     out = m * n % P
     out = out * ((pow(-A % P, n, P) - pow(-B % P, m, P)) % P) % P
     out = out * ((pow(A, n, P) - pow(B, m, P)) % P) % P
+    if A == 0 and B == 0:  # F(0, Y) is zero, and so is the A^n - B^m factor above
+        return 0
+    # F(0, Y) and its degree guard come before the roots of unity, whose e^2 products cost more
+    out = out * discriminant_f0y(m, n, A, B, mod) % P
     field, roots = roots_of_unity(mod, n - m)
     first, second = _cond_products(m, n, A, B, field, roots)
     out = out * field.to_base(first) % P
-    out = out * field.to_base(second) % P
-    if A == 0 and B == 0:
-        # F(0, Y) degenerates to the zero polynomial; the A^n - B^m factor
-        # above is already zero, so the product is zero without it
-        return 0
-    return out * discriminant_f0y(m, n, A, B, mod) % P
+    return out * field.to_base(second) % P
 
 
 @dataclass(frozen=True)
@@ -224,9 +218,11 @@ def _count_tables(p: int, m: int, n: int, s: int) -> tuple:
     g_j = powers(1, least_primitive_root(p), N, p)
     log = np.zeros(p, dtype=np.int64)
     log[g_j] = np.arange(N)
-    # x^e is g^(e log x mod N) for x != 0, and 0 at 0
-    psm, psn, pw_n, pw_m = pw = g_j[np.outer([e % N for e in (s * m, s * n, n, m)], log) % N]
-    pw[:, 0] = 0
+
+    def power(e):  # x -> x^e over F_p: g^(e log x mod N) for x != 0, and 0 at 0
+        out = g_j[e % N * log % N]
+        out[0] = 0
+        return out
 
     def label(a, b):
         i, j = log[a], log[b]
@@ -240,15 +236,18 @@ def _count_tables(p: int, m: int, n: int, s: int) -> tuple:
     # (x, y) with y != 0 is y*(z, 1), z = x/y, in the orbit of (z, 1)'s pair; the
     # N points (x, 0), x != 0, are in the orbit of (1, 1), label 0, and (0, 0) is
     # its own; then each orbit's total over its size, N/c, N/ca, N/cb or 1
-    H = np.bincount(label((psm + 1) % p, (psn + 1) % p), minlength=origin + 1)
+    H = np.bincount(label((power(s * m) + 1) % p, (power(s * n) + 1) % p), minlength=origin + 1)
     H *= N
     H[[0, origin]] += (N, 1)
     H[:on_a] //= N // c
     H[on_a:on_b] //= N // ca
     H[on_b:origin] //= N // cb
     # S = {u^n = v^m} by an equi-join: the v with v^m = w are a run of the v sorted by v^m
+    pw_m = power(m)
     order = np.argsort(pw_m, kind="stable")
     runs = np.bincount(pw_m, minlength=p)
+    del pw_m  # each map is dropped before the next is built
+    pw_n = power(n)
     lo, run = (np.cumsum(runs) - runs)[pw_n], runs[pw_n]
     su = np.repeat(np.arange(p), run)
     sv = order[np.arange(su.size) - np.repeat(np.cumsum(run) - run - lo, run)]

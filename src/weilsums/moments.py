@@ -3,35 +3,35 @@
 Q_k counts 2k-tuples (u_1..u_k, v_1..v_k) in G^2k solving the diagonal system
 sum_i u_i^{n_j} = sum_i v_i^{n_j} for j = 1..r, so Q_k = sum_x H(x)^2 for H the
 k-fold cyclic self-convolution of the histogram h of the power vectors
-(g^{n_1}, ..., g^{n_r}), g in G.  The power vectors are an int64 (tau, r)
-array in generator order, one `field.powers` call with a chain per exponent, and h
-is the pair of arrays (vectors, counts) of its distinct rows, counted by one
-mixed-radix key per row.  Three exact routes compute Q_k: enumeration of
-the tau^k tuples (`q_bruteforce`, the oracle), the sparse route
-(`convolution.self_convolution_power` on h, see that module), and the orbit
-route.  Enumeration visits every tuple and shares no counting code with the
-other two.  It forms the sums mod p of the last m factors once, as an inner block of
-tau^m vectors with r tau^m <= _CHUNK, adds the sums of the first k - m factors
-to it in blocks of at most _CHUNK int64 entries, and counts equal sums.  Where
-p^r is small it counts them in a table of p^r entries.  Otherwise it sorts each
-block's sums (one mixed-radix key each below p^r = 2^63, r coordinate columns
-above) and merges the distinct sums and their counts across blocks; when more
-than _CHUNK distinct sums are possible, it does so in passes over windows of
-the first coordinate, each holding about _CHUNK of them, so that memory stays
-bounded by the block size.  Q_k is the sum of the squared counts.  With w of
-order p modulo a prime q = 1 (mod p) and
+(g^{n_1}, ..., g^{n_r}), g in G.  The power vectors are an int64 (tau, r) array in
+generator order, one `field.powers` call with a chain per exponent, and h is the
+pair of arrays (vectors, counts) of its distinct rows, counted by one mixed-radix
+key per row.  Three exact routes compute Q_k: enumeration of the tau^k tuples
+(`q_bruteforce`, the oracle), the sparse route (`convolution.self_convolution_power`
+on h, see that module), and the orbit route.  Enumeration visits every tuple and
+shares no counting code with the other two.  It forms the sums mod p of the last m
+factors once, as an inner block of tau^m vectors with r tau^m <= _CHUNK, adds the
+sums of the first k - m factors to it in blocks of at most _CHUNK int64 entries,
+and counts equal sums.  Where p^r is small it counts them in a table of p^r
+entries.  Otherwise it sorts each block's sums (one mixed-radix key each below
+p^r = 2^63, r coordinate columns above) and merges the distinct sums and their
+counts across blocks; when more than _CHUNK distinct sums are possible, it does so
+in passes over windows of the first coordinate, each holding about _CHUNK of them,
+so that memory stays bounded by the block size.  Q_k is the sum of the squared
+counts.  With w of order p modulo a prime q = 1 (mod p) and
 h^(xi) = sum_v h(v) w^(xi.v), orthogonality gives
 p^r Q_k = sum_xi (h^(xi) h^(-xi))^k mod q.  h^ is constant on the orbits
 xi -> (g^{n_1} xi_1, ..., g^{n_r} xi_r): the xi with xi_1 != 0 reduce to one xi_1
 per coset of H_1 = {g^{n_1}} in F_p*, weighted |H_1|, and those with xi_1 = 0 to
 the same sum for the marginal of h on the other coordinates.  That leaves about
-p^r gcd(n_1, tau)/tau points xi, each a sum over the support of h.  Residues
-modulo primes q < 2^31 keep int64 products below 2^62, and CRT over moduli
-whose product exceeds p^r tau^(2k) >= p^r Q_k recovers p^r Q_k exactly; the
-result is checked to be divisible by p^r.  `q_convolution` and `t3_count` take
-the route with the smaller estimated cost (`_route`).  Where the sparse route is
-the only one (`j_histogram`, which needs all of H, or too few such q for the
-bound), it refuses more than SPARSE_WORK_LIMIT pairs.
+p^r gcd(n_1, tau)/tau points xi, each a sum over the support of h.  Residues modulo
+primes q < 2^31 keep int64 products below 2^62, and CRT over moduli whose product
+exceeds p^r tau^(2k) >= p^r Q_k recovers p^r Q_k exactly; the result is checked to
+be divisible by p^r.  `_route` admits each route on what it spends, the sparse
+route on its pairs and key bits (`convolution.admit`, which reaches p^r = 2^37) and
+the orbit route on its grid of points xi times support vectors (about p^r for a
+subgroup), and `q_convolution` takes the cheaper of those it admits; `j_histogram`,
+which needs all of H, takes the sparse route.
 """
 
 import functools
@@ -44,21 +44,20 @@ from operator import itemgetter
 import numpy as np
 
 from . import convolution
+from .convolution import SPARSE_WORK_LIMIT  # noqa: F401  (the sparse route's pairs limit)
 from .field import GuardExceeded, is_prime, least_primitive_root, powers, prime_modulus, subgroup
 from .sums import TERM_LIMIT, SparsePolynomial, subgroup_sum
 
 BRUTE_FORCE_LIMIT = 10**8
-GRID_SIZE_LIMIT = 10**8  # largest p^r the convolution routes accept
-# Pairs the sparse route may form; above it the route is refused where no other can run.
-# Near the limit it took 0.13-0.49 s and 65-204 MB peak RSS on a 2-core x86-64 host
-# (j_histogram at k = 3: subgroup(541, 270) and subgroup(1021, 340) with exponents (1, 2),
-# subgroup(9860681, 340) with exponent 1).
-SPARSE_WORK_LIMIT = 20_000_000
+# Largest grid of the orbit route: its points xi times the support of h, one int64 gather
+# each per modulus.  The grid holds at least (p - 1) p^(r - 1) (see `_work`).
+GRID_SIZE_LIMIT = 10**8
 
 _MODULUS_LIMIT = 2**31
 _CHUNK = convolution._CHUNK  # int64 entries of an orbit-route or enumeration temporary (8 MB), or one row if longer
-# Largest p with whole tables of w^j and w^-j (256 KB per modulus); above it (r = 1 only, by
-# GRID_SIZE_LIMIT) each is two tables of about sqrt(p) entries, at 4x the cost per gather.
+# Largest p with whole tables of w^j and w^-j (256 KB per modulus); above it (r = 1 only: the
+# grid guard keeps r = 2 below p = 10^4) each is two tables of about sqrt(p) entries, at 4x
+# the cost per gather.
 _FULL_TABLE = 2**14
 # Costs of `_route` in orbit units (one int64 gather of the orbit route), fitted by
 # tools/route_costs.py on 92 cells; three runs on a 2-core x86-64 host (Python 3.11,
@@ -81,7 +80,9 @@ _ORBIT_ROW = 11
 _TABLE_RATIO = 2
 
 
-def _validate_exponents(nvec) -> tuple:
+def _validate(nvec, k: int) -> tuple:
+    if k < 1:
+        raise ValueError("k must be >= 1")
     nvec = tuple(nvec)
     if not nvec:
         raise ValueError("need at least one exponent")
@@ -102,10 +103,8 @@ def _power_vectors(G, nvec, coeffs=None):
     p = G.modulus.p
     if G.tau > TERM_LIMIT:
         raise GuardExceeded("terms", G.tau, TERM_LIMIT)
-    if coeffs is None:
-        coeffs = (1,) * len(nvec)
     steps = [pow(G.theta, n, p) for n in nvec]
-    return powers([a * t % p for t, a in zip(steps, coeffs)], steps, G.tau, p).T
+    return powers([a * t % p for t, a in zip(steps, coeffs or (1,) * len(nvec))], steps, G.tau, p).T
 
 
 def _distinct_count(values) -> int:
@@ -227,9 +226,7 @@ def _sum_blocks(vecs, k: int, p: int, passes: int):
 
 def q_bruteforce(G, nvec, k: int) -> int:
     """Q_k by direct enumeration of all tau^k power-sum tuples, in blocks (see the module docstring)."""
-    nvec = _validate_exponents(nvec)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    nvec = _validate(nvec, k)
     tuples = G.tau**k
     if tuples > BRUTE_FORCE_LIMIT:
         raise GuardExceeded("tau^k", tuples, BRUTE_FORCE_LIMIT)
@@ -289,7 +286,7 @@ def _orbit_count(hist: tuple, k: int, p: int, r: int, moduli) -> int:
     """sum_x H(x)^2 for H = hist^{*k}, by the orbit route (see the module docstring).
 
     hist must be the power-vector histogram of a subgroup of F_p*, of mass
-    below p < 2^27; moduli must come from `_moduli(p, _bound(hist, k, p, r))`.
+    below p < 2^27 (by the grid guard); moduli must come from `_moduli(p, _bound(hist, k, p, r))`.
     Up to p = _FULL_TABLE, w^j and w^-j are one lookup each in tables of p
     entries; above, each is the product of two lookups in tables of about sqrt(p).
     """
@@ -360,47 +357,48 @@ def _work(hist: tuple, k: int, p: int, r: int) -> tuple:
 
 
 def _route(hist: tuple, k: int, p: int, r: int):
-    """The moduli for the orbit route, or None for the sparse route.
+    """The moduli for the orbit route, or None for the sparse route: the one place that decides.
 
-    In orbit units (one int64 gather), the sparse route costs
-    _SPARSE_COST[r - 1] per pair it forms and _SPARSE_STEP for each of its
-    k - 1 steps; the orbit route costs its gathers, _ORBIT_ROW per row and
-    _ORBIT_PASS for each of its r passes and for each modulus in a pass (see
-    `_work`).  Up to
-    SPARSE_WORK_LIMIT pairs, which bounds its memory, the sparse route is
-    taken when it costs no more, and when too few primes q = 1 (mod p) lie
-    below 2^31 for the bound (large p and k).
+    The sparse route admits a cell on its pairs and key bits (`convolution.admit`),
+    the orbit route on its grid (GRID_SIZE_LIMIT) and on enough primes q = 1 (mod p)
+    below 2^31 for the bound.  Of those admitted, sparse is taken when it costs no
+    more, in orbit units (one int64 gather): _SPARSE_COST[r - 1] per pair and
+    _SPARSE_STEP per step, against the orbit route's gathers, _ORBIT_ROW per row
+    and _ORBIT_PASS per pass and per modulus in a pass (see `_work`).  Where
+    neither admits the cell, the cheaper one's refusal is raised.
     """
     pairs, gathers, rows, n_moduli = _work(hist, k, p, r)
     sparse = _SPARSE_COST[r - 1] * pairs + (k - 1) * _SPARSE_STEP
-    if pairs <= SPARSE_WORK_LIMIT and sparse <= gathers + _ORBIT_ROW * rows + r * (n_moduli + 1) * _ORBIT_PASS:
-        return None
-    moduli = _moduli(p, _bound(hist, k, p, r))
-    if moduli is None and pairs > SPARSE_WORK_LIMIT:
-        raise GuardExceeded("sparse work", pairs, SPARSE_WORK_LIMIT)
-    return moduli
+    cheaper = sparse <= gathers + _ORBIT_ROW * rows + r * (n_moduli + 1) * _ORBIT_PASS
+    grid = rows // n_moduli * len(hist[1])
+    try:
+        convolution.admit(len(hist[1]), k, p, r)
+    except GuardExceeded as refusal:
+        if grid > GRID_SIZE_LIMIT:
+            raise refusal if cheaper else GuardExceeded("orbit grid", grid, GRID_SIZE_LIMIT)
+        if (moduli := _moduli(p, _bound(hist, k, p, r))) is None:
+            raise
+        return moduli
+    return None if cheaper or grid > GRID_SIZE_LIMIT else _moduli(p, _bound(hist, k, p, r))
 
 
-def _collision_count(hist: tuple, k: int, p: int, r: int) -> int:
-    """sum_x H(x)^2 for H = hist^{*k}, exactly, by the cheaper of the sparse and orbit routes."""
-    if (moduli := _route(hist, k, p, r)) is not None:
-        return _orbit_count(hist, k, p, r, moduli)
-    power = convolution.self_convolution_power(hist, k, p, r)
-    return convolution.sum_of_squares(power)
+def _power_histogram(G, nvec, k: int, coeffs=None) -> tuple:
+    """(hist, p, r): the histogram (`_histogram`) of the power vectors, once the arguments are checked."""
+    nvec = _validate(nvec, k)
+    r, p = len(nvec), G.modulus.p
+    if coeffs is not None and (len(coeffs) != r or any(c % p == 0 for c in coeffs)):
+        raise ValueError("need one coefficient per exponent, each nonzero mod p")
+    if r > 2:
+        raise GuardExceeded("r", r, 2)
+    return _histogram(_power_vectors(G, nvec, coeffs), p), p, r
 
 
 def q_convolution(G, nvec, k: int) -> int:
-    """Q_k from the power-vector histogram, by the sparse or the orbit route."""
-    nvec = _validate_exponents(nvec)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    r = len(nvec)
-    if r > 2:
-        raise GuardExceeded("r", r, 2)
-    p = G.modulus.p
-    if p**r > GRID_SIZE_LIMIT:
-        raise GuardExceeded("p^r", p**r, GRID_SIZE_LIMIT)
-    return _collision_count(_histogram(_power_vectors(G, nvec), p), k, p, r)
+    """Q_k from the power-vector histogram, by the sparse or the orbit route (`_route`)."""
+    hist, p, r = _power_histogram(G, nvec, k)
+    if (moduli := _route(hist, k, p, r)) is not None:
+        return _orbit_count(hist, k, p, r, moduli)
+    return convolution.sum_of_squares(convolution.self_convolution_power(hist, k, p, r))
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,25 +428,8 @@ class PowerVectorHistogram:
 
 
 def j_histogram(G, nvec, coeffs, k: int) -> PowerVectorHistogram:
-    """Histogram of (sum_i a_1 g_i^{n_1}, ..., sum_i a_r g_i^{n_r}) over k-tuples."""
-    nvec = _validate_exponents(nvec)
-    r = len(nvec)
-    coeffs = tuple(c % G.modulus.p for c in coeffs)
-    if len(coeffs) != r:
-        raise ValueError("need one coefficient per exponent")
-    if any(c == 0 for c in coeffs):
-        raise ValueError("coefficients must be nonzero mod p")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if r > 2:
-        raise GuardExceeded("r", r, 2)
-    p = G.modulus.p
-    if p**r > GRID_SIZE_LIMIT:
-        raise GuardExceeded("p^r", p**r, GRID_SIZE_LIMIT)
-    hist = _histogram(_power_vectors(G, nvec, coeffs), p)
-    work = convolution.sparse_work(len(hist[1]), k, p**r)
-    if work > SPARSE_WORK_LIMIT:
-        raise GuardExceeded("sparse work", work, SPARSE_WORK_LIMIT)
+    """Histogram of (sum_i a_1 g_i^{n_1}, ..., sum_i a_r g_i^{n_r}) over k-tuples, by the sparse route."""
+    hist, p, r = _power_histogram(G, nvec, k, coeffs)
     return PowerVectorHistogram(p, k, *convolution.self_convolution_power(hist, k, p, r))
 
 
@@ -458,16 +439,12 @@ def t3_count(p, s: int, m: int, n: int) -> int:
     Counts x_1..x_6 with x_1^{sm}+x_2^{sm}+x_3^{sm} = x_4^{sm}+x_5^{sm}+x_6^{sm}
     and the same for exponent sn.
     """
-    mod = prime_modulus(p)
+    p = prime_modulus(p).p
     if s < 1:
         raise ValueError("s must be >= 1")
     if not (1 <= m < n):
         raise ValueError("need 1 <= m < n")
-    P = mod.p
-    if P**2 > GRID_SIZE_LIMIT:
-        raise GuardExceeded("p^2", P**2, GRID_SIZE_LIMIT)
-    hist = _histogram(_power_vectors(subgroup(P, P - 1), (s * m, s * n)), P)
-    return _collision_count(hist, 3, P, 2)
+    return q_convolution(subgroup(p, p - 1), (s * m, s * n), 3)
 
 
 @dataclass(frozen=True)

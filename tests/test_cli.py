@@ -1,14 +1,17 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import pathlib
 import random
+import re
 import struct
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from weilsums import cli, curves, sums
+from weilsums import cli, curves, moments, sums
 
 
 def run(capsys, *argv):
@@ -65,6 +68,13 @@ def test_moment_both(capsys):
     rc, out, _ = run(capsys, "moment", "--p", "13", "--tau", "4", "--k", "3", "--exps", "1,2")
     assert rc == 0
     assert out == "bruteforce = 256\nconvolution = 256\nagree = true\n"
+
+
+def test_moment_small_subgroup_of_large_field(capsys):
+    # p^2 > 10^10: the sparse route, checked against enumeration
+    rc, out, _ = run(capsys, "moment", "--p", "100801", "--tau", "160", "--k", "3", "--exps", "1,2", "--method", "both")
+    assert rc == 0
+    assert out == "bruteforce = 24357760\nconvolution = 24357760\nagree = true\n"
 
 
 def test_moment_single_route(capsys):
@@ -162,14 +172,34 @@ def test_bad_subgroup_is_usage_error(capsys):
 
 
 def test_guard_is_exit_2(capsys):
-    # p^2 > 10^8 blocks the convolution route
-    rc, _, err = run(capsys, "moment", "--p", "10007", "--tau", "2", "--k", "2", "--exps", "1,2", "--method", "conv")
+    # tau = p - 1 at p^2 > 10^8: 10^8 pairs for the sparse route, a grid of 10^8 for the orbit route
+    rc, _, err = run(capsys, "moment", "--p", "10007", "--tau", "10006", "--k", "2", "--exps", "1,2", "--method", "conv")
     assert rc == 2
-    assert "error:" in err
+    assert err == f"error: guard orbit grid: {10007 * 10006} exceeds limit {moments.GRID_SIZE_LIMIT}\n"
     # s = p - 1 asks for a label table of p^2 entries
     rc, _, err = run(capsys, "curve", "--p", "2053", "--m", "1", "--n", "2", "--s", "2052", "--A", "0", "--B", "0")
     assert rc == 2
     assert err == f"error: guard label table: {2053**2} exceeds limit {curves.LABEL_TABLE_LIMIT}\n"
+
+
+def test_readme_names_every_guard():
+    # every guard a command can report is named in README's exit-code paragraph
+    src = pathlib.Path(cli.__file__).parent
+    names = {name for path in src.glob("*.py") for name in re.findall(r'GuardExceeded\("([^"]+)"', path.read_text())}
+    readme = (src.parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Exit codes:") :].split("\n\n")[0]
+    assert {"terms", "tau^k", "r", "sparse work", "label table"} <= names
+    assert [name for name in sorted(names) if f"`{name}`" not in paragraph] == []
+
+
+@pytest.mark.parametrize("p, m, n", ((101, 200, 201), (1009, 1, 400)))
+def test_fiber_degree_guard_is_exit_2(capsys, p, m, n):
+    # a discriminant of degree m*n = 40200; 399^2 root-of-unity factors over F_{p^18}
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "curve", "--p", str(p), "--m", str(m), "--n", str(n), "--A", "1", "--B", "2", "--delta-only")
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert err == f"error: guard fiber degree: {m * n} exceeds limit {curves.FIBER_DEGREE_LIMIT}\n"
 
 
 @pytest.mark.parametrize(

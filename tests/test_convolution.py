@@ -147,6 +147,26 @@ def test_sparse_route_beyond_int64():
     assert moments.q_convolution(G, (1,), 40) == math.comb(80, 40)
 
 
+def test_key_packing_near_the_pairs_limit(monkeypatch):
+    # 34 power vectors at k = 6 on a grid of p^2 < 2^37 keys: 98% of the pairs limit
+    p, k = 370261, 6
+    hist = moments._histogram(moments._power_vectors(field.subgroup(p, 34), (1, 2)), p)
+    assert 0.97 * convolution.SPARSE_WORK_LIMIT < convolution.admit(34, k, p, 2) <= convolution.SPARSE_WORK_LIMIT
+    longest = 0
+    sum_equal = convolution._sum_equal
+
+    def spy(keys, counts):
+        nonlocal longest
+        longest = max(longest, len(keys))
+        return sum_equal(keys, counts)
+
+    monkeypatch.setattr(convolution, "_sum_equal", spy)
+    convolution.self_convolution_power(hist, k, p, 2)
+    # the key bits plus the bits of the entry index that _sum_equal packs beside them
+    assert (p**2 - 1).bit_length() + (longest - 1).bit_length() <= 63
+    assert longest < 2 * convolution.SPARSE_WORK_LIMIT + convolution._CHUNK
+
+
 def test_blocked_pairing(monkeypatch):
     # blocks of a few pairs, a row of the support when that is longer, and
     # merges of the distinct keys across blocks give the unblocked counts

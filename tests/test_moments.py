@@ -132,10 +132,37 @@ def test_guards():
     with pytest.raises(GuardExceeded) as exc:
         moments.q_convolution(field.subgroup(13, 4), (1, 2, 3), 2)
     assert exc.value.guard == "r"
-    huge = field.subgroup(10007, 2)
+    # p^2 > 10^8 alone no longer refuses a cell: the sparse route takes two power vectors
+    small = field.subgroup(10007, 2)
+    assert moments.q_convolution(small, (1, 2), 2) == moments.q_bruteforce(small, (1, 2), 2)
+    # tau = p - 1: 10^8 pairs for the sparse route and a grid of 10^8 for the orbit route
     with pytest.raises(GuardExceeded) as exc:
-        moments.q_convolution(huge, (1, 2), 2)  # 10007^2 > 10^8
-    assert exc.value.guard == "p^r"
+        moments.q_convolution(field.subgroup(10007, 10006), (1, 2), 2)
+    assert exc.value.guard == "orbit grid"
+    assert exc.value.actual == 10007 * 10006 > exc.value.limit == moments.GRID_SIZE_LIMIT
+
+
+@pytest.mark.parametrize("p, tau", ((100801, 150), (176401, 168)))
+def test_small_subgroups_of_large_fields(p, tau):
+    # tau near sqrt(p), where the paper's bounds are new: the sparse route, p^2 > 10^10
+    G = field.subgroup(p, tau)
+    hist = _subgroup_hist(G, (1, 2))
+    assert moments._route(hist, 3, p, 2) is None
+    assert moments.q_convolution(G, (1, 2), 3) == moments.q_bruteforce(G, (1, 2), 3)
+
+
+def test_sparse_keys_guard():
+    # 370723 is the largest prime p with p^2 <= 2^37, the keys the sparse route packs
+    G = field.subgroup(370723, 411)
+    assert 370723**2 <= 2**37 < 370759**2
+    assert moments.q_convolution(G, (1, 2), 2) == moments.q_bruteforce(G, (1, 2), 2)
+    # the next prime: two power vectors, yet neither route takes the cell
+    with pytest.raises(GuardExceeded) as exc:
+        moments.q_convolution(field.subgroup(370759, 2), (1, 2), 2)
+    assert (exc.value.guard, exc.value.actual, exc.value.limit) == ("sparse keys", 370759**2, 2**37)
+    with pytest.raises(GuardExceeded) as exc:
+        moments.j_histogram(field.subgroup(370759, 2), (1, 2), (1, 1), 2)
+    assert exc.value.guard == "sparse keys"
 
 
 def test_j_histogram_identities():
