@@ -130,9 +130,9 @@ def admit(nnz: int, k: int, p: int, r: int) -> int:
     pairs = sparse_work(nnz, k, p**r)
     if pairs > SPARSE_WORK_LIMIT:
         raise GuardExceeded("sparse work", pairs, SPARSE_WORK_LIMIT)
-    keys = 2 ** (63 - (2 * SPARSE_WORK_LIMIT + max(_CHUNK, nnz) - 1).bit_length())
-    if p**r > keys:
-        raise GuardExceeded("sparse keys", p**r, keys)
+    key_limit = 2 ** (63 - (2 * SPARSE_WORK_LIMIT + max(_CHUNK, nnz) - 1).bit_length())
+    if p**r > key_limit:
+        raise GuardExceeded("sparse keys", p**r, key_limit)
     return pairs
 
 
