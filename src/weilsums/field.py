@@ -162,6 +162,72 @@ def powers(c, m, n: int, q: int) -> np.ndarray:
     return t if batch else t[0]
 
 
+def _multiply(a: np.ndarray, b: np.ndarray, q: int, out: np.ndarray) -> None:
+    """out = a*b mod q for int64 residues below q < 2^62, multiplied in int64
+    below INT64_MODULUS_LIMIT (as `powers` forms its steps) and as Python ints above."""
+    if q < INT64_MODULUS_LIMIT:
+        np.multiply(a, b, out=out)
+        np.remainder(out, q, out=out)
+    else:
+        out[:] = a.astype(object) * b % q
+
+
+def array_power(t: np.ndarray, e: int, q: int) -> np.ndarray:
+    """t^e mod q entrywise for e >= 0 and an int64 or object array t of residues below q < 2^62.
+
+    Square-and-multiply on int64 residues, each product formed by `_multiply`;
+    the result has t's dtype.
+    """
+    out = np.ones(t.shape, dtype=np.int64)
+    base = t.astype(np.int64)
+    while e:
+        if e & 1:
+            _multiply(out, base, q, out=out)
+        e >>= 1
+        if e:
+            _multiply(base, base, q, out=base)
+    return out.astype(t.dtype, copy=False)
+
+
+def inverses(t: np.ndarray, q: int) -> np.ndarray:
+    """The inverse mod q of each nonzero residue of the int64 array t, and 0 where t is 0, as int64.
+
+    One batch (Montgomery) inversion for every prime q < 2^62: t, with its zeros
+    replaced by 1, is read in place as r = sqrt(n/64) rows of c entries (the last
+    may be shorter).  A forward sweep takes prefix products down the columns, one
+    `array_power` pass x^(q-2) inverts the c column products, and a backward sweep
+    peels each entry's inverse off them: 6r numpy calls on c entries, where a
+    Fermat pass over t would make 2 log2(q) calls on all n.  t is overwritten, so
+    the inversion holds one more array of len(t) entries; a caller that reads t
+    afterwards passes a copy.
+    """
+    n = len(t)
+    zero = np.flatnonzero(t == 0)  # indices, not a mask: few entries are 0
+    t[zero] = 1
+    r = math.isqrt(n >> 6) + 1
+    c = -(-n // r)
+    pre = np.empty_like(t)
+    # rows of t, and of pre: the products of rows 0..i of each column
+    block = [t[i * c : (i + 1) * c] for i in range(r)]
+    rows = [pre[i * c : (i + 1) * c] for i in range(r)]
+    rows[0][:] = block[0]
+    for i in range(1, r):
+        w = len(block[i])
+        _multiply(rows[i - 1][:w], block[i], q, out=rows[i])
+    # the column products: the last row's, then the row above's where the last row is short
+    w = len(block[-1])
+    inv = array_power(np.concatenate((rows[-1], rows[max(r - 2, 0)][w:])), q - 2, q)
+    # inv: the inverse of the column products of rows 0..i, from i = r - 1 down;
+    # row i of the inverses, written over rows[i], is inv times rows[i - 1]
+    for i in range(r - 1, 0, -1):
+        w = len(block[i])
+        _multiply(inv[:w], rows[i - 1][:w], q, out=rows[i])
+        _multiply(inv[:w], block[i], q, out=inv[:w])
+    rows[0][:] = inv
+    pre[zero] = 0
+    return pre
+
+
 # Character tables held at once, in bytes: eight full-size complex128 tables.
 CHAR_TABLE_BYTES = 8 * 16 * CHAR_TABLE_LIMIT
 
@@ -379,22 +445,18 @@ class ExtensionField:
         return tuple(out) + (0,) * (j - len(out))
 
     def pow(self, a, e: int) -> tuple:
+        """a^e: Python's pow in degree 1, `poly.power` modulo the defining polynomial above."""
         if e < 0:
             return self.pow(self.inv(a), -e)
-        out = self.one()
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        if self.degree == 1:
+            return (pow(a[0], e, self.base.p),)
+        out = poly.power(a, e, self.base.p, self.defining)
+        return tuple(out) + (0,) * (self.degree - len(out))
 
     def inv(self, a) -> tuple:
         if a == self.zero():
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.order - 2)
-
 
 
 def _is_irreducible(f, p: int) -> bool:

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import convolution
 from .convolution import SPARSE_WORK_LIMIT  # noqa: F401  (the sparse route's pairs limit)
-from .field import GuardExceeded, is_prime, least_primitive_root, powers, prime_modulus, subgroup
+from .field import GuardExceeded, array_power, is_prime, least_primitive_root, powers, prime_modulus, subgroup
 from .sums import TERM_LIMIT, SparsePolynomial, subgroup_sum
 
 BRUTE_FORCE_LIMIT = 10**8
@@ -319,12 +319,7 @@ def _orbit_count(hist: tuple, k: int, p: int, r: int, moduli) -> int:
             for i, (q, *roots) in enumerate(tables):
                 # h^(xi) and h^(-xi); a dot product is below q * mass < 2^31 * 2^27
                 pos, neg = ((low[b] if a is None else low[b] * high[a] % q) @ wts % q for low, high in roots)
-                pair = pos * neg % q
-                term, e = np.ones_like(pair), k
-                while e:  # term = pair^k mod q by squaring
-                    term = term * pair % q if e & 1 else term
-                    pair, e = pair * pair % q, e >> 1
-                sums[i] = (sums[i] + orbit * int(term.sum())) % q
+                sums[i] = (sums[i] + orbit * int(array_power(pos * neg % q, k, q).sum())) % q
     total, modulus = 0, 1
     for (q, _), s in zip(moduli, sums):
         total += modulus * ((s - total) * pow(modulus, -1, q) % q)

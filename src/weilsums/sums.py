@@ -14,19 +14,18 @@ are joined into one integer and divided once.  The result equals math.fsum
 of the parts bit for bit, whatever the term count.
 """
 
-import math
 import re
 from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 
-from .field import INT64_MODULUS_LIMIT, GuardExceeded, least_primitive_root, powers, prime_modulus, unit_roots
+from .field import INT64_MODULUS_LIMIT, GuardExceeded, inverses, least_primitive_root, powers, prime_modulus, unit_roots
 
 # Terms a sum or generator may have; each costs 45-75 bytes of peak RSS.  At 4*10^6
 # terms a three-term sum took 190 MB at p = 24000001 and 294 MB at p = 2184000001, and
-# a CSV stream at p = 24000001 91 MB (three-term power generator) and 125 MB
-# (inversive generator), on a 2-core x86-64 host (Python 3.11, numpy 2.4).
+# a CSV stream at p = 24000001 91 MB (three-term power generator and inversive
+# generator alike), on a 2-core x86-64 host (Python 3.11, numpy 2.4).
 TERM_LIMIT = 1 << 22
 
 _TERM_RE = re.compile(r"^(\d+)\*[xX]\^(\d+)$")
@@ -288,68 +287,10 @@ def _orbit_residues(p: int, theta: int, f: SparsePolynomial, count: int) -> np.n
     return _chain_sum(p, *_orbit_chains(p, theta, f), count)
 
 
-def _power(t: np.ndarray, e: int, p: int) -> np.ndarray:
-    """t^e mod p entrywise for p < 2^31, by square-and-multiply."""
-    out = np.ones_like(t)
-    base = t.copy()
-    while e:
-        if e & 1:
-            np.multiply(out, base, out=out)
-            np.remainder(out, p, out=out)
-        e >>= 1
-        if e:
-            np.multiply(base, base, out=base)
-            np.remainder(base, p, out=base)
-    return out
-
-
-def _inverses(t: np.ndarray, p: int) -> np.ndarray:
-    """The inverse mod p of each nonzero residue of t, and 0 where t is 0.
-
-    For p < 2^31 this is one batch (Montgomery) inversion.  The entries, with
-    zeros and padding replaced by 1, fill an r x c block; a forward sweep takes
-    prefix products down the columns, one Fermat pass t^(p-2) inverts the c
-    column products, and a backward sweep peels each entry's inverse off them.
-    That is 6r numpy calls on c entries and 2 log2(p) calls on c, where one
-    Fermat pass over the array makes 2 log2(p) calls on all n; r = sqrt(n/64)
-    weighs a call's fixed cost at a few hundred entries.  Above 2^31 a product
-    of two residues would pass 2^63, and each entry takes one pow.
-    """
-    if p >= INT64_MODULUS_LIMIT:
-        return np.array([pow(v, p - 2, p) for v in t.tolist()], dtype=np.int64)
-    n = len(t)
-    r = math.isqrt(n >> 6) + 1
-    c = -(-n // r)
-    zero = t == 0
-    block = np.ones(r * c, dtype=np.int64)
-    block[:n] = t
-    block[:n][zero] = 1
-    block = block.reshape(r, c)
-    # pre[i]: the products of rows 0..i of each column
-    pre = np.empty_like(block)
-    pre[0] = block[0]
-    for i in range(1, r):
-        np.multiply(pre[i - 1], block[i], out=pre[i])
-        np.remainder(pre[i], p, out=pre[i])
-    # inv: the inverse of the column products of rows 0..i, from i = r - 1 down;
-    # row i of the inverses, written over pre[i], is inv times pre[i - 1]
-    inv = _power(pre[-1], p - 2, p)
-    for i in range(r - 1, 0, -1):
-        np.multiply(inv, pre[i - 1], out=pre[i])
-        np.remainder(pre[i], p, out=pre[i])
-        np.multiply(inv, block[i], out=inv)
-        np.remainder(inv, p, out=inv)
-    pre[0] = inv
-    out = pre.reshape(-1)[:n]
-    out[zero] = 0
-    return out
-
-
 def _inversive_residues(p: int, theta: int, a: int, b: int, count: int) -> np.ndarray:
     """(a*theta^x + b)^-1 mod p for x = 1..count as int64, with -1 (never a residue) where a*theta^x + b = 0."""
-    t = _chain_sum(p, b, [(a, theta)], count)
-    out = _inverses(t, p)
-    out[t == 0] = -1
+    out = inverses(_chain_sum(p, b, [(a, theta)], count), p)
+    out[out == 0] = -1  # the inverse of a nonzero residue is nonzero
     return out
 
 

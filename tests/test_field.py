@@ -289,6 +289,34 @@ def test_extension_field_cubic():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("q", (2, 13, 2**31 - 1, 2147483659, 2**61 - 1))
+@pytest.mark.parametrize("dtype", (np.int64, object))
+def test_array_power_equals_pow(q, dtype):
+    rng = random.Random(q)
+    t = np.array([0, 1, q - 1] + [rng.randrange(q) for _ in range(200)], dtype=dtype)
+    for e in (0, 1, q - 2, rng.randrange(q), rng.randrange(1 << 64)):
+        got = field.array_power(t, e, q)
+        assert got.dtype == t.dtype
+        assert got.tolist() == [pow(int(v), e, q) for v in t.tolist()], e
+
+
+@pytest.mark.parametrize(("p", "degree"), ((2, 3), (3, 2), (5, 2), (13, 1)))
+def test_extension_field_pow_equals_repeated_mul(p, degree):
+    K = field.ExtensionField(p, degree)
+    elements = [tuple(i // p**j % p for j in range(degree)) for i in range(K.order)]
+    for a in elements:
+        for e in (0, 1, 7, K.order - 2):
+            want = K.one()
+            for _ in range(e):
+                want = K.mul(want, a)
+            assert K.pow(a, e) == want, (a, e)
+        if a == K.zero():
+            with pytest.raises(ZeroDivisionError):
+                K.pow(a, -1)
+        else:
+            assert K.pow(a, -1) == next(b for b in elements if K.mul(a, b) == K.one())
+
+
 def test_roots_of_unity_base_field():
     K, roots = field.roots_of_unity(13, 4)
     assert K.degree == 1

@@ -217,7 +217,7 @@ def test_write_csv_holds_a_few_blocks():
 _SQUARES = (4, 9, 64, 256, 576, 4096, 10000)
 
 
-@pytest.mark.parametrize("p", (2, 3, 13, 982801, 2147483647, 2147483659))
+@pytest.mark.parametrize("p", (2, 3, 13, 982801, 2147483647, 2147483659, 2305843009213693951))
 def test_inverses_equal_pow(p):
     # every nonzero entry is pow(v, -1, p), and 0 stays 0, at lengths 0, 1, 2
     # and at perfect squares (and 64 times squares, where the block gains a row) +- 1
@@ -226,9 +226,27 @@ def test_inverses_equal_pow(p):
         t = rng.integers(1, p, n)
         for i in {0, n - 1, n // 2, int(rng.integers(0, n))} if n > 2 else ():
             t[i] = 0
-        got = sums._inverses(t, p)
+        got = field.inverses(t.copy(), p)
         assert got.dtype == np.int64 and len(got) == n
         assert got.tolist() == [pow(v, -1, p) if v else 0 for v in t.tolist()]
+
+
+def test_inversive_stream_holds_two_arrays():
+    # 2^20 terms: the chain's residues and the prefix products are the two
+    # int64 arrays of the inversion; a third (a padded copy of the residues)
+    # takes the peak to 3.1 arrays
+    n = 1 << 20
+    G = field.subgroup(24000001, 4000000)
+    b = -pow(G.theta, 7, G.p) % G.p
+    prng.inversive_generator(G, 1, b, 10)  # the subgroup's caches are built before tracing
+    tracemalloc.start()
+    try:
+        seq = prng.inversive_generator(G, 1, b, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n, peak
+    assert seq.values[6] == -1 and (seq.values == -1).sum() == 1  # term 7 is excluded
 
 
 def test_stream_costs_script_runs(monkeypatch, capsys):
@@ -242,5 +260,6 @@ def test_stream_costs_script_runs(monkeypatch, capsys):
     script.main()
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("# ") and "numpy" in lines[0]
-    assert [line.split()[:2] for line in lines[2:]] == [[n, layer] for n in ("7", "300") for layer in ("csv", "u64", "inverses")]
+    layers = ("csv", "u64", "inverses", "inv-big")
+    assert [line.split()[:2] for line in lines[2:]] == [[n, layer] for n in ("7", "300") for layer in layers]
     assert all(line.endswith("x") for line in lines[2:])

@@ -5,7 +5,8 @@ from every name that `cli.py` references and follows the names referenced in
 the body of each top-level definition (function, class or assignment) of any
 module.  Reaching a class reaches its bases, decorators, class-level
 statements and dunder methods, but not its other methods: a method `C.m` is
-reached only where some reached body references the name `m`.  A name
+reached only where some reached body references the attribute `.m` (a bare
+name `m`, such as a local variable, reaches only a top-level `m`).  A name
 exported by `__init__.py`, or a method, that the walk never meets is a helper
 no command reaches: delete it, or add it to ALLOWED with its reason.
 """
@@ -33,20 +34,21 @@ ALLOWED = {
     "SparsePolynomial.evaluate",
     # the dilation-invariance property of subgroup sums (ROADMAP item 5) runs on it
     "SparsePolynomial.dilate",
-    # the tests' independent Python enumeration of a subgroup (SubgroupSpec.enumerate
-    # is reached through the builtin name enumerate)
+    # the tests' independent Python enumeration of a subgroup
     "SubgroupSpec.elements",
+    # the public tuple view of a sequence (None at excluded terms) that the tests read
+    "GeneratorSequence.residues",
 }
 
 
 def _referenced(node) -> set:
-    """Names and attribute names used anywhere under node."""
+    """Bare names used anywhere under node, and attribute names as ".attr"."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out.add("." + sub.attr)
     return out
 
 
@@ -94,10 +96,14 @@ def _exports() -> set:
 def _reached(allowed) -> set:
     """Definitions reached from cli.py and from the allowed definitions."""
     defs = _definitions()
-    # a referenced name reaches the top-level definition and every method of that name
+    # a bare name reaches the top-level definition of that name, and an attribute
+    # ".m" reaches it and every method m
     by_name: dict = {}
     for key in defs:
-        by_name.setdefault(key.rsplit(".", 1)[-1], []).append(key)
+        cls, _, name = key.rpartition(".")
+        if not cls:
+            by_name.setdefault(name, []).append(key)
+        by_name.setdefault("." + name, []).append(key)
     cli_names = _referenced(ast.parse((SRC / "cli.py").read_text()))
     todo = [key for name in cli_names for key in by_name.get(name, ())] + list(allowed)
     seen = set()
