@@ -1,4 +1,4 @@
-"""Exact iterated cyclic convolution of integer histograms on (Z/p)^r, r <= 2.
+"""Exact iterated cyclic convolution of integer histograms on (Z/p)^r.
 
 A histogram is a pair of numpy arrays (vectors, counts): an int64 (n, r)
 array of residue vectors and their positive counts.  Each step of
@@ -145,8 +145,6 @@ def self_convolution_power(hist: tuple, k: int, p: int, r: int) -> tuple:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if r not in (1, 2):
-        raise ValueError(f"only r in {{1, 2}} is supported, got r={r}")
     vectors, counts = hist
     if not len(counts):
         raise ValueError("empty histogram")

@@ -45,7 +45,8 @@ import numpy as np
 
 from . import convolution
 from .convolution import SPARSE_WORK_LIMIT  # noqa: F401  (the sparse route's pairs limit)
-from .field import GuardExceeded, array_power, is_prime, least_primitive_root, powers, prime_modulus, subgroup
+from .field import INT64_MODULUS_LIMIT, GuardExceeded, array_power, is_prime, least_primitive_root, powers
+from .field import prime_modulus, subgroup
 from .sums import TERM_LIMIT, SparsePolynomial, subgroup_sum
 
 BRUTE_FORCE_LIMIT = 10**8
@@ -53,18 +54,19 @@ BRUTE_FORCE_LIMIT = 10**8
 # each per modulus.  The grid holds at least (p - 1) p^(r - 1) (see `_work`).
 GRID_SIZE_LIMIT = 10**8
 
-_MODULUS_LIMIT = 2**31
 _CHUNK = convolution._CHUNK  # int64 entries of an orbit-route or enumeration temporary (8 MB), or one row if longer
 # Largest p with whole tables of w^j and w^-j (256 KB per modulus); above it (r = 1 only: the
-# grid guard keeps r = 2 below p = 10^4) each is two tables of about sqrt(p) entries, at 4x
+# grid guard keeps r >= 2 below p = 10^4) each is two tables of about sqrt(p) entries, at 4x
 # the cost per gather.
 _FULL_TABLE = 2**14
 # Costs of `_route` in orbit units (one int64 gather of the orbit route), fitted by
-# tools/route_costs.py on 92 cells; three runs on a 2-core x86-64 host (Python 3.11,
-# numpy 2.4) gave 5.7-5.8 ns per orbit unit and, for the sparse route, 0.9-1.0 units per
-# pair for r = 1 (most steps sum into a table), 3.4 for r = 2 and 6400-6600 units
-# (37 us) per step.
-_SPARSE_COST = (0.9, 3.4)
+# tools/route_costs.py; three runs on 92 cells with r <= 2 on a 2-core x86-64 host (Python
+# 3.11, numpy 2.4) gave 5.7-5.8 ns per orbit unit and 6400-6600 units (37 us) per step of
+# the sparse route.  A sparse pair costs _SPARSE_COST r^2 units: five runs on 104 cells (12
+# with r = 3) fitted 0.7-0.9 for it, and two fits per r gave 0.9-1.0 units per pair for r = 1
+# (most steps sum into a table), 3.1-3.4 for r = 2 and 5.2-5.3 for r = 3.  So r^2 prices
+# r = 3 pairs high, towards the orbit route, yet the rule picks the faster one on all 12.
+_SPARSE_COST = 0.85
 _SPARSE_STEP = 6500
 # Fixed orbit-route cost of one pass over a coordinate, and of each modulus in it, and
 # cost of one row (point xi) beside its gathers, in orbit units: 5200-5500 (30-31 us) and
@@ -254,7 +256,7 @@ def q_bruteforce(G, nvec, k: int) -> int:
 @functools.lru_cache(maxsize=4096)
 def _modulus(p: int, i: int):
     """(q, w): the i-th largest prime q = 1 (mod p) below 2^31, w of order p mod q; None past the last."""
-    prev = _modulus(p, i - 1) if i else (_MODULUS_LIMIT, 0)
+    prev = _modulus(p, i - 1) if i else (INT64_MODULUS_LIMIT, 0)
     if prev is None:
         return None
     step = p if p == 2 else 2 * p
@@ -357,13 +359,13 @@ def _route(hist: tuple, k: int, p: int, r: int):
     The sparse route admits a cell on its pairs and key bits (`convolution.admit`),
     the orbit route on its grid (GRID_SIZE_LIMIT) and on enough primes q = 1 (mod p)
     below 2^31 for the bound.  Of those admitted, sparse is taken when it costs no
-    more, in orbit units (one int64 gather): _SPARSE_COST[r - 1] per pair and
+    more, in orbit units (one int64 gather): _SPARSE_COST r^2 per pair and
     _SPARSE_STEP per step, against the orbit route's gathers, _ORBIT_ROW per row
     and _ORBIT_PASS per pass and per modulus in a pass (see `_work`).  Where
     neither admits the cell, the cheaper one's refusal is raised.
     """
     pairs, gathers, rows, n_moduli = _work(hist, k, p, r)
-    sparse = _SPARSE_COST[r - 1] * pairs + (k - 1) * _SPARSE_STEP
+    sparse = _SPARSE_COST * r * r * pairs + (k - 1) * _SPARSE_STEP
     cheaper = sparse <= gathers + _ORBIT_ROW * rows + r * (n_moduli + 1) * _ORBIT_PASS
     grid = rows // n_moduli * len(hist[1])
     try:
@@ -383,8 +385,6 @@ def _power_histogram(G, nvec, k: int, coeffs=None) -> tuple:
     r, p = len(nvec), G.modulus.p
     if coeffs is not None and (len(coeffs) != r or any(c % p == 0 for c in coeffs)):
         raise ValueError("need one coefficient per exponent, each nonzero mod p")
-    if r > 2:
-        raise GuardExceeded("r", r, 2)
     return _histogram(_power_vectors(G, nvec, coeffs), p), p, r
 
 

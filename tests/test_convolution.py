@@ -75,6 +75,14 @@ def test_randomized_against_bruteforce():
         assert power(hist, k, p, r) == nonzero(brute_power(hist, k, p, r))
 
 
+def test_three_and_four_coordinates_against_bruteforce():
+    rng = random.Random("convcheck-r34")
+    for _ in range(12):
+        p, r, k = rng.choice((2, 5, 7)), rng.choice((3, 4)), rng.randrange(1, 4)
+        hist = random_hist(rng, p, r, min(5, p**r))
+        assert power(hist, k, p, r) == nonzero(brute_power(hist, k, p, r))
+
+
 def test_mass_conservation():
     rng = random.Random("mass")
     for _ in range(10):
@@ -91,8 +99,6 @@ def test_validation():
         convolution.self_convolution_power(as_arrays({1: 1}, 1), 0, 7, 1)
     with pytest.raises(ValueError):
         convolution.self_convolution_power(as_arrays({}, 1), 2, 7, 1)
-    with pytest.raises(ValueError):
-        convolution.self_convolution_power(as_arrays({(1, 1, 1): 1}, 3), 2, 7, 3)
     with pytest.raises(ValueError):  # vectors of the wrong width
         convolution.self_convolution_power(as_arrays({(1, 1): 1}, 2), 2, 7, 1)
     with pytest.raises(ValueError):  # not residues mod 7

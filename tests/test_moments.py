@@ -129,9 +129,8 @@ def test_guards():
     assert exc.value.limit == moments.BRUTE_FORCE_LIMIT == 10**8
     with pytest.raises(GuardExceeded):
         moments.q_bruteforce(field.subgroup(2**61 - 1, 6), (1, 2, 3), 11)  # 6^11 > 10^8
-    with pytest.raises(GuardExceeded) as exc:
-        moments.q_convolution(field.subgroup(13, 4), (1, 2, 3), 2)
-    assert exc.value.guard == "r"
+    # three exponents: no guard on r beyond what each route spends
+    assert moments.q_convolution(field.subgroup(13, 4), (1, 2, 3), 2) == 28
     # p^2 > 10^8 alone no longer refuses a cell: the sparse route takes two power vectors
     small = field.subgroup(10007, 2)
     assert moments.q_convolution(small, (1, 2), 2) == moments.q_bruteforce(small, (1, 2), 2)
@@ -178,6 +177,14 @@ def test_j_histogram_identities():
         assert hist.mass() == tau**k
         # nonzero coefficients are invertible, so the collision count is Q_k
         assert hist.sum_of_squares() == moments.q_bruteforce(G, nvec, k)
+
+
+def test_j_histogram_three_exponents():
+    G = field.subgroup(31, 15)
+    hist = moments.j_histogram(G, (1, 2, 3), (1, 1, 1), 3)
+    assert hist.vectors.shape[1] == 3
+    assert hist.mass() == 15**3
+    assert hist.sum_of_squares() == moments.q_bruteforce(G, (1, 2, 3), 3)
 
 
 def test_j_histogram_k1_is_indicator():
@@ -311,6 +318,24 @@ def test_orbit_sparse_brute_agree_on_sweep():
                     assert _routes(_subgroup_hist(G, nvec), k, p, len(nvec)) == (want, want), (p, tau, k, nvec)
 
 
+@pytest.mark.parametrize(
+    "p, tau, nvec, k, want",
+    ((13, 4, (1, 2, 3), 2, 28), (211, 42, (1, 2, 3), 3, 428820), (31, 15, (1, 2, 3, 4), 3, 18285)),
+)
+def test_routes_agree_beyond_two_exponents(p, tau, nvec, k, want):
+    G = field.subgroup(p, tau)
+    assert _routes(_subgroup_hist(G, nvec), k, p, len(nvec)) == (want, want)
+    assert moments.q_bruteforce(G, nvec, k) == want
+
+
+def test_q18_three_exponents_meets_lower_bound():
+    # kappa_3 = 18 at eps = 1/10, the order at which the induction applies Lemma 3.1 to 3-term f
+    G, k = field.subgroup(101, 25), 18
+    q = moments.q_convolution(G, (1, 2, 3), k)
+    assert q >= -(-(25 ** (2 * k)) // 101**3)
+    assert q >= 25**k
+
+
 def test_orbit_agrees_on_random_cases():
     # first exponents sharing a factor with tau (several cosets of H_1, and
     # power maps that are not injective), k = 1, and the primes 2 and 3
@@ -385,7 +410,7 @@ def test_route_choice():
 
 
 def test_route_costs_script_runs(monkeypatch, capsys):
-    # tools/route_costs.py on the cells of its ladder below p = 900 (both routes, r = 1 and 2)
+    # tools/route_costs.py on the cells of its ladder below p = 900 (both routes, r = 1 to 3)
     path = pathlib.Path(__file__).parents[1] / "tools" / "route_costs.py"
     spec = importlib.util.spec_from_file_location("route_costs", path)
     script = importlib.util.module_from_spec(spec)
@@ -394,9 +419,9 @@ def test_route_costs_script_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(path), "--repeat", "1"])
     script.main()
     lines = capsys.readouterr().out.splitlines()
-    costs = ("_ORBIT_PASS", "_ORBIT_ROW", "_SPARSE_COST[0] (pair, r = 1)", "_SPARSE_COST[1] (pair, r = 2)", "_SPARSE_STEP")
-    assert [line.split(":")[0] for line in lines[-5:]] == list(costs)
-    assert all(line.endswith(" orbit units") for line in lines[-5:])
+    costs = ("_ORBIT_PASS", "_ORBIT_ROW", "_SPARSE_COST (pair / r^2)", "_SPARSE_STEP")
+    assert [line.split(":")[0] for line in lines[-4:]] == list(costs)
+    assert all(line.endswith(" orbit units") for line in lines[-4:])
 
 
 def test_moduli():
