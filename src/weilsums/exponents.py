@@ -128,6 +128,11 @@ def theorem_bound(p: int, tau: int, n: int, eps) -> float:
     rng = admissible_range(p, tau, eps)
     if not rng.above_lower:
         raise ValueError(f"tau={tau} is below p^(3/7+eps) for p={p}, eps={eps}")
+    return _theorem_value(p, tau, n, eps)
+
+
+def _theorem_value(p: int, tau: int, n: int, eps) -> float:
+    """tau * p^(-eta_n(eps)) without the window check, for a caller that made it already."""
     return tau * p ** (-float(eta(n, eps)))
 
 

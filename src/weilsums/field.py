@@ -241,10 +241,15 @@ def _unit_table(den: int) -> np.ndarray:
     if tab is not None:
         _unit_tables.move_to_end(den)
         return tab
-    k = np.arange(den, dtype=np.int64)
-    # fold k into (-den/2, den/2] so the angle argument stays small
-    k[den // 2 + 1 :] -= den
-    tab = _cis(math.tau / den, k)
+    # cos and sin for k = 0..den//2 only, at angle (math.tau / den) * k.  Above
+    # den/2 the entry at k is e(-(den - k)/den), whose angle is the exact negation
+    # of the angle at den - k; libm's cos is even and its sin odd, bit for bit, so
+    # the entry is the conjugate of the one at den - k.  For even den the entry at k = den/2
+    # is computed, not mirrored: its sine is a tiny number, negative for some den.
+    tab = np.empty(den, np.complex128)
+    half = den // 2 + 1
+    _cis(math.tau / den, np.arange(half, dtype=np.int64), out=tab[:half])
+    np.conjugate(tab[den - half : 0 : -1], out=tab[half:])
     tab.flags.writeable = False  # every caller shares the cached table
     if tab.nbytes <= CHAR_TABLE_BYTES:
         held = sum(t.nbytes for t in _unit_tables.values())
@@ -254,9 +259,11 @@ def _unit_table(den: int) -> np.ndarray:
     return tab
 
 
-def _cis(scale: float, k: np.ndarray, den=None) -> np.ndarray:
-    """cos(angle) + i*sin(angle) = exp(1j*angle) at angle = scale*k (/den), bit for bit, formed in the result."""
-    out = np.empty(k.shape, np.complex128)
+def _cis(scale: float, k: np.ndarray, den=None, out=None) -> np.ndarray:
+    """cos(angle) + i*sin(angle) = exp(1j*angle) at angle = scale*k (/den), bit for bit, formed in
+    the result: `out`, a complex128 array of k's shape, or a new one."""
+    if out is None:
+        out = np.empty(k.shape, np.complex128)
     angle = np.multiply(scale, k, out=out.real)
     if den is not None:
         angle /= den

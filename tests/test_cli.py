@@ -293,6 +293,33 @@ def test_verify_moments_csv(tmp_path, capsys):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "suite, pmin, pmax",
+    [
+        ("gauss", 1000, 1100),
+        ("identity", 100, 110),
+        ("moments", 11, 13),
+        ("lemma31", 11, 61),
+        ("q3", 11, 17),
+        ("binomial", 1000, 1100),
+        ("monomial", 1000, 1100),
+        ("theorem", 1000, 1100),
+        ("curve", 300, 320),
+    ],
+)
+def test_csv_rows_equal_the_generic_cells(suite, pmin, pmax):
+    # as_csv formats p, ratio and passed directly; the row types it assumes hold
+    # in every suite, and each line equals the one _cell makes of every field
+    args = cli.build_parser().parse_args(["verify", "--suite", suite, "--pmin", str(pmin), "--pmax", str(pmax)])
+    args.eps = cli.exponents.as_fraction(args.eps)
+    rows = list(cli._SUITES[suite](args, random.Random(f"{suite}:0")))
+    assert rows
+    for r in rows:
+        assert type(r.p) is int and type(r.ratio) is float and type(r.passed) is bool, r
+        generic = ",".join(cli._cell(getattr(r, name), ".6g" if name == "ratio" else ".12g") for name in cli._FIELDS)
+        assert r.as_csv() == generic
+
+
 def test_verify_byte_identical_across_runs(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -202,6 +202,14 @@ def test_theorem_bound():
         theorem_bound(13, 1, 3, TENTH)  # below the window
 
 
+def test_theorem_value_is_the_bound_without_the_check():
+    # the theorem suite's bound: theorem_bound's value, without the window check
+    # that _cells has made
+    for p, tau, n in ((13, 4, 3), (1009, 1008, 1), (1009, 252, 2)):
+        assert exponents._theorem_value(p, tau, n, TENTH) == theorem_bound(p, tau, n, TENTH)
+    assert exponents._theorem_value(13, 1, 3, TENTH) == 13 ** (-float(eta(3, TENTH)))
+
+
 def test_induction_trace():
     levels = induction_trace(3, TENTH)
     assert len(levels) == 1

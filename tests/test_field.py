@@ -200,6 +200,38 @@ def test_unit_tables_stay_under_the_byte_cap(monkeypatch):
     assert sum(t.nbytes for t in field._unit_tables.values()) <= cap
 
 
+def _folded_table(den: int) -> np.ndarray:
+    # the full build: k folded into (-den/2, den/2], then cos and sin of every entry
+    k = np.arange(den, dtype=np.int64)
+    k[den // 2 + 1 :] -= den
+    return field._cis(math.tau / den, k)
+
+
+@pytest.mark.parametrize("dens", [range(1, 3001), (19656, 196560, 960961, 982801, 1003001, 1008001, 1048573, 1 << 20)])
+def test_mirrored_table_equals_the_full_build(monkeypatch, dens):
+    # entries above den/2 are conjugates of computed ones; each must equal the
+    # full build byte for byte.  For even den the entry at den/2 is computed,
+    # never mirrored or given a forced sign: its sine is a tiny number, negative
+    # for 7,189 even den up to 2*10^5, the first 50, 82 and 100.
+    monkeypatch.setattr(field, "_unit_tables", OrderedDict())
+    for den in dens:
+        assert field._unit_table(den).tobytes() == _folded_table(den).tobytes(), den
+    assert field._unit_table(50)[25].imag < 0
+
+
+def test_table_build_holds_no_full_size_index_array(monkeypatch):
+    # the table (16 B per entry) and an int64 index of its first half (4 B per
+    # entry); an int64 index of all den entries would lift the peak to 24 MiB
+    monkeypatch.setattr(field, "_unit_tables", OrderedDict())
+    tracemalloc.start()
+    try:
+        tab = field._unit_table(1048573)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tab.nbytes < 16 * 2**20 < peak < 21 * 2**20, peak
+
+
 def test_subgroup_examples():
     G = field.subgroup(13, 4)
     assert G.theta == 8

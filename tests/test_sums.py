@@ -7,6 +7,7 @@ import pathlib
 import random
 import sys
 import tracemalloc
+from collections import OrderedDict
 from itertools import chain
 
 import numpy as np
@@ -313,18 +314,25 @@ def test_row_sums_reject_parts_outside_the_bound():
 
 
 def test_sum_costs_script_runs(monkeypatch, capsys):
-    # tools/sum_costs.py on two small shapes: both routes agree and are timed
+    # tools/sum_costs.py on two small shapes: both routes agree and are timed;
+    # then one table build, timed, with its bytes
     path = pathlib.Path(__file__).parents[1] / "tools" / "sum_costs.py"
     spec = importlib.util.spec_from_file_location("sum_costs", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     monkeypatch.setattr(script, "SHAPES", ((3, 40, 1009), (1, 300, 1995841)))
-    monkeypatch.setattr(sys, "argv", [str(path), "--repeat", "1"])
+    monkeypatch.setattr(script, "TABLE_DEN", 1013)
+    monkeypatch.setattr(field, "_unit_tables", OrderedDict())
+    monkeypatch.setattr(sys, "argv", [str(path), "--repeat", "2"])
     script.main()
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("# ") and "numpy" in lines[0]
-    assert [line.split()[:3] for line in lines[2:]] == [["3", "40", "1009"], ["1", "300", "1995841"]]
-    assert all(line.endswith("x") for line in lines[2:])
+    assert [line.split()[:3] for line in lines[2:4]] == [["3", "40", "1009"], ["1", "300", "1995841"]]
+    assert all(line.endswith("x") for line in lines[2:4])
+    assert lines[4].split() == ["#", "table", "den", "build_ms", "bytes"]
+    name, den, build_ms, nbytes = lines[5].split()
+    assert (name, den) == ("table", "1013") and float(build_ms) > 0 and nbytes == str(16 * 1013)
+    assert len(lines) == 6
 
 
 def test_finish_of_a_long_row_allocates_little():

@@ -1,4 +1,4 @@
-"""Time the finish step of the character sums: per-row math.fsum against the limb pass.
+"""Time the finish step of the character sums, per-row math.fsum against the limb pass, and one table build.
 
     PYTHONPATH=src python3 tools/sum_costs.py [--repeat 7]
 
@@ -9,6 +9,9 @@ p = 982801, the criterion-13 sum and the long sums.  Both routes are timed,
 min of --repeat runs: per-row fsum over tolist(), the accumulator the sums
 used before, and `sums._row_sums`, the one they use now.  The two must agree
 bit for bit, signs of zero included, or the script stops.
+
+A last row times the build of the character table of TABLE_DEN from an empty
+cache, min of --repeat builds, with the table's size in bytes.
 """
 
 import argparse
@@ -22,6 +25,8 @@ from weilsums import field, sums
 
 # (rows, terms, p)
 SHAPES = ((10, 250, 1009), (1, 1000, 982801), (1, 20000, 982801), (1, 200000, 982801))
+# the table prime of the long sums
+TABLE_DEN = 982801
 
 
 def _best(fn, repeat: int) -> float:
@@ -55,6 +60,14 @@ def main():
         old = _best(lambda: _fsum_rows(parts), args.repeat)
         new = _best(lambda: sums._row_sums(parts), args.repeat)
         print(f"  {rows:>4} {terms:>7} {p:>7} {old * 1e3:>9.3f} {new * 1e3:>9.3f} {old / new:>6.1f}x")
+
+    def build():
+        field._unit_tables.pop(TABLE_DEN, None)
+        return field._unit_table(TABLE_DEN)
+
+    build_s = _best(build, args.repeat)
+    print(f"# table {'den':>7} {'build_ms':>9} {'bytes':>9}")
+    print(f"  table {TABLE_DEN:>7} {build_s * 1e3:>9.3f} {build().nbytes:>9}")
 
 
 if __name__ == "__main__":
