@@ -1,6 +1,7 @@
 """Prime fields, multiplicative subgroups, extension fields, additive characters,
 and the tables of powers c*m^j mod q that every orbit of F_p* is built from."""
 
+import functools
 import math
 from collections import OrderedDict
 
@@ -114,8 +115,10 @@ def divisors(n: int) -> list:
     return sorted(out)
 
 
+@functools.lru_cache(maxsize=4096)
 def least_primitive_root(p: int) -> int:
-    """Smallest positive primitive root modulo p."""
+    """Smallest positive primitive root modulo p, memoized per prime: every subgroup
+    and complete sum asks for it, and each first call factorizes p - 1."""
     if p == 2:
         return 1
     fac = factorize(p - 1)
@@ -228,28 +231,24 @@ def inverses(t: np.ndarray, q: int) -> np.ndarray:
     return pre
 
 
-# Character tables held at once, in bytes: eight full-size complex128 tables.
+# Character tables held at once, in bytes: the half tables actually held, about
+# sixteen of them at CHAR_TABLE_LIMIT (each den//2 + 1 complex128 entries).
 CHAR_TABLE_BYTES = 8 * 16 * CHAR_TABLE_LIMIT
 
-# den -> table, least recently used first; the tables hold at most CHAR_TABLE_BYTES
+# den -> half table, least recently used first; the tables hold at most CHAR_TABLE_BYTES
 _unit_tables: OrderedDict = OrderedDict()
 
 
 def _unit_table(den: int) -> np.ndarray:
-    """complex128 table of exp(2*pi*i*k/den) for k in [0, den), in a byte-bounded LRU cache."""
+    """complex128 table of exp(2*pi*i*k/den) for k = 0..den//2 only, in a byte-bounded LRU cache.
+
+    The entries above den/2 are not held: `_table_roots` reads them as conjugates.
+    """
     tab = _unit_tables.get(den)
     if tab is not None:
         _unit_tables.move_to_end(den)
         return tab
-    # cos and sin for k = 0..den//2 only, at angle (math.tau / den) * k.  Above
-    # den/2 the entry at k is e(-(den - k)/den), whose angle is the exact negation
-    # of the angle at den - k; libm's cos is even and its sin odd, bit for bit, so
-    # the entry is the conjugate of the one at den - k.  For even den the entry at k = den/2
-    # is computed, not mirrored: its sine is a tiny number, negative for some den.
-    tab = np.empty(den, np.complex128)
-    half = den // 2 + 1
-    _cis(math.tau / den, np.arange(half, dtype=np.int64), out=tab[:half])
-    np.conjugate(tab[den - half : 0 : -1], out=tab[half:])
+    tab = _cis(math.tau / den, np.arange(den // 2 + 1, dtype=np.int64))
     tab.flags.writeable = False  # every caller shares the cached table
     if tab.nbytes <= CHAR_TABLE_BYTES:
         held = sum(t.nbytes for t in _unit_tables.values())
@@ -259,11 +258,36 @@ def _unit_table(den: int) -> np.ndarray:
     return tab
 
 
-def _cis(scale: float, k: np.ndarray, den=None, out=None) -> np.ndarray:
+# the sign bit of a float64, as an int64 mask
+_SIGN_BIT = np.iinfo(np.int64).min
+
+
+def _table_roots(tab: np.ndarray, k: np.ndarray, den: int) -> np.ndarray:
+    """exp(2*pi*i*z/den) for each z of an int64 array k with entries in [0, den), from
+    the half table tab = _unit_table(den), as a new complex128 array of k's shape.
+
+    The entry at z > den/2 is the one at j = den - z with its sine's sign bit
+    flipped.  That is its exact value: the full build computed it at angle
+    -(tau/den)*j, the exact negation of the angle at j, and libm's cos is even and
+    its sin odd, bit for bit.  The sine at 1 <= j < den/2 is positive, so the
+    flip is a conjugate; for even den the entry at den/2 is read, never flipped (its
+    sine is a tiny number, negative for some den).  k is only read.
+    """
+    j = np.subtract(den, k)
+    np.minimum(j, k, out=j)
+    out = tab.take(j)
+    # den//2 - z is negative, its sign bit set, exactly where z > den//2
+    flip = np.subtract(den // 2, k, out=j)
+    np.bitwise_and(flip, _SIGN_BIT, out=flip)
+    sine = out.view(np.int64)[..., 1::2]
+    np.bitwise_xor(sine, flip, out=sine)
+    return out
+
+
+def _cis(scale: float, k: np.ndarray, den=None) -> np.ndarray:
     """cos(angle) + i*sin(angle) = exp(1j*angle) at angle = scale*k (/den), bit for bit, formed in
-    the result: `out`, a complex128 array of k's shape, or a new one."""
-    if out is None:
-        out = np.empty(k.shape, np.complex128)
+    the complex128 result."""
+    out = np.empty(k.shape, np.complex128)
     angle = np.multiply(scale, k, out=out.real)
     if den is not None:
         angle /= den
@@ -273,9 +297,10 @@ def _cis(scale: float, k: np.ndarray, den=None, out=None) -> np.ndarray:
 
 
 def unit_roots(k: np.ndarray, den: int) -> np.ndarray:
-    """exp(2*pi*i*z/den) for each z of an int64 array k with entries in [0, den), as complex128."""
+    """exp(2*pi*i*z/den) for each z of an int64 array k with entries in [0, den), as complex128:
+    from the half table up to CHAR_TABLE_LIMIT, from cos and sin above it."""
     if den <= CHAR_TABLE_LIMIT:
-        return _unit_table(den)[k]
+        return _table_roots(_unit_table(den), k, den)
     # fold k into (-den/2, den/2] by integer ops, the one temporary beside the result
     folded = k + (den - 1) // 2
     folded %= den
@@ -307,7 +332,8 @@ class PrimeModulus:
         return hash(("PrimeModulus", self.p))
 
     def char_table(self):
-        """The cached complex128 table of exp(2*pi*i*z/p), or None when p is too large to tabulate."""
+        """The cached complex128 table of exp(2*pi*i*z/p) for z = 0..p//2, or None when p is too large
+        to tabulate; `_table_roots` reads every z in [0, p) from it."""
         if self.p <= CHAR_TABLE_LIMIT:
             return _unit_table(self.p)
         return None

@@ -5,8 +5,9 @@ Residues are int64 numpy arrays.  Each power chain c*m^x is one row of a
 or of every sum in a batch on one subgroup (`subgroup_sums`), come from one
 call, and the chains of each sum are added unreduced and reduced mod p once
 (after every chain for p above 2^31, so the residues stay int64).
-Characters are gathered from the table of p-th roots of unity, or computed
-from cos and sin above the table limit.
+Characters are gathered from the first half of the table of p-th roots of
+unity, the rest read as conjugates (`field._table_roots`), or computed from
+cos and sin above the table limit.
 Every sum is the exact sum of its terms' real and imaginary parts, rounded
 once (`_row_sums`): one vectorized pass splits the parts of a whole batch
 into 26-bit limbs that float64 adds without error, and each row's limb sums
@@ -20,7 +21,16 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .field import INT64_MODULUS_LIMIT, GuardExceeded, inverses, least_primitive_root, powers, prime_modulus, unit_roots
+from .field import (
+    INT64_MODULUS_LIMIT,
+    GuardExceeded,
+    _table_roots,
+    inverses,
+    least_primitive_root,
+    powers,
+    prime_modulus,
+    unit_roots,
+)
 
 # Terms a sum or generator may have; each costs 45-75 bytes of peak RSS.  At 4*10^6
 # terms a three-term sum took 190 MB at p = 24000001 and 294 MB at p = 2184000001, and
@@ -298,7 +308,7 @@ def _characters(mod, residues: np.ndarray) -> np.ndarray:
     """exp(2*pi*i*z/p) for each residue z in [0, p), from the table when p has one."""
     tab = mod.char_table()
     if tab is not None:
-        return tab[residues]
+        return _table_roots(tab, residues, mod.p)
     return unit_roots(residues, mod.p)
 
 

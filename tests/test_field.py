@@ -177,27 +177,31 @@ def test_unit_roots_above_the_table_allocate_one_temporary():
 
 
 def test_unit_tables_stay_under_the_byte_cap(monkeypatch):
-    # room for three tables of about 1000 entries (16 B each), not four
-    cap = 16 * 3100
+    # room for three half tables of about 500 entries (16 B each), not four
+    cap = 16 * 1550
     monkeypatch.setattr(field, "CHAR_TABLE_BYTES", cap)
     monkeypatch.setattr(field, "_unit_tables", OrderedDict())
     first = {}
     lru = []  # the three most recently used dens, least recent first
     for den in [1000, 1001, 1002, 1003, 1000, 1004, 1000, 1001, 1005, 1002, 1000, 1003]:
         tab = field._unit_table(den)
+        assert tab.nbytes == 16 * (den // 2 + 1)  # the cap counts the bytes held
         assert sum(t.nbytes for t in field._unit_tables.values()) <= cap
         lru = [d for d in lru if d != den][-2:] + [den]
         assert list(field._unit_tables) == lru
         assert field._unit_table(den) is tab
         assert not tab.flags.writeable  # shared by every caller
+        # every k in [0, den) read through the held table equals the full build
+        assert field.unit_roots(np.arange(den), den).tobytes() == _folded_table(den).tobytes()
         if den in first:
             assert np.array_equal(tab, first[den])  # a rebuilt table equals the first build
         else:
             first[den] = tab.copy()
     # a table larger than the cap is built but not held
     big = field._unit_table(4001)
-    assert len(big) == 4001 and 4001 not in field._unit_tables
+    assert len(big) == 4001 // 2 + 1 and 4001 not in field._unit_tables
     assert sum(t.nbytes for t in field._unit_tables.values()) <= cap
+    assert field.unit_roots(np.arange(4001), 4001).tobytes() == _folded_table(4001).tobytes()
 
 
 def _folded_table(den: int) -> np.ndarray:
@@ -209,19 +213,53 @@ def _folded_table(den: int) -> np.ndarray:
 
 @pytest.mark.parametrize("dens", [range(1, 3001), (19656, 196560, 960961, 982801, 1003001, 1008001, 1048573, 1 << 20)])
 def test_mirrored_table_equals_the_full_build(monkeypatch, dens):
-    # entries above den/2 are conjugates of computed ones; each must equal the
-    # full build byte for byte.  For even den the entry at den/2 is computed,
-    # never mirrored or given a forced sign: its sine is a tiny number, negative
-    # for 7,189 even den up to 2*10^5, the first 50, 82 and 100.
+    # the table holds k = 0..den//2; every k in [0, den), read through it, must
+    # equal the full build byte for byte.  For even den the entry at den/2 is
+    # read, never conjugated or given a forced sign: its sine is a tiny number,
+    # negative for 7,189 even den up to 2*10^5, the first 50, 82 and 100.
     monkeypatch.setattr(field, "_unit_tables", OrderedDict())
     for den in dens:
-        assert field._unit_table(den).tobytes() == _folded_table(den).tobytes(), den
+        full = _folded_table(den)
+        assert field._unit_table(den).tobytes() == full[: den // 2 + 1].tobytes(), den
+        assert field.unit_roots(np.arange(den), den).tobytes() == full.tobytes(), den
     assert field._unit_table(50)[25].imag < 0
+    assert field.unit_roots(np.array([25]), 50)[0].imag < 0
+
+
+def test_table_roots_fold_property():
+    # 1-D and 2-D int64 residues, even and odd den, with the fold's edges
+    # 0, den//2, den//2 + 1 and den - 1 always present: bytes equal to the full
+    # build, and a read-only k (as GeneratorSequence holds) is read, not written
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @hyp.given(st.integers(0, 2500), st.booleans(), st.integers(0, 2**32), st.integers(0, 40), st.booleans())
+    def check(half, odd, seed, extra, two_d):
+        den = 2 * half + 1 if odd else 2 * half + 2
+        edges = [0, den // 2, den // 2 + 1, den - 1]
+        k = np.array([e % den for e in edges], dtype=np.int64)
+        k = np.concatenate([k, np.random.default_rng(seed).integers(0, den, extra)])
+        if two_d:
+            k = np.concatenate([k, k[: len(k) % 2]]).reshape(2, -1)
+        k.flags.writeable = False
+        before = k.tobytes()
+        got = field.unit_roots(k, den)
+        assert got.dtype == np.complex128 and got.shape == k.shape
+        assert got.tobytes() == _folded_table(den)[k].tobytes()
+        assert k.tobytes() == before
+
+    check()
+    # the same on dens near the table limit, where the table is large
+    for den in (1048572, 1048573):
+        k = np.array([[0, den // 2], [den // 2 + 1, den - 1]], dtype=np.int64)
+        k.flags.writeable = False
+        assert field.unit_roots(k, den).tobytes() == _folded_table(den)[k].tobytes()
 
 
 def test_table_build_holds_no_full_size_index_array(monkeypatch):
-    # the table (16 B per entry) and an int64 index of its first half (4 B per
-    # entry); an int64 index of all den entries would lift the peak to 24 MiB
+    # the half table (16 B per entry of den//2 + 1) and an int64 index of it
+    # (8 B per entry): 12 MiB; a full table alone would be 16 MiB
     monkeypatch.setattr(field, "_unit_tables", OrderedDict())
     tracemalloc.start()
     try:
@@ -229,7 +267,7 @@ def test_table_build_holds_no_full_size_index_array(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tab.nbytes < 16 * 2**20 < peak < 21 * 2**20, peak
+    assert tab.nbytes == 16 * (1048573 // 2 + 1) < peak < 12.5 * 2**20, peak
 
 
 def test_subgroup_examples():

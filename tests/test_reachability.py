@@ -20,11 +20,13 @@ SRC = pathlib.Path(weilsums.__file__).parent
 
 # public names and methods kept although no command reaches them yet
 ALLOWED = {
-    # the certified Kloosterman maximum (ROADMAP item 1) will check it
+    # the certified Kloosterman maximum (ROADMAP "Certified worst case over all
+    # coefficients") will check it
     "kloosterman_bound",
-    # the Q_3 soft suite (ROADMAP item 2) will check it
+    # the Q_3 soft suite (ROADMAP "Exact data in the paper's regime") will check it
     "q3_bound",
-    # the suite that walks the paper's induction (ROADMAP item 2) runs on it
+    # the suite that walks the paper's induction (ROADMAP "The paper's induction
+    # at its own orders") runs on it
     "induction_trace",
     # the window-checked form of the value the theorem suite reads from
     # _theorem_value, whose cells _cells has already checked
@@ -35,7 +37,8 @@ ALLOWED = {
     "PowerVectorHistogram.mass",
     # the scalar f(x) mod p that the sums tests compare the array engine against
     "SparsePolynomial.evaluate",
-    # the dilation-invariance property of subgroup sums (ROADMAP item 5) runs on it
+    # the dilation-invariance property of subgroup sums, S(G; f(h*X)) = S(G; f)
+    # for h in G, runs on it
     "SparsePolynomial.dilate",
     # the tests' independent Python enumeration of a subgroup
     "SubgroupSpec.elements",

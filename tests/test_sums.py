@@ -314,8 +314,8 @@ def test_row_sums_reject_parts_outside_the_bound():
 
 
 def test_sum_costs_script_runs(monkeypatch, capsys):
-    # tools/sum_costs.py on two small shapes: both routes agree and are timed;
-    # then one table build, timed, with its bytes
+    # tools/sum_costs.py on two small shapes: the gather is timed per term, both
+    # finish routes agree and are timed; then one half-table build, timed, with its bytes
     path = pathlib.Path(__file__).parents[1] / "tools" / "sum_costs.py"
     spec = importlib.util.spec_from_file_location("sum_costs", path)
     script = importlib.util.module_from_spec(spec)
@@ -327,12 +327,34 @@ def test_sum_costs_script_runs(monkeypatch, capsys):
     script.main()
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("# ") and "numpy" in lines[0]
+    assert lines[1].split() == ["#", "rows", "terms", "p", "gather_ns", "fsum_ms", "limbs_ms", "speedup"]
     assert [line.split()[:3] for line in lines[2:4]] == [["3", "40", "1009"], ["1", "300", "1995841"]]
+    assert all(float(line.split()[3]) > 0 for line in lines[2:4])
     assert all(line.endswith("x") for line in lines[2:4])
     assert lines[4].split() == ["#", "table", "den", "build_ms", "bytes"]
     name, den, build_ms, nbytes = lines[5].split()
-    assert (name, den) == ("table", "1013") and float(build_ms) > 0 and nbytes == str(16 * 1013)
+    assert (name, den) == ("table", "1013") and float(build_ms) > 0 and nbytes == str(16 * (1013 // 2 + 1))
     assert len(lines) == 6
+
+
+def test_tables_of_the_long_sum_primes_hold_half_their_entries(monkeypatch):
+    # the four table primes of the long sums: sums through each build and hold
+    # den//2 + 1 entries, 32 MB in all where full tables held 64 MB; the traced
+    # peak is the held tables and the int64 index of the last build
+    monkeypatch.setattr(field, "_unit_tables", OrderedDict())
+    primes = (960961, 982801, 1003001, 1008001)
+    f = SparsePolynomial.parse("1*x^1+2*x^2+3*x^3")
+    tracemalloc.start()
+    try:
+        for p in primes:
+            sums.subgroup_sum(field.subgroup(p, 40), f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(field._unit_tables) == list(primes)
+    held = sum(t.nbytes for t in field._unit_tables.values())
+    assert held <= sum(16 * (p // 2 + 1) for p in primes)
+    assert peak < held + 8 * (max(primes) // 2 + 1) + (1 << 20), peak
 
 
 def test_finish_of_a_long_row_allocates_little():
@@ -472,14 +494,17 @@ def test_twisted_sum_above_the_table_equals_scalar_oracle():
 
 
 def test_unit_table_equals_cmath_exp():
+    # the table holds k = 0..den//2; unit_roots reads every k in [0, den) through it
     for den in list(range(1, 65)) + [1009]:
         tab = field._unit_table(den)
-        assert tab.dtype == np.complex128
-        assert [complex(z) for z in tab] == [_oracle_root(k, den) for k in range(den)]
+        assert tab.dtype == np.complex128 and len(tab) == den // 2 + 1
+        roots = field.unit_roots(np.arange(den), den)
+        assert [complex(z) for z in roots] == [_oracle_root(k, den) for k in range(den)]
     den = 982801
-    tab = field._unit_table(den)
+    assert len(field._unit_table(den)) == den // 2 + 1
     ks = list(range(0, den, 997)) + [den // 2, den // 2 + 1, den - 1]
-    assert [complex(tab[k]) for k in ks] == [_oracle_root(k, den) for k in ks]
+    roots = field.unit_roots(np.array(ks), den)
+    assert [complex(z) for z in roots] == [_oracle_root(k, den) for k in ks]
     # unit_roots reads the same tables, and above them computes the same formula
     for num, d in ((5, 1009), (-3, 982801), (10**6, 1995841), (2**40, 4294967311)):
         assert complex(field.unit_roots(np.array([num % d]), d)[0]) == _oracle_root(num, d)

@@ -1,17 +1,20 @@
-"""Time the finish step of the character sums, per-row math.fsum against the limb pass, and one table build.
+"""Time the character gather and the finish step of the character sums (per-row math.fsum against
+the limb pass), and one table build.
 
     PYTHONPATH=src python3 tools/sum_costs.py [--repeat 7]
 
 Each shape (rows, terms) is a batch of character rows gathered from the table
 of p-th roots of unity at seeded random residues: 10 x 250 at p = 1009, the
 cells of the verify suites, and 1 x 1000, 1 x 2*10^4 and 1 x 2*10^5 at
-p = 982801, the criterion-13 sum and the long sums.  Both routes are timed,
-min of --repeat runs: per-row fsum over tolist(), the accumulator the sums
-used before, and `sums._row_sums`, the one they use now.  The two must agree
+p = 982801, the criterion-13 sum and the long sums.  The gather,
+`field.unit_roots` of the residues (the half table and its sign-bit fold up to
+the table limit), is timed in ns per term, min of --repeat runs.  Both finish
+routes are timed, min of --repeat runs: per-row fsum over tolist(), the
+accumulator the sums used before, and `sums._row_sums`, the one they use now.  The two must agree
 bit for bit, signs of zero included, or the script stops.
 
 A last row times the build of the character table of TABLE_DEN from an empty
-cache, min of --repeat builds, with the table's size in bytes.
+cache, min of --repeat builds, with the bytes it holds (TABLE_DEN//2 + 1 entries).
 """
 
 import argparse
@@ -51,15 +54,17 @@ def main():
     ap.add_argument("--repeat", type=int, default=7, help="runs per route and shape; the minimum is kept")
     args = ap.parse_args()
     print(f"# {platform.machine()} Python {platform.python_version()} numpy {np.__version__}")
-    print(f"# {'rows':>4} {'terms':>7} {'p':>7} {'fsum_ms':>9} {'limbs_ms':>9} {'speedup':>7}")
+    print(f"# {'rows':>4} {'terms':>7} {'p':>7} {'gather_ns':>9} {'fsum_ms':>9} {'limbs_ms':>9} {'speedup':>7}")
     rng = np.random.default_rng(0)
     for rows, terms, p in SHAPES:
-        parts = field.unit_roots(rng.integers(0, p, size=(rows, terms)), p)
+        k = rng.integers(0, p, size=(rows, terms))
+        parts = field.unit_roots(k, p)
+        gather = _best(lambda: field.unit_roots(k, p), args.repeat)
         if _bits(sums._row_sums(parts)) != _bits(_fsum_rows(parts)):
             raise SystemExit(f"the limb pass differs from fsum at {rows} x {terms}, p = {p}")
         old = _best(lambda: _fsum_rows(parts), args.repeat)
         new = _best(lambda: sums._row_sums(parts), args.repeat)
-        print(f"  {rows:>4} {terms:>7} {p:>7} {old * 1e3:>9.3f} {new * 1e3:>9.3f} {old / new:>6.1f}x")
+        print(f"  {rows:>4} {terms:>7} {p:>7} {gather / k.size * 1e9:>9.2f} {old * 1e3:>9.3f} {new * 1e3:>9.3f} {old / new:>6.1f}x")
 
     def build():
         field._unit_tables.pop(TABLE_DEN, None)
