@@ -29,7 +29,6 @@ from .exponents import (
     theorem_bound,
 )
 from .field import (
-    ExtensionField,
     GuardExceeded,
     PrimeModulus,
     SubgroupSpec,
@@ -38,7 +37,6 @@ from .field import (
     is_prime,
     least_primitive_root,
     prime_modulus,
-    roots_of_unity,
     subgroup,
 )
 from .moments import (

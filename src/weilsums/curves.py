@@ -6,7 +6,11 @@ over F_p, with n > m >= 1 coprime and d = s*m*n.  delta_eval evaluates the
 product of degeneracy conditions whose nonvanishing certifies that the s = 1
 member is irreducible of full degree, so the point count obeys the generic
 bound.  Univariate polynomials are dense ascending coefficient lists over F_p
-(see weilsums.poly).
+(see weilsums.poly).  Two of its factors are products over the (n-m)-th roots
+of unity, which may lie in a large extension of F_p.  Those products lie in
+F_p and are taken there: each is a resultant with a monic polynomial over F_p
+whose roots are the factors' inner constants, built once per (p, n - m) from
+a characteristic polynomial (_unity_polys).
 
 Point counts factor through two tables of the cell (p, m, n, s) that do not
 depend on (A, B): the pair histogram H[a, b] = #{(x, y) : x^{sm} + y^{sm} = a,
@@ -19,17 +23,18 @@ orbit, filled in O(p) from the pairs of the points (z, 1).
 
 import functools
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
 from . import poly
-from .field import GuardExceeded, least_primitive_root, powers, prime_modulus, roots_of_unity
+from .field import GuardExceeded, least_primitive_root, powers, prime_modulus
 
 LABEL_TABLE_LIMIT = 1 << 22  # entries of one cell's table of H over orbit labels
-# Largest degree m*n of F(0, Y): it bounds the discriminant's (m n)^2 steps and the e^2 < (m n)^2
-# factors over the e-th roots of unity, e = n - m.  On a 2-core x86-64 host delta_eval(1, n, 1, 2, p)
-# took 0.03 s at n = 64 in F_p (p = 127), 0.37 s in F_{p^2} (p = 71); at n = 128, 0.14 s and 1.6 s.
+# Largest degree m*n of F(0, Y): it bounds the discriminant's (m n)^2 steps and the e^3 steps that
+# build the root-of-unity products' polynomials, e = n - m < m n.  On a 2-core x86-64 host
+# delta_eval(1, n, 1, 2, p) took 0.05 s at n = 64 (p = 127, roots of unity in F_p) and 0.08 s
+# (p = 71, in F_{p^2}); at n = 128, 0.8 s (p = 131, in F_{p^7}) and 0.9 s (p = 71).
 FIBER_DEGREE_LIMIT = 64
 
 
@@ -107,35 +112,87 @@ def discriminant_f0y(m: int, n: int, A: int, B: int, p) -> int:
     return discriminant(f0, p)
 
 
-def _cond_products(m: int, n: int, A: int, B: int, field, roots):
-    """Products of the root-of-unity degeneracy factors, as field elements.
+def _charpoly(rows, p: int) -> list:
+    """det(s I - M) over F_p for the square matrix M given by its rows, for every p.
 
-    Every factor is phi(c) = c^m A^n - c^n B^m for one inner constant c: on the
-    e-th roots of unity (e = n - m) z^n = z^m, and z -> z^m permutes them since
-    gcd(m, e) = 1, so both products run over the roots w directly.
-    First: prod over roots w != 1 of phi(w - 1).
-    Second: prod over pairs (w1, w2) of phi(1 + w1 - w2), skipping pairs with
-    c = 0 (the factor is not a genuine condition there).
+    M is reduced to upper Hessenberg form H by similarities (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.2.9), and the characteristic
+    polynomials chi_j of H's leading j x j blocks follow from
+    chi_{j+1} = (s - h_jj) chi_j - sum over i < j of h_ij h_{i+1,i} ... h_{j,j-1} chi_i.
     """
-    p = field.base.p
-    an = field.embed(pow(A, n, p))
-    bm = field.embed(pow(B, m, p))
-    one, zero = field.one(), field.zero()
+    H = [[x % p for x in row] for row in rows]
+    k = len(H)
+    for m in range(1, k - 1):
+        piv = next((i for i in range(m, k) if H[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[piv], H[m] = H[m], H[piv]
+            for row in H:
+                row[piv], row[m] = row[m], row[piv]
+        inv = pow(H[m][m - 1], p - 2, p)
+        for i in range(m + 1, k):
+            u = H[i][m - 1] * inv % p
+            if u:  # row i -= u * row m, then column m += u * column i
+                H[i] = [(x - u * y) % p for x, y in zip(H[i], H[m])]
+                for row in H:
+                    row[m] = (row[m] + u * row[i]) % p
+    chis = [[1]]
+    for j in range(k):
+        nxt = [0] + chis[j]
+        t = 1  # h_{i+1,i} ... h_{j,j-1}
+        for i in range(j, -1, -1):
+            c = H[i][j] * t
+            for d, x in enumerate(chis[i]):
+                nxt[d] -= c * x
+            if i == 0 or not H[i][i - 1]:
+                break
+            t = t * H[i][i - 1] % p
+        chis.append([x % p for x in nxt])
+    return chis[k]
 
-    def phi(c):
-        return field.sub(field.mul(field.pow(c, m), an), field.mul(field.pow(c, n), bm))
 
-    first = one
-    for w in roots[1:]:  # roots[0] is the identity
-        first = field.mul(first, phi(field.sub(w, one)))
-    second = one
-    for w1 in roots:
-        shifted = field.add(one, w1)
-        for w2 in roots:
-            c = field.sub(shifted, w2)
-            if c != zero:
-                second = field.mul(second, phi(c))
-    return first, second
+@functools.lru_cache(maxsize=1)
+def _unity_polys(p: int, e: int) -> tuple:
+    """(U, Q, z): monic polynomials over F_p whose roots are y = c - 1 for the inner
+    constants c of delta_eval's root-of-unity factors, e = n - m.
+
+    U's roots are y = w - 2 for the e-th roots of unity w != 1 (the first product),
+    and then y = w1 - w2 for every pair with c != 0 (the second).  With
+    w1 = u w2, the y of a fixed u are the roots of y^e = s_u = (u - 1)^e, so the
+    pairs give R(y^e) for R(s) = prod over u of (s - s_u), the characteristic
+    polynomial of multiplication by (X - 1)^e in F_p[X]/(X^e - 1).  c = 0,
+    y = -1, occurs exactly for the z roots u with s_u = (-1)^e: those leave
+    (s - (-1)^e)^z in R, and z times the roots of Q = (y^e - (-1)^e)/(y + 1).
+    Everything depends on (p, e) only, so one entry is cached, as the curve
+    suite evaluates each cell's draws back to back.
+    """
+    sign = (-1) ** e % p
+    h = poly.power([p - 1, 1], e, p, [p - 1] + [0] * (e - 1) + [1]) + [0] * e
+    R = _charpoly([[h[(i - j) % e] for j in range(e)] for i in range(e)], p)
+    z = 0
+    while not poly.rem(R, [-sign, 1], p):
+        R, z = poly.quo(R, [-sign, 1], p), z + 1
+    spread = [0] * (e * (len(R) - 1) + 1)
+    spread[::e] = R
+    first = poly.quo(poly.sub(poly.power([2, 1], e, p), [1], p), [1, 1], p)
+    Q = poly.quo([-sign] + [0] * (e - 1) + [1], [1, 1], p)
+    return tuple(poly.mul(first, spread, p)), tuple(Q), z
+
+
+def _unity_products(m: int, n: int, A: int, B: int, p: int) -> int:
+    """Both root-of-unity products of delta_eval, as one residue of F_p.
+
+    They are prod of phi(c) = c^m A^n - c^n B^m over c = w - 1 for the
+    (n-m)-th roots of unity w != 1, and over c = 1 + w1 - w2 for every pair
+    with c != 0.  In y = c - 1 that is psi(y) = phi(y + 1) over the roots of U
+    and, z times, of Q (see _unity_polys), and a product of a polynomial over
+    the roots of a monic one is their resultant.
+    """
+    an, bm = pow(A, n, p), pow(B, m, p)
+    psi = [(an * comb(m, k) - bm * comb(n, k)) % p for k in range(n + 1)]
+    U, Q, z = _unity_polys(p, n - m)
+    return resultant(U, psi, p) * pow(resultant(Q, psi, p), z, p) % p
 
 
 def delta_eval(m: int, n: int, A: int, B: int, p) -> int:
@@ -144,8 +201,8 @@ def delta_eval(m: int, n: int, A: int, B: int, p) -> int:
     Nonzero exactly when every condition holds: the factors are m*n,
     (-A)^n - (-B)^m, A^n - B^m, the two products of phi(c) = c^m A^n - c^n B^m
     over the (n-m)-th roots of unity w (phi(w - 1) for w != 1, and
-    phi(1 + w1 - w2) for c != 0; taken in their splitting field, the products
-    lie in F_p), and the discriminant of F(0, Y).
+    phi(1 + w1 - w2) for c != 0), and the discriminant of F(0, Y).  The products
+    lie in F_p and are taken there, as resultants (_unity_products).
     """
     mod = prime_modulus(p)
     P = mod.p
@@ -156,12 +213,9 @@ def delta_eval(m: int, n: int, A: int, B: int, p) -> int:
     out = out * ((pow(A, n, P) - pow(B, m, P)) % P) % P
     if A == 0 and B == 0:  # F(0, Y) is zero, and so is the A^n - B^m factor above
         return 0
-    # F(0, Y) and its degree guard come before the roots of unity, whose e^2 products cost more
+    # F(0, Y) and its degree guard come first: the products' polynomials take O(e^3) steps to build
     out = out * discriminant_f0y(m, n, A, B, mod) % P
-    field, roots = roots_of_unity(mod, n - m)
-    first, second = _cond_products(m, n, A, B, field, roots)
-    out = out * field.to_base(first) % P
-    return out * field.to_base(second) % P
+    return out * _unity_products(m, n, A, B, P) % P
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Prime fields, multiplicative subgroups, extension fields, additive characters,
-and the tables of powers c*m^j mod q that every orbit of F_p* is built from."""
+"""Prime fields, multiplicative subgroups, additive characters, and the tables of
+powers c*m^j mod q that every orbit of F_p* is built from."""
 
 import functools
 import math
@@ -133,11 +133,10 @@ def powers(c, m, n: int, q: int) -> np.ndarray:
     """c*m^j mod q for j = 0..n-1, as int64, for residues c, m below q < 2^62.
 
     j = s*i + l for l < s: c*m^j = (c*m^(s*i)) * m^l, one outer product of about
-    sqrt(n) giant steps and baby steps, in int64 below INT64_MODULUS_LIMIT and
-    as Python ints in an object array above.  With equal-length sequences c and
-    m the result is an (R, n) array whose row i is c[i]*m[i]^j: the step lists
-    of all R chains go through one np.array each, one broadcast product and one
-    remainder, so a batch pays the fixed numpy cost of a chain once.
+    sqrt(n) giant steps and baby steps, formed by `_multiply`.  With equal-length
+    sequences c and m the result is an (R, n) array whose row i is c[i]*m[i]^j:
+    the step lists of all R chains go through one np.array each and one
+    broadcast product, so a batch pays the fixed numpy cost of a chain once.
     """
     # a scalar chain is a batch of one, and its row is returned
     batch = not isinstance(c, (int, np.integer))
@@ -157,17 +156,18 @@ def powers(c, m, n: int, q: int) -> np.ndarray:
         for _ in range(g - 1):
             x = x * stride % q
             giants.append(x)
-    dtype = np.int64 if q < INT64_MODULUS_LIMIT else object
-    gs, bs = np.array(giants, dtype=dtype), np.array(babies, dtype=dtype)
+    gs, bs = np.array(giants, dtype=np.int64), np.array(babies, dtype=np.int64)
     # every chain's giant steps times its own baby steps, in one broadcast product
-    t = (gs.reshape(-1, g, 1) * bs.reshape(-1, 1, s)).reshape(-1, g * s)
-    t = np.remainder(t, q, out=t)[:, :n].astype(np.int64, copy=False)  # residues below q < 2^62 fit in int64
+    t = np.empty((len(gs) // g, g, s), dtype=np.int64)
+    _multiply(gs.reshape(-1, g, 1), bs.reshape(-1, 1, s), q, out=t)
+    t = t.reshape(-1, g * s)[:, :n]
     return t if batch else t[0]
 
 
 def _multiply(a: np.ndarray, b: np.ndarray, q: int, out: np.ndarray) -> None:
-    """out = a*b mod q for int64 residues below q < 2^62, multiplied in int64
-    below INT64_MODULUS_LIMIT (as `powers` forms its steps) and as Python ints above."""
+    """out = a*b mod q for int64 residues below q < 2^62, broadcast, multiplied in
+    int64 below INT64_MODULUS_LIMIT and as Python ints above: the one rule for
+    every product of `powers`, `array_power` and `inverses`."""
     if q < INT64_MODULUS_LIMIT:
         np.multiply(a, b, out=out)
         np.remainder(out, q, out=out)
@@ -415,81 +415,8 @@ def subgroup(p, tau: int) -> SubgroupSpec:
     return SubgroupSpec(mod, tau, theta)
 
 
-# ---------------------------------------------------------------------------
-# extension fields F_{p^j}, elements represented as coefficient tuples
-# (c_0, ..., c_{j-1}) meaning c_0 + c_1*X + ... modulo the defining polynomial
-
-
-class ExtensionField:
-    """F_{p^j} = F_p[X]/(f) for the lexicographically least monic irreducible f of degree j."""
-
-    def __init__(self, modulus, degree: int, defining=None):
-        self.base = prime_modulus(modulus)
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        self.degree = degree
-        p = self.base.p
-        if defining is None:
-            defining = _least_irreducible(p, degree)
-        else:
-            defining = tuple(c % p for c in defining)
-            if len(defining) != degree + 1 or defining[-1] != 1:
-                raise ValueError("defining polynomial must be monic of the stated degree")
-            if not _is_irreducible(defining, p):
-                raise ValueError("defining polynomial is reducible")
-        self.defining = defining
-        self.order = p**degree
-
-    def __repr__(self):
-        return f"ExtensionField(p={self.base.p}, degree={self.degree})"
-
-    def zero(self) -> tuple:
-        return (0,) * self.degree
-
-    def one(self) -> tuple:
-        return (1,) + (0,) * (self.degree - 1)
-
-    def embed(self, c: int) -> tuple:
-        """Image of the base-field element c."""
-        return (c % self.base.p,) + (0,) * (self.degree - 1)
-
-    def is_base(self, a) -> bool:
-        return all(c == 0 for c in a[1:])
-
-    def to_base(self, a) -> int:
-        if not self.is_base(a):
-            raise ValueError(f"element {a} does not lie in the base field")
-        return a[0]
-
-    def add(self, a, b) -> tuple:
-        p = self.base.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b) -> tuple:
-        p = self.base.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def mul(self, a, b) -> tuple:
-        p = self.base.p
-        j = self.degree
-        if j == 1:
-            return (a[0] * b[0] % p,)
-        out = poly.rem(poly.mul(a, b, p), self.defining, p)
-        return tuple(out) + (0,) * (j - len(out))
-
-    def pow(self, a, e: int) -> tuple:
-        """a^e: Python's pow in degree 1, `poly.power` modulo the defining polynomial above."""
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        if self.degree == 1:
-            return (pow(a[0], e, self.base.p),)
-        out = poly.power(a, e, self.base.p, self.defining)
-        return tuple(out) + (0,) * (self.degree - len(out))
-
-    def inv(self, a) -> tuple:
-        if a == self.zero():
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.order - 2)
+# Splitting fields F_{p^j} = F_p[X]/(f) of the roots of unity, in `poly`'s
+# representation: the reference for the products that curves.delta_eval takes over F_p.
 
 
 def _is_irreducible(f, p: int) -> bool:
@@ -508,64 +435,58 @@ def _is_irreducible(f, p: int) -> bool:
     return not poly.sub(poly.power(x, p**j, p, f), x, p)
 
 
-_irreducible_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _least_irreducible(p: int, j: int) -> tuple:
     """Lexicographically least monic irreducible of degree j over F_p.
 
     Candidates X^j + c_{j-1} X^{j-1} + ... + c_0 are ordered by the tuple
     (c_{j-1}, ..., c_1, c_0).
     """
-    key = (p, j)
-    cached = _irreducible_cache.get(key)
-    if cached is not None:
-        return cached
     if j == 1:
-        out = (0, 1)  # f = X
-        _irreducible_cache[key] = out
-        return out
+        return (0, 1)  # f = X
     for idx in range(p**j):
         # (c_0, ..., c_{j-1}) read off little-endian from idx, so that idx
         # orders candidates by (c_{j-1}, ..., c_0)
         f = tuple(idx // p**i % p for i in range(j)) + (1,)
         if _is_irreducible(f, p):
-            _irreducible_cache[key] = f
             return f
     raise ArithmeticError(f"no irreducible polynomial of degree {j} found over F_{p}")
 
 
 def roots_of_unity(p, e: int):
-    """All e-th roots of unity over F_p, as elements of the splitting field F_{p^j}.
+    """All e-th roots of unity over F_p, in their splitting field F_{p^j} = F_p[X]/(f).
 
-    Returns (field, roots) where roots = [w^0, w^1, ..., w^(e-1)] for a
-    deterministic primitive e-th root w (roots[0] is the identity).
+    Returns (f, roots): the lexicographically least monic irreducible f of degree
+    j, and roots = [w^0, w^1, ..., w^(e-1)] for a deterministic primitive e-th
+    root w, each a `poly` coefficient list reduced modulo f (roots[0] is [1]).
+    No command calls it: it is the reference that the tests compare the
+    degeneracy products of `curves.delta_eval`, taken over F_p, against.
     """
-    mod = prime_modulus(p)
+    P = prime_modulus(p).p
     if e < 1:
         raise ValueError("e must be >= 1")
-    if e % mod.p == 0:
-        raise ValueError(f"e={e} is divisible by the characteristic {mod.p}")
+    if e % P == 0:
+        raise ValueError(f"e={e} is divisible by the characteristic {P}")
     j = 1
-    acc = mod.p % e
+    acc = P % e
     while acc != 1 % e:
-        acc = acc * mod.p % e
+        acc = acc * P % e
         j += 1
         if j > 64:
             raise ArithmeticError("splitting degree exceeds supported range")
-    field = ExtensionField(mod, j)
+    f = list(_least_irreducible(P, j))
     if e == 1:
-        return field, [field.one()]
-    cofactor = (field.order - 1) // e
+        return f, [[1]]
+    cofactor = (P**j - 1) // e
     prime_parts = [e // q for q in factorize(e)]
     # scan field elements in index order until one powers to a primitive root
-    for idx in range(1, field.order):
-        w = field.pow(tuple(idx // mod.p**i % mod.p for i in range(j)), cofactor)
-        if w == field.one():
+    for idx in range(1, P**j):
+        w = poly.power([idx // P**i % P for i in range(j)], cofactor, P, f)
+        if w == [1]:
             continue
-        if all(field.pow(w, m) != field.one() for m in prime_parts):
-            roots = [field.one()]
+        if all(poly.power(w, m, P, f) != [1] for m in prime_parts):
+            roots = [[1]]
             for _ in range(e - 1):
-                roots.append(field.mul(roots[-1], w))
-            return field, roots
-    raise ArithmeticError(f"no primitive {e}-th root of unity found over F_{mod.p}")
+                roots.append(poly.rem(poly.mul(roots[-1], w, P), f, P))
+            return f, roots
+    raise ArithmeticError(f"no primitive {e}-th root of unity found over F_{P}")

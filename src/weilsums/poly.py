@@ -40,22 +40,37 @@ def deriv(f, p: int) -> list:
     return trim(i * c % p for i, c in enumerate(f) if i)
 
 
-def rem(f, g, p: int) -> list:
-    """Remainder of f divided by g over F_p; g must be nonzero."""
+def _divide(f, g, p: int) -> tuple:
+    """(quotient, remainder) of f divided by g over F_p; g must be nonzero."""
     g = trim(g)
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     f = trim(c % p for c in f)
     inv = pow(g[-1], p - 2, p)
     dg = len(g) - 1
+    q = [0] * max(len(f) - dg, 0)
     while len(f) > dg:
         c = f.pop() * inv % p
         off = len(f) - dg
+        q[off] = c
         for k in range(dg):
             f[off + k] = (f[off + k] - c * g[k]) % p
         while f and f[-1] == 0:
             f.pop()
-    return f
+    return q, f
+
+
+def rem(f, g, p: int) -> list:
+    """Remainder of f divided by g over F_p; g must be nonzero."""
+    return _divide(f, g, p)[1]
+
+
+def quo(f, g, p: int) -> list:
+    """The exact quotient f / g over F_p; g must divide f."""
+    q, r = _divide(f, g, p)
+    if r:
+        raise ArithmeticError("the divisor does not divide the dividend")
+    return q
 
 
 def power(f, e: int, p: int, modulus=None) -> list:

@@ -239,18 +239,45 @@ def test_delta_matches_independent_on_split_cases():
                 assert curves.delta_eval(m, n, A, B, p) == independent_delta(m, n, A, B, p)
 
 
+def reference_products(m, n, A, B, p):
+    """delta_eval's two root-of-unity products and its number of pairs with c = 0, taken
+    over the splitting field F_p[X]/(f) of the (n - m)-th roots of unity that
+    field.roots_of_unity builds: phi(w - 1) for w != 1, and phi(1 + w1 - w2) for c != 0."""
+    f, roots = field.roots_of_unity(p, n - m)
+    an, bm = pow(A, n, p), pow(B, m, p)
+
+    def times(a, b):
+        return poly.rem(poly.mul(a, b, p), f, p)
+
+    def phi(c):
+        return poly.sub(times(poly.power(c, m, p, f), [an]), times(poly.power(c, n, p, f), [bm]), p)
+
+    first = [1]
+    for w in roots[1:]:
+        first = times(first, phi(poly.sub(w, [1], p)))
+    second, zeros = [1], 0
+    for w1 in roots:
+        for w2 in roots:
+            c = poly.sub([1], poly.sub(w2, w1, p), p)
+            if c:
+                second = times(second, phi(c))
+            else:
+                zeros += 1
+    assert len(first) <= 1 and len(second) <= 1  # both lie in F_p
+    return (first or [0])[0], (second or [0])[0], zeros
+
+
 def test_cond_first_product_matches_resultant():
     # prod over e-th roots z != 1 of h(z) = Res((X^e-1)/(X-1), h) for monic quotient
     p, m, n = 11, 2, 5
-    K, roots = field.roots_of_unity(p, n - m)
     for A, B in ((0, 1), (3, 4), (7, 2)):
         h = poly.sub(
             poly.mul(poly.power([p - 1, 0, 0, 0, 0, 1], m, p), [pow(A, n, p)], p),
             poly.mul(poly.power([p - 1, 0, 1], n, p), [pow(B, m, p)], p),
             p,
         )
-        first, _ = curves._cond_products(m, n, A, B, K, roots)
-        assert K.to_base(first) == curves.resultant([1, 1, 1], h, p)
+        first, _, _ = reference_products(m, n, A, B, p)
+        assert first == curves.resultant([1, 1, 1], h, p)
 
 
 def test_cond_first_product_is_resultant_of_phi():
@@ -264,7 +291,6 @@ def test_cond_first_product_is_resultant_of_phi():
                 if math.gcd(m, n) != 1 or (m * n * (n - m)) % p == 0:
                     continue
                 e = n - m
-                K, roots = field.roots_of_unity(p, e)
                 for _ in range(3):
                     A, B = rng.randrange(p), rng.randrange(p)
                     an, bm = pow(A, n, p), pow(B, m, p)
@@ -273,14 +299,34 @@ def test_cond_first_product_is_resultant_of_phi():
                         poly.mul(poly.power(x_minus_1, n, p), [bm], p),
                         p,
                     )
-                    first, _ = curves._cond_products(m, n, A, B, K, roots)
-                    assert K.to_base(first) == curves.resultant([1] * e, phi, p), (p, m, n, A, B)
+                    first, _, _ = reference_products(m, n, A, B, p)
+                    assert first == curves.resultant([1] * e, phi, p), (p, m, n, A, B)
 
 
-def test_delta_grid_digest():
+def test_unity_products_match_the_splitting_field():
+    # the F_p products of delta_eval against the splitting-field reference on every
+    # coprime m < n <= 9 at p <= 31, with A = 0, B = 0 and random pairs; some
+    # shapes have pairs with c = 0, which both routes must skip
+    rng = random.Random("unity-oracle")
+    shapes, with_zero = 0, 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for n in range(2, 10):
+            for m in range(1, n):
+                if math.gcd(m, n) != 1 or (m * n * (n - m)) % p == 0:
+                    continue
+                pairs = [(0, 1), (1, 0), (1, 1), (1, 2), (0, rng.randrange(1, p)), (rng.randrange(p), rng.randrange(1, p))]
+                for A, B in pairs:
+                    first, second, zeros = reference_products(m, n, A, B, p)
+                    assert curves._unity_products(m, n, A, B, p) == first * second % p, (p, m, n, A, B)
+                assert curves._unity_polys(p, n - m)[2] == zeros, (p, m, n)
+                shapes += 1
+                with_zero += zeros > 0
+    assert with_zero >= 10 and shapes - with_zero >= 100, (shapes, with_zero)
+
+
+def delta_grid_digest():
     # SHA-256 of delta_eval over every admissible (p, m, n) with p <= 31 and
-    # n <= 7, on a strided (A, B) grid; recorded before the root-of-unity
-    # products were rewritten, so it pins their values exactly
+    # n <= 7, on a strided (A, B) grid
     h = hashlib.sha256()
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         for n in range(2, 8):
@@ -290,7 +336,31 @@ def test_delta_grid_digest():
                 for A in range(0, p, 8):
                     for B in range(0, p, 11):
                         h.update(f"{p},{m},{n},{A},{B},{curves.delta_eval(m, n, A, B, p)}\n".encode())
-    assert h.hexdigest() == "8c81102e801f07fb9ab0b015d059bdc9168c1a8f52edd3f4b73403a81ecf9a44"
+    return h.hexdigest()
+
+
+DELTA_GRID_DIGEST = "8c81102e801f07fb9ab0b015d059bdc9168c1a8f52edd3f4b73403a81ecf9a44"
+
+
+def test_delta_grid_digest():
+    # recorded before the root-of-unity products were rewritten, so it pins their values exactly
+    assert delta_grid_digest() == DELTA_GRID_DIGEST
+
+
+def test_delta_builds_no_splitting_field(monkeypatch):
+    # the products are taken over F_p: the splitting-field reference is never called
+    def refuse(*args):
+        raise AssertionError("delta_eval built a splitting field")
+
+    monkeypatch.setattr(field, "roots_of_unity", refuse)
+    monkeypatch.setattr(field, "_least_irreducible", refuse)
+    curves._unity_polys.cache_clear()
+    assert delta_grid_digest() == DELTA_GRID_DIGEST
+
+
+def test_delta_with_roots_in_a_degree_60_extension():
+    # the 61st roots of unity lie in F_{7^60}; the splitting-field route took 35 s here
+    assert curves.delta_eval(1, 62, 1, 2, 7) == 3
 
 
 def test_delta_reduces_arguments():

@@ -9,7 +9,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from weilsums import field
+from weilsums import field, poly
 
 
 def test_is_prime_small():
@@ -319,46 +319,6 @@ def test_cofactor():
     assert G.cofactor == 3
 
 
-def test_extension_field_f49():
-    # squares mod 7 are {1,2,4}, so X^2+1 is the least irreducible
-    K = field.ExtensionField(7, 2)
-    assert K.defining == (1, 0, 1)
-    x = (0, 1)
-    assert K.mul(x, x) == (6, 0)  # x^2 = -1
-    assert K.pow(x, 4) == K.one()
-    assert K.pow(x, 2) != K.one()  # so x has order exactly 4
-    a = (3, 5)
-    assert K.mul(a, K.inv(a)) == K.one()
-    assert K.pow(a, 48) == K.one()
-
-
-def test_extension_field_degree_one():
-    K = field.ExtensionField(13, 1)
-    assert K.defining == (0, 1)
-    assert K.mul((5,), (8,)) == (1,)
-    assert K.embed(20) == (7,)
-    assert K.to_base((9,)) == 9
-
-
-def test_extension_field_rejects_reducible():
-    with pytest.raises(ValueError):
-        field.ExtensionField(7, 2, defining=(6, 0, 1))  # X^2-1 factors
-    with pytest.raises(ValueError):
-        field.ExtensionField(7, 2, defining=(0, 0, 1))  # X^2
-
-
-def test_extension_field_cubic():
-    K = field.ExtensionField(5, 3)
-    assert len(K.defining) == 4 and K.defining[-1] == 1
-    a = (1, 2, 3)
-    assert K.pow(a, K.order - 1) == K.one()
-    # the Frobenius map a -> a^p is an automorphism: (ab)^p = a^p b^p
-    b = (4, 0, 2)
-    lhs = K.pow(K.mul(a, b), 5)
-    rhs = K.mul(K.pow(a, 5), K.pow(b, 5))
-    assert lhs == rhs
-
-
 @pytest.mark.parametrize("q", (2, 13, 2**31 - 1, 2147483659, 2**61 - 1))
 @pytest.mark.parametrize("dtype", (np.int64, object))
 def test_array_power_equals_pow(q, dtype):
@@ -372,44 +332,46 @@ def test_array_power_equals_pow(q, dtype):
 
 @pytest.mark.parametrize(("p", "degree"), ((2, 3), (3, 2), (5, 2), (13, 1)))
 def test_extension_field_pow_equals_repeated_mul(p, degree):
-    K = field.ExtensionField(p, degree)
-    elements = [tuple(i // p**j % p for j in range(degree)) for i in range(K.order)]
+    # F_{p^degree} = F_p[X]/(f), the splitting fields that roots_of_unity builds:
+    # poly.power modulo f equals repeated products, and a^(order - 2) inverts a
+    f = list(field._least_irreducible(p, degree))
+    order = p**degree
+    elements = [poly.trim(i // p**j % p for j in range(degree)) for i in range(order)]
+
+    def mul(a, b):
+        return poly.rem(poly.mul(a, b, p), f, p)
+
     for a in elements:
-        for e in (0, 1, 7, K.order - 2):
-            want = K.one()
+        for e in (0, 1, 7, order - 2):
+            want = [1]
             for _ in range(e):
-                want = K.mul(want, a)
-            assert K.pow(a, e) == want, (a, e)
-        if a == K.zero():
-            with pytest.raises(ZeroDivisionError):
-                K.pow(a, -1)
-        else:
-            assert K.pow(a, -1) == next(b for b in elements if K.mul(a, b) == K.one())
+                want = mul(want, a)
+            assert poly.power(a, e, p, f) == want, (a, e)
+        if a:
+            assert mul(a, poly.power(a, order - 2, p, f)) == [1]
 
 
 def test_roots_of_unity_base_field():
-    K, roots = field.roots_of_unity(13, 4)
-    assert K.degree == 1
-    vals = sorted(r[0] for r in roots)
-    assert vals == [1, 5, 8, 12]  # the fourth roots of unity mod 13
+    f, roots = field.roots_of_unity(13, 4)
+    assert f == [0, 1]  # degree 1: F_13 itself, elements are constants
+    assert sorted(r[0] for r in roots) == [1, 5, 8, 12]  # the fourth roots of unity mod 13
     for r in roots:
-        assert K.pow(r, 4) == K.one()
+        assert poly.power(r, 4, 13, f) == [1]
 
 
 def test_roots_of_unity_extension():
-    K, roots = field.roots_of_unity(7, 4)
-    assert K.degree == 2
-    assert len(roots) == len(set(roots)) == 4
+    f, roots = field.roots_of_unity(7, 4)
+    assert f == [1, 0, 1]  # squares mod 7 are {1, 2, 4}, so X^2 + 1 is the least irreducible
+    assert len({tuple(r) for r in roots}) == 4
     for r in roots:
-        assert K.pow(r, 4) == K.one()
+        assert poly.power(r, 4, 7, f) == [1]
     # closed under Frobenius
-    images = {K.pow(r, 7) for r in roots}
-    assert images == set(roots)
+    assert {tuple(poly.power(r, 7, 7, f)) for r in roots} == {tuple(r) for r in roots}
 
 
 def test_roots_of_unity_trivial_and_errors():
-    K, roots = field.roots_of_unity(13, 1)
-    assert roots == [K.one()]
+    f, roots = field.roots_of_unity(13, 1)
+    assert roots == [[1]]
     with pytest.raises(ValueError):
         field.roots_of_unity(7, 14)
     with pytest.raises(ValueError):

@@ -54,6 +54,11 @@ def test_division_identity_and_power_mod():
         d = poly.gcd(poly.mul(f, g, p), g, p)
         assert d[-1] == 1 and poly.rem(g, d, p) == []
         assert len(d) == len(g)
+        # the exact quotient undoes a product, and refuses a division that leaves a remainder
+        assert poly.quo(poly.mul(f, g, p), g, p) == poly.trim(f)
+        if r:
+            with pytest.raises(ArithmeticError):
+                poly.quo(f, g, p)
 
 
 def _sympy_poly(sympy, f, p):

@@ -136,3 +136,11 @@ def test_allowlist_is_needed():
     for name in ALLOWED:
         assert name in defs and (name in _exports() or "." in name), name
         assert name not in _reached(ALLOWED - {name}), name
+
+
+def test_cli_reaches_no_splitting_field():
+    # field.roots_of_unity and the irreducible polynomials behind it are the tests'
+    # reference for curves.delta_eval, which takes its products over F_p
+    reference = {"roots_of_unity", "_least_irreducible", "_is_irreducible"}
+    assert reference <= set(_definitions())
+    assert sorted(reference & _reached(set())) == []
