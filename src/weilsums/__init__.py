@@ -45,6 +45,7 @@ from .moments import (
     j_histogram,
     q_bruteforce,
     q_convolution,
+    q_second_route,
     t3_count,
     verify_moment_inequality,
 )

@@ -141,12 +141,17 @@ def _suite_q3(args, rng):
     """T_3(p; s, m, n) against s^6 Q_3(G; (m, n)) for every subgroup G of order tau = (p-1)/s.
 
     Up to tau^3 = 2^20 tuples Q_3 comes from enumeration, a route independent of
-    t3_count's; above that from q_convolution, which t3_count(p, 1, m, n) calls
-    with the same arguments, so the s = 1 rows above 2^20 check nothing.
+    t3_count's; above that from q_second_route, the other of the quotient and
+    orbit routes from the one q_convolution takes on G.  t3_count(p, s, m, n) is
+    q_convolution on F_p* with exponents (s m, s n): at s = 1 the same cell as
+    G's, and at s > 1 a cell with the same orbits, on which _route picks the
+    same route (on every row with p < 3000).  So each row compares two routes,
+    except where the orbit route and enumeration both refuse G's cell (p above
+    about 10^4, s > 1 and tau^3 > 10^8), which takes the quotient route twice.
     """
     for p, tau, G, win in _cells(args):
         s = G.cofactor
-        q3 = moments.q_bruteforce if tau**3 <= 2**20 else moments.q_convolution
+        q3 = moments.q_bruteforce if tau**3 <= 2**20 else moments.q_second_route
         for m, n in ((1, 2), (2, 3)):
             t3v = moments.t3_count(p, s, m, n)
             expected = s**6 * q3(G, (m, n), 3)

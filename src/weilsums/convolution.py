@@ -52,13 +52,17 @@ def _coordinates(keys, p: int, r: int) -> list:
     return [keys, *cols[::-1]]
 
 
-def _sum_equal(keys, counts) -> tuple:
-    """The distinct keys, sorted, with the exact sum of the counts of each; keys may be overwritten."""
+def _sum_equal(keys, counts, index: bool = False) -> tuple:
+    """The distinct keys, sorted, with the exact sum of the counts of each; keys may be overwritten.
+
+    With index, also the position in keys of one entry of each distinct key.
+    """
     shift = max(1, (len(keys) - 1).bit_length())
     keys <<= shift
     keys |= np.arange(len(keys))
     keys.sort()
-    total = counts[keys & ((1 << shift) - 1)]
+    where = keys & ((1 << shift) - 1)
+    total = counts[where]
     np.cumsum(total, out=total)  # below mass^k, by the dtype rule
     keys >>= shift
     last = np.empty(len(keys), dtype=bool)  # the last entry of each run of equal keys
@@ -66,7 +70,7 @@ def _sum_equal(keys, counts) -> tuple:
     last[-1] = True
     total = total[last]
     total[1:] -= total[:-1].copy()
-    return keys[last], total
+    return (keys[last], total, where[last]) if index else (keys[last], total)
 
 
 def _merge(parts: list) -> tuple:

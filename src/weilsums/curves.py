@@ -28,7 +28,7 @@ from math import comb, gcd
 import numpy as np
 
 from . import poly
-from .field import GuardExceeded, least_primitive_root, powers, prime_modulus
+from .field import GuardExceeded, least_primitive_root, log_table, orbit_labels, powers, prime_modulus
 
 LABEL_TABLE_LIMIT = 1 << 22  # entries of one cell's table of H over orbit labels
 # Largest degree m*n of F(0, Y): it bounds the discriminant's (m n)^2 steps and the e^3 steps that
@@ -256,46 +256,26 @@ def _count_tables(p: int, m: int, n: int, s: int) -> tuple:
     curve suite draws each cell's (A, B) back to back.
     """
     N = p - 1
-    d = gcd(m, n)
-    c, ca, cb = gcd(s * d, N), gcd(s * m, N), gcd(s * n, N)
-    # labels: a, b != 0 below N*c, then (a, 0), (0, b) and (0, 0).  The guard
-    # bounds S too, which has 1 + N*gcd(d, N) <= 1 + N*c points
-    on_a, on_b, origin = N * c, N * c + ca, N * c + ca + cb
-    if origin >= LABEL_TABLE_LIMIT:
-        raise GuardExceeded("label table", origin + 1, LABEL_TABLE_LIMIT)
-    # a = g^i, b = g^j != 0 is labelled (n'i - m'j mod N, e1 i + e2 j mod c), with
-    # m' = m/d, n' = n/d and e1 m' + e2 n' = 1; each factor is reduced first, so
-    # the int64 products stay below N^2 whatever the exponents
-    m1, n1 = m // d, n // d
-    e1 = pow(m1, -1, n1)
-    m1, n1, e1, e2 = m1 % N, n1 % N, e1 % c, (1 - e1 * m1) // n1 % c
-    g_j = powers(1, least_primitive_root(p), N, p)
-    log = np.zeros(p, dtype=np.int64)
-    log[g_j] = np.arange(N)
+    # labels (`field.orbit_labels`): a, b != 0 below N*c, then (a, 0), (0, b) and (0, 0),
+    # c = gcd(s*gcd(m, n), N).  The guard bounds S too, which has 1 + N*gcd(m, n, N) <= count points
+    label, sizes, count = orbit_labels(p, s, (m, n))
+    if count > LABEL_TABLE_LIMIT:
+        raise GuardExceeded("label table", count, LABEL_TABLE_LIMIT)
+    g_j, log = powers(1, least_primitive_root(p), N, p), log_table(p)
 
     def power(e):  # x -> x^e over F_p: g^(e log x mod N) for x != 0, and 0 at 0
-        out = g_j[e % N * log % N]
+        out = g_j[np.int64(e % N) * log % N]
         out[0] = 0
-        return out
-
-    def label(a, b):
-        i, j = log[a], log[b]
-        out = (n1 * i - m1 * j) % N * c + (e1 * i + e2 * j) % c
-        za, zb = a == 0, b == 0
-        out[zb] = on_a + i[zb] % ca
-        out[za] = on_b + j[za] % cb
-        out[za & zb] = origin
         return out
 
     # (x, y) with y != 0 is y*(z, 1), z = x/y, in the orbit of (z, 1)'s pair; the
     # N points (x, 0), x != 0, are in the orbit of (1, 1), label 0, and (0, 0) is
-    # its own; then each orbit's total over its size, N/c, N/ca, N/cb or 1
-    H = np.bincount(label((power(s * m) + 1) % p, (power(s * n) + 1) % p), minlength=origin + 1)
+    # its own, the last label; then each orbit's total over its size
+    H = np.bincount(label((power(s * m) + 1) % p, (power(s * n) + 1) % p), minlength=count)
     H *= N
-    H[[0, origin]] += (N, 1)
-    H[:on_a] //= N // c
-    H[on_a:on_b] //= N // ca
-    H[on_b:origin] //= N // cb
+    H[[0, count - 1]] += (N, 1)
+    for (start, size), (stop, _) in zip(sizes, sizes[1:] + ((count, 0),)):
+        H[start:stop] //= size
     # S = {u^n = v^m} by an equi-join: the v with v^m = w are a run of the v sorted by v^m
     pw_m = power(m)
     order = np.argsort(pw_m, kind="stable")
@@ -305,7 +285,7 @@ def _count_tables(p: int, m: int, n: int, s: int) -> tuple:
     lo, run = (np.cumsum(runs) - runs)[pw_n], runs[pw_n]
     su = np.repeat(np.arange(p), run)
     sv = order[np.arange(su.size) - np.repeat(np.cumsum(run) - run - lo, run)]
-    for table in (H, log, su, sv):
+    for table in (H, su, sv):
         table.setflags(write=False)
     return H, label, su, sv
 

@@ -415,6 +415,75 @@ def subgroup(p, tau: int) -> SubgroupSpec:
     return SubgroupSpec(mod, tau, theta)
 
 
+# Largest p whose discrete logarithms `orbit_labels` takes from a table: one int32 entry per
+# residue, 64 MB at the limit, held for one prime at a time.
+LOG_TABLE_LIMIT = 1 << 24
+
+
+@functools.lru_cache(maxsize=1)
+def log_table(p: int) -> np.ndarray:
+    """Read-only int32 table of p entries: g^log[x] = x for x != 0 and the least primitive root g (log[0] = 0).
+
+    The powers of g are formed in blocks of 2^20, so the build holds the table and one block.
+    """
+    if p > LOG_TABLE_LIMIT:
+        raise GuardExceeded("log table", p, LOG_TABLE_LIMIT)
+    g, n, block = least_primitive_root(p), p - 1, 1 << 20
+    log = np.zeros(p, dtype=np.int32)
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        log[powers(pow(g, start, p), g, stop - start, p)] = np.arange(start, stop, dtype=np.int32)
+    log.setflags(write=False)
+    return log
+
+
+@functools.lru_cache(maxsize=64)
+def orbit_labels(p: int, s: int, nvec: tuple) -> tuple:
+    """(label, sizes, count) for the orbits of F_p^r, r = len(nvec) <= 2, under x -> (l^{s n_1} x_1, ..., l^{s n_r} x_r), l in F_p*.
+
+    label maps r int64 arrays of residues to int64 labels, one per orbit;
+    sizes lists (first label, orbit size) pairs in order, each size holding
+    from its first label to the next; count is the number of orbits.  These
+    are the orbits of the order-(p-1)/s subgroup acting with exponents nvec.
+    For r = 1 the orbit of a != 0 is a coset of the (s n_1)-th powers,
+    labelled a^(N/c) with N = p - 1 and c = gcd(s n_1, N), and 0 is labelled
+    0: no table.  For r = 2, with d = gcd(n_1, n_2),
+    n_i = d n_i', e1 n_1' + e2 n_2' = 1 and c = gcd(s d, N), a pair a = g^i,
+    b = g^j != 0 is labelled (n_2' i - n_1' j mod N) c + (e1 i + e2 j mod c),
+    below N c; (a, 0) and (0, b) follow with i mod gcd(s n_1, N) and j mod
+    gcd(s n_2, N), and (0, 0) is last.  The logarithms come from `log_table`,
+    fetched at each call, so no label keeps a table alive.
+    """
+    N = p - 1
+    if len(nvec) == 1:
+        c = math.gcd(s * nvec[0], N)
+        return (lambda a: array_power(a, N // c, p)), ((0, 1), (1, N // c)), c + 1
+    m, n = nvec
+    d = math.gcd(m, n)
+    c, ca, cb = math.gcd(s * d, N), math.gcd(s * m, N), math.gcd(s * n, N)
+    on_a, on_b, origin = np.int64(N * c), np.int64(N * c + ca), np.int64(N * c + ca + cb)
+    # each factor is reduced first, so the int64 products stay below N^2 whatever the exponents;
+    # numpy scalars keep the sums and products of int32 logarithms in int64
+    m1, n1 = m // d, n // d
+    e1 = pow(m1, -1, n1)
+    m1, n1, e1, e2 = (np.int64(x) for x in (m1 % N, n1 % N, e1 % c, (1 - e1 * m1) // n1 % c))
+
+    def label(a, b):
+        log = log_table(p)
+        i, j = log[a], log[b]
+        out = (n1 * i - m1 * j) % N
+        if c > 1:
+            out *= c
+            out += (e1 * i + e2 * j) % c
+        za, zb = a == 0, b == 0
+        out[zb] = on_a + i[zb] % ca
+        out[za] = on_b + j[za] % cb
+        out[za & zb] = origin
+        return out
+
+    return label, ((0, N // c), (int(on_a), N // ca), (int(on_b), N // cb), (int(origin), 1)), int(origin) + 1
+
+
 # Splitting fields F_{p^j} = F_p[X]/(f) of the roots of unity, in `poly`'s
 # representation: the reference for the products that curves.delta_eval takes over F_p.
 

@@ -1,24 +1,43 @@
 """Exact moment counts for power-sum equation systems over multiplicative subgroups.
 
 Q_k counts 2k-tuples (u_1..u_k, v_1..v_k) in G^2k solving the diagonal system
-sum_i u_i^{n_j} = sum_i v_i^{n_j} for j = 1..r, so Q_k = sum_x H(x)^2 for H the
-k-fold cyclic self-convolution of the histogram h of the power vectors
+sum_i u_i^{n_j} = sum_i v_i^{n_j} for j = 1..r, so Q_k = sum_x H_k(x)^2 for H_k the
+k-fold cyclic self-convolution of the histogram h = H_1 of the power vectors
 (g^{n_1}, ..., g^{n_r}), g in G.  The power vectors are an int64 (tau, r) array in
 generator order, one `field.powers` call with a chain per exponent, and h is the
 pair of arrays (vectors, counts) of its distinct rows, counted by one mixed-radix
-key per row.  Three exact routes compute Q_k: enumeration of the tau^k tuples
-(`q_bruteforce`, the oracle), the sparse route (`convolution.self_convolution_power`
-on h, see that module), and the orbit route.  Enumeration visits every tuple and
-shares no counting code with the other two.  It forms the sums mod p of the last m
-factors once, as an inner block of tau^m vectors with r tau^m <= _CHUNK, adds the
-sums of the first k - m factors to it in blocks of at most _CHUNK int64 entries,
-and counts equal sums.  Where p^r is small it counts them in a table of p^r
-entries.  Otherwise it sorts each block's sums (one mixed-radix key each below
-p^r = 2^63, r coordinate columns above) and merges the distinct sums and their
-counts across blocks; when more than _CHUNK distinct sums are possible, it does so
-in passes over windows of the first coordinate, each holding about _CHUNK of them,
-so that memory stays bounded by the block size.  Q_k is the sum of the squared
-counts.  With w of order p modulo a prime q = 1 (mod p) and
+key per row.  Four exact routes compute Q_k.
+
+Enumeration (`q_bruteforce`, the oracle) visits the tau^k tuples, at most
+BRUTE_FORCE_LIMIT (guard `tau^k`), and shares no counting code with the other
+routes.  It forms the sums mod p of the last m factors once, as an inner block
+of tau^m vectors with r tau^m <= _CHUNK, adds the sums of the first k - m factors
+to it in blocks of at most _CHUNK int64 entries (none when m = k), and counts
+equal sums.  Where p^r is small it counts them in a table of p^r entries.
+Otherwise it sorts each block's sums (one mixed-radix key each below p^r = 2^63,
+r coordinate columns above) and merges the distinct sums and their counts across
+blocks; when more than _CHUNK distinct sums are possible, it does so in passes
+over windows of the first coordinate, each holding about _CHUNK of them, so that
+memory stays bounded by the block size.  Q_k is the sum of the squared counts.
+
+The quotient route (r <= 2) uses that H_j is constant on the orbits
+x -> (g^{n_1} x_1, ..., g^{n_r} x_r), g in G, which `field.orbit_labels` labels.
+It keeps one representative u of each orbit O of H_j with the orbit's total
+T_j(O) = |O| H_j(u).  H_1 is the orbit of (1, ..., 1), with total tau, and
+T_j(O) = sum over u of T_{j-1}(O_u) sum_v h(v) [u + v in O]: a step pairs each
+representative with the support of h and sums the weights by the label of u + v,
+exactly, by a key-and-count sort (`convolution._sum_equal`), keeping one sum in
+each orbit as its representative.  Then Q_k = sum_O T_k(O)^2 / |O|.  A
+step forms (orbits of H_{j-1}) x |supp h| pairs, about tau times fewer than the
+sparse route; QUOTIENT_WORK_LIMIT bounds them (guard `quotient work`), and at
+r = 2 the labels' discrete logs bound p (guard `log table`).
+
+The sparse route (r >= 3, and `j_histogram`, which needs all of H_k) is
+`convolution.self_convolution_power` on h, bounded by its pairs and key bits
+(guards `sparse work` and `sparse keys`, `convolution.admit`, which reaches
+p^r = 2^37).
+
+The orbit route: with w of order p modulo a prime q = 1 (mod p) and
 h^(xi) = sum_v h(v) w^(xi.v), orthogonality gives
 p^r Q_k = sum_xi (h^(xi) h^(-xi))^k mod q.  h^ is constant on the orbits
 xi -> (g^{n_1} xi_1, ..., g^{n_r} xi_r): the xi with xi_1 != 0 reduce to one xi_1
@@ -27,11 +46,13 @@ the same sum for the marginal of h on the other coordinates.  That leaves about
 p^r gcd(n_1, tau)/tau points xi, each a sum over the support of h.  Residues modulo
 primes q < 2^31 keep int64 products below 2^62, and CRT over moduli whose product
 exceeds p^r tau^(2k) >= p^r Q_k recovers p^r Q_k exactly; the result is checked to
-be divisible by p^r.  `_route` admits each route on what it spends, the sparse
-route on its pairs and key bits (`convolution.admit`, which reaches p^r = 2^37) and
-the orbit route on its grid of points xi times support vectors (about p^r for a
-subgroup), and `q_convolution` takes the cheaper of those it admits; `j_histogram`,
-which needs all of H, takes the sparse route.
+be divisible by p^r.  Its grid of points xi times support vectors, about p^r for a
+subgroup, is bounded by GRID_SIZE_LIMIT (guard `orbit grid`).
+
+`_route` admits each route on what it spends, and `q_convolution` takes the cheaper
+of the quotient (or, for r >= 3, sparse) route and the orbit route among those
+admitted: the quotient route for small subgroups, the orbit route for tau near p
+at k >= 3.  `q_second_route` takes the other one, as a cross-check.
 """
 
 import functools
@@ -46,13 +67,17 @@ import numpy as np
 from . import convolution
 from .convolution import SPARSE_WORK_LIMIT  # noqa: F401  (the sparse route's pairs limit)
 from .field import INT64_MODULUS_LIMIT, GuardExceeded, array_power, is_prime, least_primitive_root, powers
-from .field import prime_modulus, subgroup
+from .field import orbit_labels, prime_modulus, subgroup
 from .sums import TERM_LIMIT, SparsePolynomial, subgroup_sum
 
 BRUTE_FORCE_LIMIT = 10**8
 # Largest grid of the orbit route: its points xi times the support of h, one int64 gather
 # each per modulus.  The grid holds at least (p - 1) p^(r - 1) (see `_work`).
 GRID_SIZE_LIMIT = 10**8
+# Pairs the quotient route may form over all its steps: near it, 1.5-1.9 s and 320-410 MB peak RSS
+# on a 2-core x86-64 host (subgroup(370261, 340) at k = 4, 6.7*10^6 pairs, and subgroup(999961, 390)
+# at k = 4, 1.0*10^7 pairs, exponents (1, 2), where nearly every pair of the last step is its own orbit).
+QUOTIENT_WORK_LIMIT = 10_000_000
 
 _CHUNK = convolution._CHUNK  # int64 entries of an orbit-route or enumeration temporary (8 MB), or one row if longer
 # Largest p with whole tables of w^j and w^-j (256 KB per modulus); above it (r = 1 only: the
@@ -60,22 +85,27 @@ _CHUNK = convolution._CHUNK  # int64 entries of an orbit-route or enumeration te
 # the cost per gather.
 _FULL_TABLE = 2**14
 # Costs of `_route` in orbit units (one int64 gather of the orbit route), fitted by
-# tools/route_costs.py; three runs on 92 cells with r <= 2 on a 2-core x86-64 host (Python
-# 3.11, numpy 2.4) gave 5.7-5.8 ns per orbit unit and 6400-6600 units (37 us) per step of
-# the sparse route.  A sparse pair costs _SPARSE_COST r^2 units: five runs on 104 cells (12
-# with r = 3) fitted 0.7-0.9 for it, and two fits per r gave 0.9-1.0 units per pair for r = 1
-# (most steps sum into a table), 3.1-3.4 for r = 2 and 5.2-5.3 for r = 3.  So r^2 prices
-# r = 3 pairs high, towards the orbit route, yet the rule picks the faster one on all 12.
-_SPARSE_COST = 0.85
-_SPARSE_STEP = 6500
-# Fixed orbit-route cost of one pass over a coordinate, and of each modulus in it, and
-# cost of one row (point xi) beside its gathers, in orbit units: 5200-5500 (30-31 us) and
-# 10-11 (60-62 ns) in the same runs.  With these costs the rule picks the faster route on
-# the script's ladder, or one within 0.15 ms or 25% of it; at p = 7561, k = 3, r = 1 it
-# picks sparse up to tau = 35 (0.24 ms against 0.52 ms) and orbit from tau = 45 (0.35 ms
-# against 0.49 ms) on, and at subgroup(1009, 1008), r = 2, k = 2 orbit (13 ms against 25 ms).
-_ORBIT_PASS = 5400
-_ORBIT_ROW = 11
+# tools/route_costs.py: three runs on its 88 cells (76 with r <= 2, 12 with r = 3) on a 2-core
+# x86-64 host (Python 3.11, numpy 2.4) gave 5.9-6.2 ns per orbit unit and, for the quotient
+# route, 9.7-10.3 units per pair, 2160-2450 per step and exponent and 3620-3930 per call.
+_QUOTIENT_PAIR = 10
+_QUOTIENT_STEP = 2300
+_QUOTIENT_CALL = 3700
+# The sparse route (r >= 3 only) costs _SPARSE_COST r units per pair and _SPARSE_STEP per
+# step: 1.4-1.5 and 11500-12300 in the same runs.
+_SPARSE_COST = 1.45
+_SPARSE_STEP = 11800
+# The orbit route's fixed cost of one pass over a coordinate and of each modulus in it, of
+# one row (point xi) beside its gathers, and of one entry of its root tables: 4540-4890 (28-30
+# us), 8.8-9.9 and 2.4-2.6 in the same runs.  With these costs the rule picks the faster route
+# on the script's ladder, or one within 0.04 ms of it, but for r = 1 at p = 7561: it takes
+# the quotient route at tau = 270, k = 3 (0.55 ms against 0.43 ms for the orbit route), as an
+# r = 1 label costs a power of about log2(tau) squarings that the pair cost does not weigh.
+# The orbit route wins where tau is near p and k >= 3: subgroup(1009, 1008), exponents (1, 2),
+# k = 3 takes 17 ms against 30 ms for the quotient route.
+_ORBIT_PASS = 4700
+_ORBIT_ROW = 9.5
+_ORBIT_TABLE = 2.5
 # q_bruteforce counts sums in a table of p^r entries up to _TABLE_RATIO per tuple, and sorts
 # them above.  On the host above, 10^5 keys took 0.45 ms by a table of 2*10^5 entries, 3.3 ms
 # by one of 4*10^5 (page faults) and 1.0 ms by sorting.
@@ -131,16 +161,18 @@ def _histogram(vecs, p: int) -> tuple:
 
 
 def _add_mod(a, b, p: int):
-    """(a + b) mod p for residues a, b below p < 2^62."""
-    s = a + b
-    s -= p * (s >= p)
+    """(a + b) mod p for residues a, b below p < 2^62, broadcast; b should be the smaller operand."""
+    s = a + (b - p)  # in [-p, p)
+    s += (s >> 63) & p  # p where the sum is negative
     return s
 
 
 def _tuple_sums(vecs, j: int, p: int):
     """Coordinate sums mod p of all j-tuples of the columns of vecs, as an (r, tau^j) array."""
-    out = np.zeros((len(vecs), 1), dtype=np.int64)
-    for _ in range(j):
+    if not j:
+        return np.zeros((len(vecs), 1), dtype=np.int64)
+    out = vecs
+    for _ in range(j - 1):
         out = _add_mod(out[:, :, None], vecs[:, None, :], p).reshape(len(vecs), -1)
     return out
 
@@ -208,10 +240,12 @@ def _sum_blocks(vecs, k: int, p: int, passes: int):
     while m < k and r * tau ** (m + 1) <= _CHUNK:
         m += 1
     inner, outer = _tuple_sums(vecs, m, p), _tuple_sums(vecs, k - m, p)
-    if passes == 1:
+    if m == k:  # one block, and no outer sums to add (passes is 1: tau^k <= _CHUNK)
+        blocks = ((0, inner),)
+    elif passes == 1:
         step = max(1, _CHUNK // (r * inner.shape[1]))
         blocks = (
-            (0, _add_mod(outer[:, s : s + step, None], inner[:, None, :], p).reshape(r, -1))
+            (0, _add_mod(inner[:, None, :], outer[:, s : s + step, None], p).reshape(r, -1))
             for s in range(0, outer.shape[1], step)
         )
     else:
@@ -337,63 +371,190 @@ def _bound(hist: tuple, k: int, p: int, r: int) -> int:
     return p**r * int(hist[1].sum()) ** (2 * k)
 
 
-def _work(hist: tuple, k: int, p: int, r: int) -> tuple:
-    """(pairs, gathers, rows, n_moduli): the work terms that `_route` prices.
+def _sum_orbits(labels, weights, bound: int, index: bool) -> tuple:
+    """`convolution._sum_equal` on labels below bound: the same by an argsort where a label shifted past the entry index could reach 2^63."""
+    if bound <= 2 ** (63 - max(1, (len(labels) - 1).bit_length())):
+        return convolution._sum_equal(labels, weights, index)
+    order = np.argsort(labels)
+    labels = labels[order]
+    start = np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1])))
+    out = labels[start], np.add.reduceat(weights[order], start)
+    return (*out, order[start]) if index else out
 
-    pairs is what `convolution.self_convolution_power` forms
-    (`convolution.sparse_work`).  n_moduli counts the moduli of `_bound` at 30
-    bits each; for each of them the orbit route evaluates one row per point
-    xi, of one int64 gather per support vector, and builds root tables of p
-    entries: rows and gathers are totals over the moduli.
+
+def _merge_orbits(parts: list, bound: int, index: bool) -> tuple:
+    """One (labels, totals[, representatives]) tuple from several: the distinct labels of all, with their summed totals."""
+    if len(parts) == 1:
+        return parts[0]
+    labels, totals = (np.concatenate([part[i] for part in parts]) for i in (0, 1))
+    out = _sum_orbits(labels, totals, bound, index)
+    if not index:
+        return out
+    return out[0], out[1], np.concatenate([part[2] for part in parts], axis=1)[:, out[2]]
+
+
+def _quotient_count(hist: tuple, k: int, p: int, s: int, nvec) -> int:
+    """Q_k = sum over orbits O of T_k(O)^2 / |O|, by the quotient route (see the module docstring).
+
+    hist must be the power-vector histogram of the subgroup of cofactor s with
+    exponents nvec, r <= 2, whose support is one orbit.  A step pairs one
+    representative u of each orbit of H_{j-1}, weighted by its orbit total, with
+    the support of hist, in blocks of at most _CHUNK pairs, and sums the weights
+    by the label of u + v; the distinct labels of several blocks are merged as
+    `convolution._pair` does.  Totals are int64 while mass^k < 2^63 and Python
+    ints beyond, and so is the last sum while mass^(2k) < 2^63.
+    """
+    label, sizes, count = orbit_labels(p, s, nvec)
+    bound = count if len(nvec) == 2 else p  # r = 1 labels are residues, not ranks
+    vectors, counts = hist
+    mass = int(counts.sum())
+    dtype = np.int64 if mass**k < 2**63 else object  # every total is at most mass^k
+    cols, base = vectors.T, counts.astype(dtype)
+    # H_1 is supported on one orbit, that of (1, ..., 1), with total mass
+    reps, totals, shifted = np.ones((len(cols), 1), dtype=np.int64), np.array([mass], dtype=dtype), cols - p
+    labels = label(*reps) if k == 1 else None
+    for j in range(1, k):
+        index = j < k - 1  # the last step needs no representatives
+        step = max(1, _CHUNK // len(base))
+        parts = []
+        for start in range(0, len(totals), step):
+            sums = reps[:, start : start + step, None] + shifted[:, None, :]
+            sums += (sums >> 63) & p  # u + v - p, plus p where that is negative
+            sums = sums.reshape(len(cols), -1)
+            part = _sum_orbits(label(*sums), np.multiply.outer(totals[start : start + step], base).ravel(), bound, index)
+            parts.append((*part[:2], sums[:, part[2]]) if index else part)
+            # merge once the later blocks hold as many labels as the merged ones
+            if sum(len(part[0]) for part in parts[1:]) >= len(parts[0][0]):
+                parts = [_merge_orbits(parts, bound, index)]
+        labels, totals, *rest = _merge_orbits(parts, bound, index)
+        reps = rest[0] if rest else None
+    if mass ** (2 * k) >= 2**63:  # each term is at most Q_k <= mass^(2k)
+        totals = totals.astype(object)
+    starts, size = zip(*sizes)
+    size = np.array(size)[np.searchsorted(starts, labels, side="right") - 1]  # of each orbit
+    return int((totals * (totals // size)).sum())
+
+
+def _multiset_orbits(n: int, j: int) -> int:
+    """Orbits of Z/n, acting by translation, on the j-element multisets of Z/n (Burnside's lemma)."""
+    g = math.gcd(n, j)
+    # a translation of order e fixes the multisets made of whole cosets of its subgroup
+    return sum(
+        sum(math.gcd(x, e) == 1 for x in range(1, e + 1)) * math.comb((n + j) // e - 1, j // e)
+        for e in range(1, g + 1)
+        if g % e == 0
+    ) // n
+
+
+def _work(hist: tuple, k: int, p: int, r: int, s: int, nvec) -> tuple:
+    """(pairs, gathers, tables, rows, n_moduli): the work terms that `_route` prices.
+
+    pairs is what the quotient route forms for r <= 2, and
+    `convolution.self_convolution_power` (`convolution.sparse_work`) for r >= 3.
+    The support of a subgroup's histogram is one orbit of nnz vectors on which
+    the subgroup acts as Z/nnz by translation, and the points of H_j are sums
+    of j-element multisets of it; so H_j has at most as many orbits as those
+    multisets (`_multiset_orbits`), and at most as many as F_p^r.  n_moduli
+    counts the moduli of `_bound` at 30 bits each; for each of them the orbit
+    route builds root tables of p entries and evaluates one row per point xi,
+    of one int64 gather per support vector: gathers, tables and rows are
+    totals over the moduli.
     """
     vectors, counts = hist
+    nnz = len(counts)
     points = (p - 1) // _distinct_count(vectors[:, 0]) * p ** (r - 1)
     n_moduli = _bound(hist, k, p, r).bit_length() // 30 + 1
-    pairs = convolution.sparse_work(len(counts), k, p**r)
-    return pairs, n_moduli * (points * len(counts) + p), n_moduli * points, n_moduli
+    if r <= 2:
+        orbits = orbit_labels(p, s, nvec)[2]
+        pairs = nnz * sum(min(_multiset_orbits(nnz, j), orbits) for j in range(1, k))
+    else:
+        pairs = convolution.sparse_work(nnz, k, p**r)
+    return pairs, n_moduli * points * nnz, n_moduli * p, n_moduli * points, n_moduli
 
 
-def _route(hist: tuple, k: int, p: int, r: int):
-    """The moduli for the orbit route, or None for the sparse route: the one place that decides.
+def _route(hist: tuple, k: int, p: int, r: int, s: int, nvec) -> tuple:
+    """(route, moduli): "quotient" or "sparse" with None, or "orbit" with its moduli; the one place that decides.
 
-    The sparse route admits a cell on its pairs and key bits (`convolution.admit`),
-    the orbit route on its grid (GRID_SIZE_LIMIT) and on enough primes q = 1 (mod p)
-    below 2^31 for the bound.  Of those admitted, sparse is taken when it costs no
-    more, in orbit units (one int64 gather): _SPARSE_COST r^2 per pair and
-    _SPARSE_STEP per step, against the orbit route's gathers, _ORBIT_ROW per row
-    and _ORBIT_PASS per pass and per modulus in a pass (see `_work`).  Where
-    neither admits the cell, the cheaper one's refusal is raised.
+    The quotient route (r <= 2) admits a cell on its pairs (QUOTIENT_WORK_LIMIT;
+    at r = 2 the log table guard bounds p when it runs), the sparse route
+    (r >= 3) on its pairs and key bits (`convolution.admit`), and the orbit route
+    on its grid (GRID_SIZE_LIMIT) and on enough primes q = 1 (mod p) below 2^31
+    for the bound.  Of those admitted, the cheaper is taken, in orbit units (one
+    int64 gather): _QUOTIENT_PAIR per pair, _QUOTIENT_STEP per step and exponent
+    and _QUOTIENT_CALL, or _SPARSE_COST r per pair and _SPARSE_STEP per step,
+    against the orbit route's gathers, _ORBIT_TABLE per root-table entry,
+    _ORBIT_ROW per row and _ORBIT_PASS per pass and per modulus in a pass (see
+    `_work`); on a tie, the route other than orbit.  Where neither admits the
+    cell, the cheaper one's refusal is raised.
     """
-    pairs, gathers, rows, n_moduli = _work(hist, k, p, r)
-    sparse = _SPARSE_COST * r * r * pairs + (k - 1) * _SPARSE_STEP
-    cheaper = sparse <= gathers + _ORBIT_ROW * rows + r * (n_moduli + 1) * _ORBIT_PASS
+    pairs, gathers, tables, rows, n_moduli = _work(hist, k, p, r, s, nvec)
+    refusal = None
+    if r <= 2:
+        route, cost = "quotient", _QUOTIENT_PAIR * pairs + _QUOTIENT_STEP * r * (k - 1) + _QUOTIENT_CALL
+        if pairs > QUOTIENT_WORK_LIMIT:
+            refusal = GuardExceeded("quotient work", pairs, QUOTIENT_WORK_LIMIT)
+    else:
+        route, cost = "sparse", _SPARSE_COST * r * pairs + _SPARSE_STEP * (k - 1)
+        try:
+            convolution.admit(len(hist[1]), k, p, r)
+        except GuardExceeded as exc:
+            refusal = exc
     grid = rows // n_moduli * len(hist[1])
-    try:
-        convolution.admit(len(hist[1]), k, p, r)
-    except GuardExceeded as refusal:
-        if grid > GRID_SIZE_LIMIT:
-            raise refusal if cheaper else GuardExceeded("orbit grid", grid, GRID_SIZE_LIMIT)
-        if (moduli := _moduli(p, _bound(hist, k, p, r))) is None:
-            raise
-        return moduli
-    return None if cheaper or grid > GRID_SIZE_LIMIT else _moduli(p, _bound(hist, k, p, r))
+    orbit_refusal = GuardExceeded("orbit grid", grid, GRID_SIZE_LIMIT) if grid > GRID_SIZE_LIMIT else None
+    orbit_cost = gathers + _ORBIT_TABLE * tables + _ORBIT_ROW * rows + r * (n_moduli + 1) * _ORBIT_PASS
+    if cost <= orbit_cost and refusal is None:
+        return route, None
+    if orbit_refusal is None and (moduli := _moduli(p, _bound(hist, k, p, r))) is not None:
+        return "orbit", moduli
+    if refusal is None:
+        return route, None
+    raise refusal if cost <= orbit_cost else orbit_refusal or refusal
 
 
 def _power_histogram(G, nvec, k: int, coeffs=None) -> tuple:
-    """(hist, p, r): the histogram (`_histogram`) of the power vectors, once the arguments are checked."""
+    """(hist, p, nvec): the histogram (`_histogram`) of the power vectors, once the arguments are checked."""
     nvec = _validate(nvec, k)
-    r, p = len(nvec), G.modulus.p
-    if coeffs is not None and (len(coeffs) != r or any(c % p == 0 for c in coeffs)):
+    p = G.modulus.p
+    if coeffs is not None and (len(coeffs) != len(nvec) or any(c % p == 0 for c in coeffs)):
         raise ValueError("need one coefficient per exponent, each nonzero mod p")
-    return _histogram(_power_vectors(G, nvec, coeffs), p), p, r
+    return _histogram(_power_vectors(G, nvec, coeffs), p), p, nvec
 
 
 def q_convolution(G, nvec, k: int) -> int:
-    """Q_k from the power-vector histogram, by the sparse or the orbit route (`_route`)."""
-    hist, p, r = _power_histogram(G, nvec, k)
-    if (moduli := _route(hist, k, p, r)) is not None:
+    """Q_k from the power-vector histogram, by the quotient (r <= 2) or sparse (r >= 3) route or the orbit route (`_route`)."""
+    hist, p, nvec = _power_histogram(G, nvec, k)
+    r = len(nvec)
+    route, moduli = _route(hist, k, p, r, G.cofactor, nvec)
+    if route == "orbit":
         return _orbit_count(hist, k, p, r, moduli)
+    if route == "quotient":
+        return _quotient_count(hist, k, p, G.cofactor, nvec)
     return convolution.sum_of_squares(convolution.self_convolution_power(hist, k, p, r))
+
+
+def q_second_route(G, nvec, k: int) -> int:
+    """Q_k (r <= 2) by a route other than the one `q_convolution` takes on the same cell, as a cross-check.
+
+    Where q_convolution takes the orbit route, that is the quotient route, past
+    its work limit: the orbit route's grid bounds p, to about 10^4 at r = 2, and
+    there the orbits that a step holds number at most those of F_p^r.  Where it
+    takes the quotient route, that is the orbit route if its grid and moduli
+    admit the cell, else enumeration if tau^k <= BRUTE_FORCE_LIMIT, else the
+    quotient route again.
+    """
+    hist, p, nvec = _power_histogram(G, nvec, k)
+    r = len(nvec)
+    if r > 2:
+        raise ValueError("a second route needs at most two exponents")
+    s = G.cofactor
+    if _route(hist, k, p, r, s, nvec)[0] == "orbit":
+        return _quotient_count(hist, k, p, s, nvec)
+    rows, n_moduli = _work(hist, k, p, r, s, nvec)[3:]
+    if rows // n_moduli * len(hist[1]) <= GRID_SIZE_LIMIT and (moduli := _moduli(p, _bound(hist, k, p, r))):
+        return _orbit_count(hist, k, p, r, moduli)
+    if G.tau**k <= BRUTE_FORCE_LIMIT:
+        return q_bruteforce(G, nvec, k)
+    return _quotient_count(hist, k, p, s, nvec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,8 +585,8 @@ class PowerVectorHistogram:
 
 def j_histogram(G, nvec, coeffs, k: int) -> PowerVectorHistogram:
     """Histogram of (sum_i a_1 g_i^{n_1}, ..., sum_i a_r g_i^{n_r}) over k-tuples, by the sparse route."""
-    hist, p, r = _power_histogram(G, nvec, k, coeffs)
-    return PowerVectorHistogram(p, k, *convolution.self_convolution_power(hist, k, p, r))
+    hist, p, nvec = _power_histogram(G, nvec, k, coeffs)
+    return PowerVectorHistogram(p, k, *convolution.self_convolution_power(hist, k, p, len(nvec)))
 
 
 def t3_count(p, s: int, m: int, n: int) -> int:

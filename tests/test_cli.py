@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weilsums import cli, curves, moments, sums
+from weilsums import cli, curves, field, moments, sums
 
 
 def run(capsys, *argv):
@@ -188,8 +188,8 @@ def test_bad_subgroup_is_usage_error(capsys):
 
 
 def test_guard_is_exit_2(capsys):
-    # tau = p - 1 at p^2 > 10^8: 10^8 pairs for the sparse route, a grid of 10^8 for the orbit route
-    rc, _, err = run(capsys, "moment", "--p", "10007", "--tau", "10006", "--k", "2", "--exps", "1,2", "--method", "conv")
+    # tau = p - 1 at p^2 > 10^8, k = 3: 5*10^7 pairs for the quotient route, a grid of 10^8 for the orbit route
+    rc, _, err = run(capsys, "moment", "--p", "10007", "--tau", "10006", "--k", "3", "--exps", "1,2", "--method", "conv")
     assert rc == 2
     assert err == f"error: guard orbit grid: {10007 * 10006} exceeds limit {moments.GRID_SIZE_LIMIT}\n"
     # s = p - 1 asks for a label table of p^2 entries
@@ -530,3 +530,17 @@ def test_fuzz_exit_codes(tmp_path, capsys, command):
         capsys.readouterr()
         # for `moment`, exit 1 could only mean that two routes disagree
         assert rc in ((0, 2) if command == "moment" else (0, 1, 2)), argv
+
+
+def test_moment_small_subgroup_of_a_large_field(capsys):
+    # subgroup(10003601, 400) at k = 3: 80800 pairs of the quotient route (the sparse route's 3.2*10^7
+    # pairs were refused); enumeration of the 6.4*10^7 tuples gives the same count
+    rc, out, _ = run(capsys, "moment", "--p", "10003601", "--tau", "400", "--k", "3", "--exps", "1,2", "--method", "conv")
+    assert (rc, out) == (0, "Q = 382561600\n")
+
+
+def test_log_table_guard_is_exit_2(capsys):
+    # two exponents above p = 2^24: the quotient route would take discrete logs from a table of p entries
+    rc, _, err = run(capsys, "moment", "--p", "16777259", "--tau", "2", "--k", "2", "--exps", "1,2", "--method", "conv")
+    assert rc == 2
+    assert err == f"error: guard log table: 16777259 exceeds limit {field.LOG_TABLE_LIMIT}\n"

@@ -1,10 +1,12 @@
 """Prime field arithmetic, subgroups, extension fields, characters."""
 
+import bisect
 import cmath
 import math
 import random
 import tracemalloc
 from collections import OrderedDict
+from itertools import product
 
 import numpy as np
 import pytest
@@ -382,3 +384,47 @@ def test_guard_exceeded_carries_name():
     err = field.GuardExceeded("p^r", 10**9, 10**8)
     assert err.guard == "p^r"
     assert "p^r" in str(err)
+
+
+def _orbits(p: int, s: int, nvec) -> list:
+    """The orbits of F_p^r under x -> (l^{s n_1} x_1, ...), l in F_p*, by direct enumeration."""
+    seen, out = set(), []
+    for x in product(range(p), repeat=len(nvec)):
+        if x not in seen:
+            orbit = {tuple(pow(l, s * n, p) * c % p for n, c in zip(nvec, x)) for l in range(1, p)}
+            seen |= orbit
+            out.append(orbit)
+    return out
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13, 19, 31))
+def test_orbit_labels_are_a_complete_invariant(p):
+    # one label per orbit, the same for all its points; exponent pairs sharing a factor, and cofactors
+    for nvec in ((1,), (2,), (6,), (1, 2), (2, 3), (2, 4), (3, 6), (1, 5)):
+        for s in field.divisors(p - 1):
+            label, sizes, count = field.orbit_labels(p, s, nvec)
+            starts = [start for start, _ in sizes]
+            orbits = _orbits(p, s, nvec)
+            assert count == len(orbits)
+            labels = []
+            for orbit in orbits:
+                cols = [np.array(c, dtype=np.int64) for c in zip(*sorted(orbit))]
+                got = label(*cols)
+                assert len(set(got.tolist())) == 1, (p, s, nvec, orbit)
+                assert sizes[bisect.bisect_right(starts, int(got[0])) - 1][1] == len(orbit)
+                labels.append(int(got[0]))
+            assert len(set(labels)) == len(orbits), (p, s, nvec)
+
+
+def test_log_table():
+    for p in (2, 3, 101, 1009):
+        log, g = field.log_table(p), field.least_primitive_root(p)
+        assert log.dtype == np.int32 and not log.flags.writeable
+        assert [pow(g, int(log[x]), p) for x in range(1, p)] == list(range(1, p))
+    # one block boundary of the build: 2^20 + 1 logarithms at p = 1048583
+    log = field.log_table(1048583)
+    assert sorted(log[1:].tolist()) == list(range(1048582))
+    # above the limit the table is refused before anything is allocated
+    with pytest.raises(field.GuardExceeded) as exc:
+        field.log_table(16777259)
+    assert (exc.value.guard, exc.value.actual, exc.value.limit) == ("log table", 16777259, field.LOG_TABLE_LIMIT)

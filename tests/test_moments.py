@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from weilsums import convolution, field, moments
@@ -131,22 +132,25 @@ def test_guards():
         moments.q_bruteforce(field.subgroup(2**61 - 1, 6), (1, 2, 3), 11)  # 6^11 > 10^8
     # three exponents: no guard on r beyond what each route spends
     assert moments.q_convolution(field.subgroup(13, 4), (1, 2, 3), 2) == 28
-    # p^2 > 10^8 alone no longer refuses a cell: the sparse route takes two power vectors
+    # p^2 > 10^8 alone no longer refuses a cell: the quotient route takes two power vectors
     small = field.subgroup(10007, 2)
     assert moments.q_convolution(small, (1, 2), 2) == moments.q_bruteforce(small, (1, 2), 2)
-    # tau = p - 1: 10^8 pairs for the sparse route and a grid of 10^8 for the orbit route
+    # tau = p - 1, k = 3: 5*10^7 pairs for the quotient route and a grid of 10^8 for the orbit route
     with pytest.raises(GuardExceeded) as exc:
-        moments.q_convolution(field.subgroup(10007, 10006), (1, 2), 2)
+        moments.q_convolution(field.subgroup(10007, 10006), (1, 2), 3)
     assert exc.value.guard == "orbit grid"
     assert exc.value.actual == 10007 * 10006 > exc.value.limit == moments.GRID_SIZE_LIMIT
+    # at k = 2 the quotient route forms tau pairs; enumeration would visit tau^2 > 10^8 tuples,
+    # so the count is checked against the closed form 2 tau^2 - tau (exponents (1, 2), p odd)
+    assert moments.q_convolution(field.subgroup(10007, 10006), (1, 2), 2) == 2 * 10006**2 - 10006
 
 
 @pytest.mark.parametrize("p, tau", ((100801, 150), (176401, 168)))
 def test_small_subgroups_of_large_fields(p, tau):
-    # tau near sqrt(p), where the paper's bounds are new: the sparse route, p^2 > 10^10
+    # tau near sqrt(p), where the paper's bounds are new: the quotient route, p^2 > 10^10
     G = field.subgroup(p, tau)
     hist = _subgroup_hist(G, (1, 2))
-    assert moments._route(hist, 3, p, 2) is None
+    assert moments._route(hist, 3, p, 2, G.cofactor, (1, 2)) == ("quotient", None)
     assert moments.q_convolution(G, (1, 2), 3) == moments.q_bruteforce(G, (1, 2), 3)
 
 
@@ -155,13 +159,16 @@ def test_sparse_keys_guard():
     G = field.subgroup(370723, 411)
     assert 370723**2 <= 2**37 < 370759**2
     assert moments.q_convolution(G, (1, 2), 2) == moments.q_bruteforce(G, (1, 2), 2)
-    # the next prime: two power vectors, yet neither route takes the cell
+    # the next prime: the quotient route takes two power vectors, and the sparse route refuses
+    # the whole histogram and three exponents past p^3 = 2^37
+    G = field.subgroup(370759, 2)
+    assert moments.q_convolution(G, (1, 2), 2) == moments.q_bruteforce(G, (1, 2), 2)
     with pytest.raises(GuardExceeded) as exc:
-        moments.q_convolution(field.subgroup(370759, 2), (1, 2), 2)
+        moments.j_histogram(G, (1, 2), (1, 1), 2)
     assert (exc.value.guard, exc.value.actual, exc.value.limit) == ("sparse keys", 370759**2, 2**37)
     with pytest.raises(GuardExceeded) as exc:
-        moments.j_histogram(field.subgroup(370759, 2), (1, 2), (1, 1), 2)
-    assert exc.value.guard == "sparse keys"
+        moments.q_convolution(field.subgroup(5171, 2), (1, 2, 3), 2)
+    assert (exc.value.guard, exc.value.actual, exc.value.limit) == ("sparse keys", 5171**3, 2**37)
 
 
 def test_j_histogram_identities():
@@ -372,13 +379,17 @@ def test_split_root_tables_agree(monkeypatch):
 
 
 def test_route_without_moduli_is_guarded(monkeypatch):
-    # with too few primes q = 1 (mod p) below 2^31, only the sparse route is left
+    # with too few primes q = 1 (mod p) below 2^31, only the sparse route is left at r = 3 and
+    # the quotient route at r <= 2, although the orbit route's grid would admit each cell
     monkeypatch.setattr(moments, "_moduli", lambda p, bound: None)
-    G = field.subgroup(601, 600)
     with pytest.raises(GuardExceeded) as exc:
-        moments.q_convolution(G, (1, 2), 3)
+        moments.q_convolution(field.subgroup(461, 460), (1, 2, 3), 3)
     assert exc.value.guard == "sparse work"
     assert exc.value.limit == moments.SPARSE_WORK_LIMIT
+    with pytest.raises(GuardExceeded) as exc:
+        moments.q_convolution(field.subgroup(4999, 4998), (1, 2), 3)
+    assert exc.value.guard == "quotient work"
+    assert exc.value.actual > exc.value.limit == moments.QUOTIENT_WORK_LIMIT
     assert moments.q_convolution(field.subgroup(601, 30), (1, 2), 3) == moments.q_bruteforce(
         field.subgroup(601, 30), (1, 2), 3
     )
@@ -394,23 +405,26 @@ def test_t3_orbit_agrees_with_sparse():
 
 
 def test_route_choice():
-    # criterion 13: tau = p - 1 on a 1009^2 grid; the sparse route would take minutes
-    big = _subgroup_hist(field.subgroup(1009, 1008), (1, 2))
-    assert moments._route(big, 3, 1009, 2) is not None
-    # tau = 10, k = 2: 100 dict updates against a 2-D grid pass
-    small = _subgroup_hist(field.subgroup(601, 10), (1, 2))
-    assert moments._route(small, 2, 601, 2) is None
-    # k = 1 needs no convolution at all
-    assert moments._route(big, 1, 1009, 2) is None
-    # r = 1, k = 3 at p = 7561: sparse while the orbit route's fixed cost dominates
-    # (tools/route_costs.py: 0.11 ms against 0.45 ms at tau = 21, 1.0 ms against 0.44 ms at 63)
-    for tau, orbit in ((9, False), (21, False), (63, True), (90, True)):
-        hist = _subgroup_hist(field.subgroup(7561, tau), (1,))
-        assert (moments._route(hist, 3, 7561, 1) is not None) == orbit, tau
+    def route(p, tau, nvec, k):
+        G = field.subgroup(p, tau)
+        return moments._route(_subgroup_hist(G, nvec), k, p, len(nvec), G.cofactor, nvec)[0]
+
+    # criterion 13: tau = p - 1 on a 1009^2 grid, where a quotient step pairs about p/2 orbits with p vectors
+    assert route(1009, 1008, (1, 2), 3) == "orbit"
+    # tau = 10, k = 2: one step of 10 pairs against a 2-D grid pass
+    assert route(601, 10, (1, 2), 2) == "quotient"
+    # k = 1 needs no step at all
+    assert route(1009, 1008, (1, 2), 1) == "quotient"
+    # r = 1, k = 3 at p = 7561: quotient while the orbit route's fixed cost dominates (tools/route_costs.py:
+    # 0.09 ms against 0.49 ms at tau = 9, 0.12 ms against 0.45 ms at 27, 2.8 ms against 0.76 ms at 7560)
+    for tau, picked in ((9, "quotient"), (27, "quotient"), (7560, "orbit")):
+        assert route(7561, tau, (1,), 3) == picked, tau
+    # r = 3 has no quotient route: the sparse route below its pairs limit
+    assert route(31, 15, (1, 2, 3), 2) == "sparse"
 
 
 def test_route_costs_script_runs(monkeypatch, capsys):
-    # tools/route_costs.py on the cells of its ladder below p = 900 (both routes, r = 1 to 3)
+    # tools/route_costs.py on the cells of its ladder below p = 900 (each against the orbit route, r = 1 to 3)
     path = pathlib.Path(__file__).parents[1] / "tools" / "route_costs.py"
     spec = importlib.util.spec_from_file_location("route_costs", path)
     script = importlib.util.module_from_spec(spec)
@@ -419,9 +433,13 @@ def test_route_costs_script_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(path), "--repeat", "1"])
     script.main()
     lines = capsys.readouterr().out.splitlines()
-    costs = ("_ORBIT_PASS", "_ORBIT_ROW", "_SPARSE_COST (pair / r^2)", "_SPARSE_STEP")
-    assert [line.split(":")[0] for line in lines[-4:]] == list(costs)
-    assert all(line.endswith(" orbit units") for line in lines[-4:])
+    costs = ("_ORBIT_PASS", "_ORBIT_ROW", "_ORBIT_TABLE", "_QUOTIENT_PAIR", "_QUOTIENT_STEP", "_QUOTIENT_CALL", "_SPARSE_COST",
+             "_SPARSE_STEP")
+    assert [line.split(":")[0] for line in lines[-8:]] == list(costs)
+    assert all(line.endswith(" orbit units") for line in lines[-8:])
+    # every cell is timed on the quotient route (r <= 2) or the sparse route (r = 3) against the orbit route
+    picked = [line.split()[-2] for line in lines if line.startswith("  ")]
+    assert set(picked) == {"quotient", "orbit", "sparse"}
 
 
 def test_moduli():
@@ -478,3 +496,103 @@ def test_routes_agree_property():
         assert orbit == sparse, (p, G.tau, nvec, k)
 
     check()
+
+
+def test_quotient_route_matches_bruteforce():
+    # every tau | p - 1 with tau^k <= 2*10^5 at random p <= ~700: exponent pairs sharing a factor,
+    # sums that land on an axis or at 0 (tau even: g + (-g) = 0), tau = p - 1 as t3_count uses, k <= 4
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    primes = [p for p in range(3, 710) if field.is_prime(p)]
+    pairs = ((1,), (2,), (1, 2), (2, 4), (3, 6), (1, 3), (2, 3), (4, 6), (1, 6))
+
+    @hyp.settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @hyp.given(st.sampled_from(primes), st.sampled_from(pairs), st.integers(1, 4))
+    def check(p, nvec, k):
+        for tau in field.divisors(p - 1):
+            if tau**k > 2 * 10**5:
+                continue
+            G = field.subgroup(p, tau)
+            hist = _subgroup_hist(G, nvec)
+            assert moments._quotient_count(hist, k, p, G.cofactor, nvec) == moments.q_bruteforce(G, nvec, k), (
+                p, tau, nvec, k)
+
+    check()
+
+
+@pytest.mark.parametrize("p, k", ((101, 40), (257, 70)))
+def test_quotient_route_object_counts(p, k):
+    # G = {1, -1}: the sums j - (k - j) are distinct mod p, so Q_k = sum_j C(k, j)^2 = C(2k, k);
+    # 2^80 > 2^63 takes the last sum in Python ints, and 2^70 every total
+    G = field.subgroup(p, 2)
+    assert moments._quotient_count(_subgroup_hist(G, (1,)), k, p, G.cofactor, (1,)) == math.comb(2 * k, k)
+    assert moments.q_convolution(G, (1,), k) == math.comb(2 * k, k)
+
+
+def test_q_convolution_takes_no_sparse_step_below_three_exponents(monkeypatch):
+    # r <= 2 goes by the quotient or the orbit route, also where the orbit route has no moduli
+    def refuse(*args):
+        raise AssertionError("self_convolution_power called")
+
+    monkeypatch.setattr(convolution, "self_convolution_power", refuse)
+    for p, tau, nvec, k in ((31, 30, (1, 2), 3), (601, 10, (1,), 4), (1009, 1008, (1, 2), 3), (7561, 7560, (1,), 3),
+                            (370723, 411, (1, 2), 2), (101, 25, (1, 2), 18), (13, 4, (2, 4), 1)):
+        G = field.subgroup(p, tau)
+        want = moments.q_convolution(G, nvec, k)
+        if tau**k <= 10**6:
+            assert want == moments.q_bruteforce(G, nvec, k)
+    monkeypatch.setattr(moments, "_moduli", lambda p, bound: None)
+    G = field.subgroup(601, 600)
+    assert moments.q_convolution(G, (1, 2), 2) == moments.q_bruteforce(G, (1, 2), 2)
+
+
+def test_quotient_route_memory():
+    # formerly 19.8*10^6 sparse pairs and 584 MB; the quotient route forms 58480 pairs
+    tracemalloc = pytest.importorskip("tracemalloc")
+    G = field.subgroup(370261, 340)
+    tracemalloc.start()
+    try:
+        assert moments.q_convolution(G, (1, 2), 3) == 234809440
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
+def test_sum_orbits_past_the_packed_keys():
+    # labels too large to pack beside the entry index take an argsort, with the same sums
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 50, 1000, dtype=np.int64) * 2**50
+    weights = rng.integers(1, 9, 1000, dtype=np.int64)
+    got = moments._sum_orbits(labels.copy(), weights, 2**56, True)
+    want = moments._sum_orbits(labels // 2**50, weights, 50, True)
+    assert (got[0] == want[0] * 2**50).all() and (got[1] == want[1]).all()
+    assert (labels[got[2]] == got[0]).all()
+
+
+def test_second_route_differs(monkeypatch):
+    # q_second_route takes the route that q_convolution does not, and agrees with enumeration
+    calls = []
+    for name in ("_quotient_count", "_orbit_count", "q_bruteforce"):
+        real = getattr(moments, name)
+        monkeypatch.setattr(moments, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for p, tau, nvec in ((131, 130, (1, 2)), (211, 210, (2, 3)), (601, 40, (1, 2)), (421, 105, (2, 3))):
+        G = field.subgroup(p, tau)
+        hist = _subgroup_hist(G, nvec)
+        picked = moments._route(hist, 3, p, 2, G.cofactor, nvec)[0]
+        calls.clear()
+        second = moments.q_second_route(G, nvec, 3)
+        assert calls == ["_orbit_count" if picked == "quotient" else "_quotient_count"], (p, tau, picked)
+        assert second == moments.q_convolution(G, nvec, 3) == moments.q_bruteforce(G, nvec, 3)
+    # enumeration where the orbit route's grid refuses the cell
+    G = field.subgroup(100801, 100)
+    calls.clear()
+    assert moments.q_second_route(G, (1, 2), 3) == moments.q_convolution(G, (1, 2), 3)
+    assert calls[0] == "q_bruteforce"
+    with pytest.raises(ValueError):
+        moments.q_second_route(G, (1, 2, 3), 2)
+
+
+def test_exponents_as_a_list():
+    G = field.subgroup(31, 10)
+    assert moments.q_convolution(G, [1, 2], 3) == moments.q_second_route(G, [1, 2], 3) == 5230

@@ -1,22 +1,24 @@
-"""Time the sparse and orbit moment routes and fit the costs that `moments._route` uses.
+"""Time the moment routes and fit the costs that `moments._route` uses.
 
     PYTHONPATH=src python3 tools/route_costs.py [--repeat 5]
 
-Each cell (p, tau, nvec, k) of a fixed ladder is timed on both routes, min of
---repeat runs, on the histogram of subgroup(p, tau): the sparse route as
-`convolution.self_convolution_power` plus `sum_of_squares`, the orbit route as
-`moments._orbit_count` with its moduli already found.  Weighted least squares
-(each cell weighted by 1/time, so small cells count as much as large ones)
-then fits
+Each cell (p, tau, nvec, k) of a fixed ladder is timed on the histogram of
+subgroup(p, tau), min of --repeat runs, on the orbit route
+(`moments._orbit_count` with its moduli already found) and on the other route
+that `moments._route` weighs against it: the quotient route
+(`moments._quotient_count`) for r <= 2, the sparse route
+(`convolution.self_convolution_power` plus `sum_of_squares`) for r = 3.
+Weighted least squares (each cell weighted by 1/time, so small cells count as
+much as large ones) then fits
 
-    orbit  = unit * gathers + row * rows + pass_ * r * (n_moduli + 1)
-    sparse = pair * r^2 * pairs + step * (k - 1)
+    orbit    = unit * gathers + table * tables + row * rows + pass_ * r * (n_moduli + 1)
+    quotient = pair * pairs + step * r * (k - 1) + call
+    sparse   = pair * r * pairs + step * (k - 1)
 
 with the work terms of `moments._work`, and prints the costs in ns and in
-orbit units, the unit of `_SPARSE_COST`, `_SPARSE_STEP`, `_ORBIT_ROW` and
-`_ORBIT_PASS`.
-The cells span both sides of the switch between the routes, for r = 1 and 2,
-and take both routes for r = 3.
+orbit units, the unit of the route costs in `moments`.  The cells span both
+sides of the switch between the routes for r = 1 and 2, and take both routes
+for r = 3.
 """
 
 import argparse
@@ -31,19 +33,17 @@ from weilsums import convolution, field, moments
 LADDER = (
     (13, (12,), (1,), (2, 3)),
     (29, (28,), (1,), (2, 3)),
-    (601, (10, 30, 60, 120), (1,), (3, 4)),
-    (7561, (6, 9, 15, 21, 27, 35, 45, 63, 90, 135, 189, 270), (1,), (2, 3)),
-    (31, (5, 10, 15, 30), (1, 2), (2, 3)),
-    (101, (10, 20, 50), (1, 3), (2, 3)),
-    (421, (20, 30, 42, 60, 84), (1, 2), (2, 3)),
-    (601, (10, 20, 30, 40, 60), (1, 2), (2, 3)),
-    (937, (13, 26, 39, 52), (1, 3), (2, 3)),
-    (277, (69, 138, 276), (1, 2), (2,)),
-    (467, (233, 466), (1, 2), (2,)),
-    (1009, (126, 144), (1, 2), (3,)),
-    (1009, (504, 1008), (1, 2), (2,)),
-    (2003, (143, 154, 182), (1, 3), (3,)),
-    (2003, (1001, 2002), (1, 3), (2,)),
+    (601, (10, 30, 120, 600), (1,), (3, 4)),
+    (7561, (9, 27, 90, 270, 1080, 7560), (1,), (2, 3)),
+    (31, (5, 15, 30), (1, 2), (2, 3)),
+    (101, (10, 50, 100), (1, 3), (2, 3)),
+    (277, (69, 276), (1, 2), (2, 3)),
+    (421, (20, 60, 420), (1, 2), (2, 3)),
+    (467, (233, 466), (1, 2), (2, 3)),
+    (601, (10, 40, 600), (1, 2), (2, 3)),
+    (937, (13, 39, 117, 936), (1, 3), (2, 3)),
+    (1009, (144, 336, 1008), (1, 2), (2, 3)),
+    (2003, (182, 1001, 2002), (1, 3), (2, 3)),
     (31, (15, 30), (1, 2, 3), (2, 3)),
     (101, (25, 50), (1, 2, 3), (2, 3, 4)),
     (211, (42,), (1, 2, 3), (2, 3)),
@@ -74,31 +74,41 @@ def main():
     ap.add_argument("--repeat", type=int, default=5, help="runs per route and cell; the minimum is kept")
     args = ap.parse_args()
     print(f"# {platform.machine()} Python {platform.python_version()} numpy {np.__version__}")
-    print(f"# {'p':>5} {'tau':>4} {'nvec':>6} {'k':>2} {'pairs':>9} {'sparse_ms':>9} {'gathers':>10} {'moduli':>6}"
-          f" {'orbit_ms':>8} {'picked':>6} {'faster':>6}")
-    sparse_rows, sparse_t, orbit_rows, orbit_t = [], [], [], []
+    print(f"# {'p':>5} {'tau':>4} {'nvec':>6} {'k':>2} {'pairs':>9} {'other_ms':>9} {'gathers':>10} {'moduli':>6}"
+          f" {'orbit_ms':>8} {'picked':>8} {'faster':>8}")
+    rows = {"quotient": ([], []), "sparse": ([], [])}
+    orbit_rows, orbit_t = [], []
     for p, taus, nvec, ks in LADDER:
         r = len(nvec)
         for tau in taus:
-            hist = moments._histogram(moments._power_vectors(field.subgroup(p, tau), nvec), p)
+            G = field.subgroup(p, tau)
+            hist = moments._histogram(moments._power_vectors(G, nvec), p)
             for k in ks:
-                pairs, gathers, rows, n_moduli = moments._work(hist, k, p, r)
+                pairs, gathers, tables, n_rows, n_moduli = moments._work(hist, k, p, r, G.cofactor, nvec)
                 moduli = moments._moduli(p, moments._bound(hist, k, p, r))
-                ts = _best(lambda: _sparse(hist, k, p, r), args.repeat)
+                if r <= 2:
+                    other, terms = "quotient", (pairs, r * (k - 1), 1)
+                    t_other = _best(lambda: moments._quotient_count(hist, k, p, G.cofactor, nvec), args.repeat)
+                else:
+                    other, terms = "sparse", (r * pairs, k - 1)
+                    t_other = _best(lambda: _sparse(hist, k, p, r), args.repeat)
                 to = _best(lambda: moments._orbit_count(hist, k, p, r, moduli), args.repeat)
-                sparse_rows.append((r * r * pairs, k - 1))
-                sparse_t.append(ts)
-                orbit_rows.append((gathers, rows, r * (n_moduli + 1)))
+                rows[other][0].append(terms)
+                rows[other][1].append(t_other)
+                orbit_rows.append((gathers, tables, n_rows, r * (n_moduli + 1)))
                 orbit_t.append(to)
-                picked = "sparse" if moments._route(hist, k, p, r) is None else "orbit"
-                faster = "sparse" if ts <= to else "orbit"
-                print(f"  {p:>5} {tau:>4} {','.join(map(str, nvec)):>6} {k:>2} {pairs:>9} {ts * 1e3:>9.3f}"
-                      f" {gathers:>10} {n_moduli:>6} {to * 1e3:>8.3f} {picked:>6} {faster:>6}")
-    unit, row, pass_ = _fit(orbit_rows, orbit_t)
-    pair, step = _fit(sparse_rows, sparse_t)
+                picked = moments._route(hist, k, p, r, G.cofactor, nvec)[0]
+                faster = other if t_other <= to else "orbit"
+                print(f"  {p:>5} {tau:>4} {','.join(map(str, nvec)):>6} {k:>2} {pairs:>9} {t_other * 1e3:>9.3f}"
+                      f" {gathers:>10} {n_moduli:>6} {to * 1e3:>8.3f} {picked:>8} {faster:>8}")
+    unit, table, row, pass_ = _fit(orbit_rows, orbit_t)
+    costs = [("_ORBIT_PASS", pass_), ("_ORBIT_ROW", row), ("_ORBIT_TABLE", table)]
+    pair, step, call = _fit(*rows["quotient"])
+    costs += [("_QUOTIENT_PAIR", pair), ("_QUOTIENT_STEP", step), ("_QUOTIENT_CALL", call)]
+    pair, step = _fit(*rows["sparse"])
+    costs += [("_SPARSE_COST", pair), ("_SPARSE_STEP", step)]
     print(f"orbit unit (one int64 gather): {unit * 1e9:.2f} ns")
-    for name, cost in (("_ORBIT_PASS", pass_), ("_ORBIT_ROW", row), ("_SPARSE_COST (pair / r^2)", pair),
-                       ("_SPARSE_STEP", step)):
+    for name, cost in costs:
         print(f"{name}: {cost * 1e9:.1f} ns = {cost / unit:.1f} orbit units")
 
 
