@@ -14,6 +14,7 @@ import math
 import random
 import sys
 from dataclasses import asdict, dataclass, fields
+from itertools import groupby
 
 from . import curves, exponents, moments, prng, sums
 from .field import divisors, is_prime, subgroup
@@ -74,10 +75,13 @@ def _cells(args, keep=None):
     """Yield (p, tau, G, window) for each prime p in [pmin, pmax] and divisor tau of p-1.
 
     Cells whose admissible window fails `keep` are skipped before G is built.
+    The window of each prime is decided once (`exponents.window_limits`), and
+    each tau compared with its limits.
     """
     for p in _primes_in(args.pmin, args.pmax):
+        lo, hi = exponents.window_limits(p, args.eps)
         for tau in divisors(p - 1):
-            window = exponents.admissible_range(p, tau, args.eps)
+            window = exponents.AdmissibleRange(p, tau, args.eps, tau >= lo, tau <= hi)
             if keep is None or keep(window):
                 yield p, tau, subgroup(p, tau), window
 
@@ -92,18 +96,28 @@ def _suite_gauss(args, rng):
 
 
 def _suite_identity(args, rng):
-    full = None
-    for p, tau, G, win in _cells(args):
-        if full is None or full.p != p:
-            full = subgroup(p, p - 1)
-        cof = G.cofactor
-        fs = [_random_sparse(rng, p, rng.randint(1, 3), 3 * tau + 3) for _ in range(20)]
-        composed = [SparsePolynomial(tuple((n * cof, c) for n, c in f.terms), f.constant) for f in fs]
-        for i, (f, lhs, rhs) in enumerate(zip(fs, sums.subgroup_sums(G, fs), sums.subgroup_sums(full, composed))):
-            diff = abs(lhs.value - rhs.value * tau / (p - 1))
-            bound = 1e-8 * p
-            params = f"i={i};f={f.format()}"
-            yield ReportRow("identity", p, tau, params, diff, bound, diff / bound, win.inside, diff <= bound)
+    """S(G; f) against (tau/(p-1)) S(F_p*; f(X^s)), s = (p-1)/tau, for twenty drawn f per cell.
+
+    A prime's polynomials are drawn first, and both sides of all its cells
+    summed in one `subgroup_sums` call.
+    """
+    for p, cells in groupby(_cells(args), key=lambda cell: cell[0]):
+        cells = [
+            (tau, G, win, [_random_sparse(rng, p, rng.randint(1, 3), 3 * tau + 3) for _ in range(20)])
+            for _, tau, G, win in cells
+        ]
+        full = subgroup(p, p - 1)
+        composed = [
+            (full, [SparsePolynomial(tuple((n * G.cofactor, c) for n, c in f.terms), f.constant) for f in fs])
+            for _, G, _, fs in cells
+        ]
+        values = sums.subgroup_sums([(G, fs) for _, G, _, fs in cells] + composed)
+        for (tau, G, win, fs), lhs, rhs in zip(cells, values, values[len(cells) :]):
+            for i, (f, a, b) in enumerate(zip(fs, lhs, rhs)):
+                diff = abs(a.value - b.value * tau / (p - 1))
+                bound = 1e-8 * p
+                params = f"i={i};f={f.format()}"
+                yield ReportRow("identity", p, tau, params, diff, bound, diff / bound, win.inside, diff <= bound)
 
 
 _MOMENT_EXPS = ((1,), (1, 2), (2, 3), (1, 3))
@@ -163,19 +177,22 @@ def _suite_q3(args, rng):
 def _soft_suite(suite: str, keep, draw, bound):
     """A soft suite: ten drawn polynomials f per kept cell, |S(G; f)| against bound(p, tau, f, eps).
 
-    A cell's polynomials are drawn first and summed in one batch; bounds and
-    sums draw nothing from rng.  A row passes when its ratio is at most the ceiling.
+    The polynomials of all a prime's kept cells are drawn first, and summed in
+    one `subgroup_sums` call, one batch over every subgroup of the prime;
+    bounds and sums draw nothing from rng, so the draws keep their order.  A
+    row passes when its ratio is at most the ceiling.
     """
 
     def run(args, rng):
-        for p, tau, G, win in _cells(args, keep):
-            fs = [draw(rng, p, tau) for _ in range(10)]
-            for i, (f, s) in enumerate(zip(fs, sums.subgroup_sums(G, fs))):
-                b = bound(p, tau, f, args.eps)
-                mag = s.magnitude
-                ratio = mag / b
-                params = f"i={i};f={f.format()}"
-                yield ReportRow(suite, p, tau, params, mag, b, ratio, win.inside, ratio <= args.ceiling)
+        for p, cells in groupby(_cells(args, keep), key=lambda cell: cell[0]):
+            cells = [(tau, G, win, [draw(rng, p, tau) for _ in range(10)]) for _, tau, G, win in cells]
+            for (tau, G, win, fs), values in zip(cells, sums.subgroup_sums([(G, fs) for _, G, _, fs in cells])):
+                for i, (f, s) in enumerate(zip(fs, values)):
+                    b = bound(p, tau, f, args.eps)
+                    mag = s.magnitude
+                    ratio = mag / b
+                    params = f"i={i};f={f.format()}"
+                    yield ReportRow(suite, p, tau, params, mag, b, ratio, win.inside, ratio <= args.ceiling)
 
     return run
 

@@ -151,6 +151,30 @@ class AdmissibleRange:
         return self.above_lower and self.below_upper
 
 
+def window_limits(p: int, eps) -> tuple:
+    """(lo, hi): the least tau with tau >= p^(3/7+eps) and the greatest with tau <= p^(3/4).
+
+    For every tau, admissible_range(p, tau, eps) has above_lower = tau >= lo and
+    below_upper = tau <= hi, so a sweep decides each prime's window once.  Both
+    are exact: a float estimate of the root, then integer powers decide.
+    """
+    eps = as_fraction(eps)
+    _check_eps(eps)
+    lower = Fraction(3, 7) + eps
+    a, b = lower.numerator, lower.denominator
+    # tau^b >= p^a has no solution tau < p when a >= b; p stands for that
+    lo = p
+    if a < b:
+        target = p**a
+        lo = int(p ** (a / b))
+        while lo > 0 and (lo - 1) ** b >= target:
+            lo -= 1
+        while lo**b < target:
+            lo += 1
+    # floor(floor(sqrt(x))^(1/2)) is the floor of x^(1/4)
+    return lo, math.isqrt(math.isqrt(p**3))
+
+
 def admissible_range(p: int, tau: int, eps) -> AdmissibleRange:
     """Window membership by exact integer power comparison, no floats."""
     eps = as_fraction(eps)

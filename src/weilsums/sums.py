@@ -1,33 +1,39 @@
 """Exponential sum evaluators over F_p and its multiplicative subgroups.
 
-Residues are int64 numpy arrays.  Each power chain c*m^x is one row of a
-`field.powers` table (giant steps and baby steps): the j-th chains of a sum,
-or of every sum in a batch on one subgroup (`subgroup_sums`), come from one
-call, and the chains of each sum are added unreduced and reduced mod p once
-(after every chain for p above 2^31, so the residues stay int64).
+Residues are int64 numpy arrays.  A batch is a single sum, or every sum
+on the subgroups of one prime (`subgroup_sums`, one batch per verify call).
+Each power chain c*m^x of a batch is a table of giant steps times baby steps,
+and the steps of all its chains come from one `field.power_steps` call.  The
+products of a sum's chains are added unreduced and each residue is reduced
+mod p once, and before that only where the next products could pass 2^63
+(every product fits 2^21 times below p = 2^21, and twice below 2^31); above
+2^31 each chain's products are reduced.
 Characters are gathered from the first half of the table of p-th roots of
 unity, the rest read as conjugates (`field._table_roots`), or computed from
-cos and sin above the table limit.
+cos and sin above the table limit, one gather per batch.
 Every sum is the exact sum of its terms' real and imaginary parts, rounded
-once (`_row_sums`): one vectorized pass splits the parts of a whole batch
-into 26-bit limbs that float64 adds without error, and each row's limb sums
-are joined into one integer and divided once.  The result equals math.fsum
-of the parts bit for bit, whatever the term count.
+once (`_row_sums`): one vectorized pass splits the parts of a whole batch,
+rows of any lengths, into 26-bit limbs that float64 adds without error, and
+each part's limb sums are joined exactly and rounded once.  The result equals
+math.fsum of the parts bit for bit, whatever the term count.
 """
 
+import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import groupby
 
 import numpy as np
 
 from .field import (
     INT64_MODULUS_LIMIT,
     GuardExceeded,
+    _multiply,
     _table_roots,
     inverses,
     least_primitive_root,
-    powers,
+    power_steps,
     prime_modulus,
     unit_roots,
 )
@@ -68,81 +74,113 @@ _SCALE = float(1 << _LIMB)
 # limbs stop, and nearly every rounded cos and sin does, so the remainders are first
 # tested for zero after the third limb; a limb taken early only adds zeros.
 _MIN_LIMBS = 3
+# Limbs whose weights 2^(-26(l+1)) stay at or above 2^-1074, the smallest subnormal, so
+# that a limb sum (an integer below 2^53) times its weight is an exact double.
+_FSUM_LIMBS = 1074 // _LIMB
+_WEIGHTS = np.ldexp(1.0, -_LIMB * np.arange(1, _FSUM_LIMBS + 1))
 # Doubles per block of the limb pass: its temporaries stay in cache, and its memory
 # stays flat whatever the shape of the batch.
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
+# Terms below which a batch is summed by math.fsum row by row, about 65 ns a term,
+# under the limb pass's floor of about 18 us; the two were equal near 300 terms
+# (2-core x86-64, Python 3.11, numpy 2.4: 100 terms 7.7 against 18.6 us).
+_FSUM_TERMS = 256
 
 
-def _add_limb_sums(block: np.ndarray, x: np.ndarray, t: np.ndarray, limbs: list) -> None:
-    """Add the limb sums of each row of the complex block to limbs, real parts first.
-
-    x and t are float64 work arrays of shape (2 * rows, columns) of the block.
-    """
-    h, c = block.shape
-    # the real parts of the block into the first h rows of x, the imaginary parts below
-    np.multiply(block.view(np.float64).reshape(h, c, 2).transpose(2, 0, 1), _SCALE, out=x.reshape(2, h, c))
-    # the bound on the limb sums needs |v| <= 2; NaN fails the comparison
-    if not np.abs(x, out=t).max() <= 2 * (1 << _LIMB):
-        raise ArithmeticError("a summand has a part outside [-2, 2]")
-    l = 0
-    while True:
-        np.trunc(x, out=t)
-        if l < len(limbs):
-            limbs[l] += t.sum(axis=1)
-        else:
-            limbs.append(t.sum(axis=1))
-        l += 1
-        x -= t
-        if l >= _MIN_LIMBS and not x.any():
-            return
-        x *= _SCALE
-
-
-def _row_sums(parts: np.ndarray) -> list:
-    """The sum of each row of a 2-D complex128 array, as a list of complex.
+def _row_sums(parts: np.ndarray, lengths) -> list:
+    """The sum of each row of a ragged batch, as a list of complex: row i is the
+    next lengths[i] entries of the 1-D complex128 array parts.
 
     Each part is the exact sum rounded once, half to even: equal bit for bit
-    to complex(fsum(row.real), fsum(row.imag)), an empty row 0j.  The limb
-    sums of a row part are joined into one integer N and divided by 2^(26 L)
-    once; CPython's int division rounds correctly, and N = 0 gives +0.0, as
-    fsum gives for an exact zero.
+    to complex(fsum(row.real), fsum(row.imag)), an empty row 0j.  The pass
+    runs over blocks of _BLOCK doubles, and in a block each limb of every row
+    that meets it is summed by one segmented add (np.add.reduceat); a batch
+    of fewer than _FSUM_TERMS terms is summed by fsum itself.  The limb
+    sums of a row part, times their weights 2^(-26(l+1)), are exact doubles
+    whose fsum is the part's exact sum rounded once; past _FSUM_LIMBS limbs they
+    are joined into one integer N and divided by 2^(26 L) once, which CPython
+    rounds correctly.  An exact zero gives +0.0 either way, as fsum does.
     """
-    parts = np.ascontiguousarray(parts, dtype=np.complex128)
-    rows, n = parts.shape
-    cols = min(n, _BLOCK // 2) or 1
-    step = max(_BLOCK // (2 * cols), 1)
-    size = 2 * min(step, rows) * cols
-    x, t = np.empty(size), np.empty(size)
-    out = []
-    for r in range(0, rows, step):
-        block = parts[r : r + step]
-        h = len(block)
-        # limbs[l]: the sum of limb l over each row, real parts then imaginary parts
-        limbs = []
-        for c in range(0, n, cols):
-            part = block[:, c : c + cols]
-            k = 2 * part.size
-            _add_limb_sums(part, x[:k].reshape(2 * h, -1), t[:k].reshape(2 * h, -1), limbs)
-        d = 1 << (_LIMB * len(limbs))
-        vals = []
-        # a row of no terms has no limbs and sums to 0 / 1
-        for row in np.array(limbs, dtype=np.int64).reshape(len(limbs), 2 * h).T.tolist():
-            total = 0
-            for s in row:
-                total = (total << _LIMB) + s
-            vals.append(total / d)
-        out += map(complex, vals[:h], vals[h:])
+    # the real and imaginary parts of each summand, side by side in a row of two
+    parts = np.ascontiguousarray(parts, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    # the bound on the limb sums needs |v| <= 2; NaN fails the comparisons
+    if len(parts) and not (parts.max() <= 2 and parts.min() >= -2):
+        raise ArithmeticError("a summand has a part outside [-2, 2]")
+    if len(parts) < _FSUM_TERMS:
+        v = parts.ravel().tolist()
+        out, c = [], 0
+        for w in lengths:
+            out.append(complex(math.fsum(v[2 * c : 2 * (c + w) : 2]), math.fsum(v[2 * c + 1 : 2 * (c + w) : 2])))
+            c += w
+        return out
+    # the rows that hold terms, and where each starts; an empty row meets no block
+    held, starts, n = [], [], 0
+    for i, w in enumerate(lengths):
+        if w:
+            held.append(i)
+            starts.append(n)
+            n += w
+    h = _BLOCK // 2
+    # x and t in one allocation: two fresh ones of a few hundred KB cost page faults
+    x, t = np.empty((2, min(n, h), 2))
+    # limbs[l][i]: the sums of limb l of the real and imaginary parts of held row i
+    limbs = []
+    for c in range(0, n, h):
+        xb, tb = x[: n - c], t[: n - c]
+        # held rows i0..i1-1 meet the block; the first may have started in an earlier one
+        i0, i1 = bisect_right(starts, c) - 1, bisect_right(starts, c + len(xb) - 1)
+        segments = np.array(starts[i0:i1])
+        if c:
+            segments -= c
+            segments[0] = 0
+        np.multiply(parts[c : c + len(xb)], _SCALE, out=xb)
+        l = 0
+        while True:
+            np.trunc(xb, out=tb)
+            r = np.add.reduceat(tb, segments)
+            if l < len(limbs):
+                limbs[l][i0:i1] += r
+            elif i1 - i0 == len(held):
+                limbs.append(r)  # the block meets every row
+            else:
+                limbs.append(np.zeros((len(held), 2)))
+                limbs[l][i0:i1] = r
+            l += 1
+            xb -= tb
+            if l >= _MIN_LIMBS and not xb.any():
+                break
+            xb *= _SCALE
+    out = [0j] * len(lengths)
+    if limbs:
+        # the limb sums of each part, real and imaginary alternating, as exact
+        # integers; int64 drops the sign of a zero
+        sums = np.array(limbs, dtype=np.int64).reshape(len(limbs), -1)
+        if len(limbs) <= _FSUM_LIMBS:
+            # each sum times its weight 2^(-26(l+1)) is exact, and fsum rounds their total once
+            vals = list(map(math.fsum, (sums * _WEIGHTS[: len(limbs), None]).T.tolist()))
+        else:
+            # the weights reach the subnormals: join the sums into one int N and divide once
+            d = 1 << (_LIMB * len(limbs))
+            vals = []
+            for row in sums.T.tolist():
+                total = 0
+                for s in row:
+                    total = (total << _LIMB) + s
+                vals.append(total / d)
+        for i, z in zip(held, map(complex, vals[0::2], vals[1::2])):
+            out[i] = z
     return out
 
 
-def _finish(parts: np.ndarray, term_count: int, excluded: int = 0) -> list:
-    """A SumValue for each row of the 2-D complex128 array parts, each row term_count summands."""
+def _finish(parts: np.ndarray, lengths, excluded: int = 0) -> list:
+    """A SumValue for each row of the ragged batch (parts, lengths) of `_row_sums`,
+    row i of lengths[i] summands."""
     out = []
-    for val in _row_sums(parts):
+    for val, n in zip(_row_sums(parts, lengths), lengths):
         # every summand is on the unit circle, so the triangle inequality is exact
-        if abs(val) > term_count + 1e-6:
-            raise ArithmeticError(f"|S| = {abs(val)} exceeds the {term_count} terms summed")
-        out.append(SumValue(val, term_count, excluded))
+        if abs(val) > n + 1e-6:
+            raise ArithmeticError(f"|S| = {abs(val)} exceeds the {n} terms summed")
+        out.append(SumValue(val, n, excluded))
     return out
 
 
@@ -239,52 +277,89 @@ class SparsePolynomial:
         return poly
 
 
-def _chain_sums(p: int, rows: list, count: int) -> np.ndarray:
-    """Residues of a batch of sums, as an int64 (len(rows), count) array.
+def _chain_sums(p: int, cells: list) -> np.ndarray:
+    """Residues of a batch of sums, as one flat int64 array.
 
-    Row i is const + sum of c*m^x mod p over the (c, m) residue pairs of
-    chains, for x = 1..count and (const, chains) = rows[i].  The chains are
-    taken in rounds: round j is one `field.powers` call for the j-th chain of
-    every row that has one.  Round 0's table becomes the batch's array, and
-    the later rounds and the constants are added into it unreduced below
-    INT64_MODULUS_LIMIT; above it, where two residues may pass 2^63, each
-    round is reduced mod p before the next is added.  A batch holds one
-    round's table at a time, so a long sum keeps the peak memory of one
-    chain's table.
+    cells lists (count, rows) pairs, rows a list of (const, chains): such a row
+    is const + the sum of c*m^x mod p over the (c, m) residue pairs of chains,
+    for x = 1..count, and the rows follow one another in the result, count
+    entries each.  One `field.power_steps` call takes the steps of every chain
+    of the batch, with one baby-step width s for all.  In a cell the constant
+    is one more chain, of ratio 1, and each row is padded with (0, 1) chains to
+    the cell's width, so that a row's residues are the sum over its chains of
+    giant steps times baby steps: one matmul per cell (`_chain_products`),
+    reduced once into the result.  A cell holds its products and at most one
+    more group of them, so a long sum of few chains holds about two arrays of
+    its length.
     """
-    if count > TERM_LIMIT:
-        raise GuardExceeded("terms", count, TERM_LIMIT)
-    # round 0 covers every row unless some row has no chain
-    z = None if all(chains for _, chains in rows) else np.zeros((len(rows), count), dtype=np.int64)
-    # round j: the j-th chain of each row, None where a row has fewer chains
-    for steps in zip_longest(*[chains for _, chains in rows]):
-        held, cs, ms = [], [], []
-        for i, step in enumerate(steps):
-            if step:
-                c, m = step
-                held.append(i)
+    top = max(count for count, _ in cells)
+    if top > TERM_LIMIT:
+        raise GuardExceeded("terms", next(count for count, _ in cells if count > TERM_LIMIT), TERM_LIMIT)
+    s = math.isqrt(max(top - 1, 0)) + 1
+    # every chain of the batch, each cell's rows padded to the cell's width
+    cs, ms, shapes, size = [], [], [], 0
+    for count, rows in cells:
+        width = max(max(len(chains) + (const != 0) for const, chains in rows), 1)
+        for const, chains in rows:
+            for c, m in chains:
                 cs.append(c * m % p)  # x starts at 1
                 ms.append(m)
-        t = powers(cs, ms, count, p)
-        if z is None:
-            z = t
-            continue
-        if len(held) == len(rows):
-            z += t
+            pad = width - len(chains)
+            if const:
+                cs.append(const)
+                ms.append(1)
+                pad -= 1
+            cs += [0] * pad
+            ms += [1] * pad
+        shapes.append((count, len(rows), width))
+        size += count * len(rows)
+    giants, babies = power_steps(cs, ms, s, -(-top // s) or 1, p)
+    out = np.empty(size, dtype=np.int64)
+    a = b = 0
+    for count, rows, width in shapes:
+        g = -(-count // s)
+        products = _chain_products(
+            giants[a : a + rows * width, :g].reshape(rows, width, g).transpose(0, 2, 1),
+            babies[a : a + rows * width].reshape(rows, width, s),
+            p,
+        )
+        # one remainder per residue, written in place of its row
+        np.remainder(products.reshape(rows, g * s)[:, :count], p, out=out[b : b + rows * count].reshape(rows, count))
+        a, b = a + rows * width, b + rows * count
+    return out
+
+
+def _chain_products(giants: np.ndarray, babies: np.ndarray, p: int) -> np.ndarray:
+    """The sums over j of the products giants[r, :, j] x babies[r, j], an int64 (R, g, s)
+    array congruent to them mod p and below 2^63, for giants (R, g, J) and babies (R, J, s).
+
+    Below INT64_MODULUS_LIMIT the products of k chains at a time are added
+    unreduced by one matmul, k the most that fit below 2^63 beside a reduced
+    residue: every product fits 2^21 times below p = 2^21, and twice below
+    2^31.  Above it each chain's products are formed and reduced by
+    `_multiply`.  The sum is reduced before each further group is added.
+    """
+    small = p < INT64_MODULUS_LIMIT
+    k = (2**63 - p) // (p - 1) ** 2 if small else 1
+    acc = None
+    for j in range(0, babies.shape[1], k):
+        g, b = giants[..., j : j + k], babies[:, j : j + k]
+        if small:
+            part = np.matmul(g, b)
         else:
-            z[held] += t
-        if p >= INT64_MODULUS_LIMIT:
-            np.remainder(z, p, out=z)
-        del t  # a round's table is freed before the next one is built
-    consts = [const for const, _ in rows]
-    if any(consts):
-        z += np.array(consts, dtype=np.int64)[:, None]
-    return np.remainder(z, p, out=z)
+            part = np.empty((len(b), g.shape[1], b.shape[2]), dtype=np.int64)
+            _multiply(g, b, p, out=part)
+        if acc is None:
+            acc = part
+        else:
+            np.remainder(acc, p, out=acc)
+            acc += part
+    return acc
 
 
 def _chain_sum(p: int, const: int, chains: list, count: int) -> np.ndarray:
     """const + sum of c*m^x mod p over the (c, m) residue pairs of chains, for x = 1..count, as int64."""
-    return _chain_sums(p, [(const, chains)], count)[0]
+    return _chain_sums(p, [(count, [(const, chains)])])
 
 
 def _orbit_chains(p: int, theta: int, f: SparsePolynomial) -> tuple:
@@ -313,7 +388,7 @@ def _characters(mod, residues: np.ndarray) -> np.ndarray:
 
 
 def _char_sum(mod, residues: np.ndarray, excluded: int = 0) -> SumValue:
-    return _finish(_characters(mod, residues)[None], len(residues), excluded)[0]
+    return _finish(_characters(mod, residues), [len(residues)], excluded)[0]
 
 
 def complete_sum(p, f: SparsePolynomial) -> SumValue:
@@ -330,22 +405,42 @@ def subgroup_sum(G, f: SparsePolynomial) -> SumValue:
     return _char_sum(G.modulus, residues)
 
 
-def subgroup_sums(G, fs) -> list:
-    """[subgroup_sum(G, f) for f in the sequence fs], bit for bit.
+def subgroup_sums(cells) -> list:
+    """[[subgroup_sum(G, f) for f in fs] for G, fs in cells], bit for bit, for
+    cells (G, fs) of subgroups G of one prime.
 
-    The sums are evaluated in batches of at most TERM_LIMIT terms, so a batch
-    holds no more memory than one sum may.  A batch makes one `field.powers`
-    call for the j-th terms of all its polynomials, for each j, reduces their
-    residues mod p once, gathers their characters at once and sums all the rows
-    of characters in one limb pass (`_row_sums`).
+    The rows (G, f) are summed in order, in batches of at most TERM_LIMIT
+    terms, so a batch holds no more memory than one sum may; the cells of a
+    verify call on one prime are one batch.  A batch takes the residues of all
+    its rows from one `_chain_sums` call, whose rows of equal tau form one
+    cell, gathers their characters at once and sums all its rows in one limb
+    pass (`_row_sums`).
     """
-    p, tau = G.modulus.p, G.tau
-    step = max(TERM_LIMIT // tau, 1)
-    out = []
-    for i in range(0, len(fs), step):
-        residues = _chain_sums(p, [_orbit_chains(p, G.theta, f) for f in fs[i : i + step]], tau)
-        out += _finish(_characters(G.modulus, residues), tau)
+    rows = [(G, f) for G, fs in cells for f in fs]
+    if any(G.p != rows[0][0].p for G, _ in rows):
+        raise ValueError("the subgroups of one subgroup_sums call must share their prime")
+    values, start = [], 0
+    while start < len(rows):
+        stop, terms = start + 1, rows[start][0].tau
+        while stop < len(rows) and terms + rows[stop][0].tau <= TERM_LIMIT:
+            terms += rows[stop][0].tau
+            stop += 1
+        values += _batch_sums(rows[start:stop])
+        start = stop
+    out, start = [], 0
+    for _, fs in cells:
+        out.append(values[start : start + len(fs)])
+        start += len(fs)
     return out
+
+
+def _batch_sums(rows: list) -> list:
+    """The SumValues of the (G, f) rows of one batch, all on one prime."""
+    mod = rows[0][0].modulus
+    cells = [
+        (tau, [_orbit_chains(mod.p, G.theta, f) for G, f in group]) for tau, group in groupby(rows, lambda r: r[0].tau)
+    ]
+    return _finish(_characters(mod, _chain_sums(mod.p, cells)), [G.tau for G, _ in rows])
 
 
 def incomplete_subgroup_sum(G, f: SparsePolynomial, count: int) -> SumValue:
@@ -366,7 +461,7 @@ def twisted_sum(G, f: SparsePolynomial, b: int) -> SumValue:
     parts = np.empty(tau, dtype=np.complex128)
     parts.real = c.real * u.real - c.imag * u.imag
     parts.imag = c.real * u.imag + c.imag * u.real
-    return _finish(parts[None], tau)[0]
+    return _finish(parts, [tau])[0]
 
 
 def kloosterman_subgroup_sum(G, a: int, b: int) -> SumValue:

@@ -361,6 +361,27 @@ def test_main_twice_in_one_process_carries_nothing_over(capsys):
     assert (args.format, args.seed, args.eps, args.ceiling, args.out) == ("csv", 0, "1/10", 10.0, None)
 
 
+@pytest.mark.parametrize("suite, pmin, pmax", [("theorem", 1009, 1013), ("identity", 101, 103)])
+def test_verify_sums_each_prime_in_one_batch(capsys, monkeypatch, suite, pmin, pmax):
+    # one limb pass per prime: the soft suites sum the cells a prime keeps, and the
+    # identity suite both sides of all its cells, in one subgroup_sums batch
+    calls = []
+    row_sums = sums._row_sums
+
+    def counted(parts, lengths):
+        calls.append(len(lengths))
+        return row_sums(parts, lengths)
+
+    monkeypatch.setattr(sums, "_row_sums", counted)
+    rc, out, _ = run(capsys, "verify", "--suite", suite, "--pmin", str(pmin), "--pmax", str(pmax))
+    assert rc == 0
+    primes = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
+    kept = sorted(set(primes))
+    assert len(kept) == 2 and len(calls) == len(kept)
+    # theorem: ten rows per kept cell; identity: twenty rows per cell on each side
+    assert calls == [primes.count(p) * (2 if suite == "identity" else 1) for p in kept]
+
+
 def test_verify_identity_suite(capsys):
     rc, _, err = run(capsys, "verify", "--suite", "identity", "--pmin", "7", "--pmax", "7")
     assert rc == 0

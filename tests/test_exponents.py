@@ -21,7 +21,9 @@ from weilsums.exponents import (
     monomial_bound,
     q3_bound,
     theorem_bound,
+    window_limits,
 )
+from weilsums.field import divisors, is_prime
 
 TENTH = Fraction(1, 10)
 
@@ -193,6 +195,24 @@ def test_admissible_range_exact_boundaries():
     # upper edge tau^4 <= p^3: 8^4 = 4096 = 16^3
     assert admissible_range(16, 8, eps).below_upper
     assert not admissible_range(16, 9, eps).below_upper
+
+
+def test_window_limits_match_admissible_range():
+    # the limits that verify's sweeps decide once per prime give every tau | p - 1
+    # the verdicts of admissible_range, and each is the exact edge of its window
+    for eps in (Fraction(1, 10), Fraction(1, 7), Fraction(2, 5)):
+        lower = Fraction(3, 7) + eps
+        a, b = lower.numerator, lower.denominator
+        for p in (p for p in range(2, 3001) if is_prime(p)):
+            lo, hi = window_limits(p, eps)
+            assert lo**b >= p**a > (lo - 1) ** b
+            assert hi**4 <= p**3 < (hi + 1) ** 4
+            for tau in divisors(p - 1):
+                w = admissible_range(p, tau, eps)
+                assert (w.above_lower, w.below_upper) == (tau >= lo, tau <= hi), (p, tau, eps)
+    # an exponent of 1 or more leaves no tau < p above the lower edge
+    assert window_limits(1009, Fraction(4, 7))[0] == 1009
+    assert window_limits(16, Fraction(1, 14)) == (4, 8)
 
 
 def test_theorem_bound():

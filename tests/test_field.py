@@ -5,7 +5,6 @@ import cmath
 import math
 import random
 import tracemalloc
-from collections import OrderedDict
 from itertools import product
 
 import numpy as np
@@ -182,13 +181,14 @@ def test_unit_tables_stay_under_the_byte_cap(monkeypatch):
     # room for three half tables of about 500 entries (16 B each), not four
     cap = 16 * 1550
     monkeypatch.setattr(field, "CHAR_TABLE_BYTES", cap)
-    monkeypatch.setattr(field, "_unit_tables", OrderedDict())
+    monkeypatch.setattr(field, "_unit_tables", field._TableCache())
     first = {}
     lru = []  # the three most recently used dens, least recent first
     for den in [1000, 1001, 1002, 1003, 1000, 1004, 1000, 1001, 1005, 1002, 1000, 1003]:
         tab = field._unit_table(den)
         assert tab.nbytes == 16 * (den // 2 + 1)  # the cap counts the bytes held
-        assert sum(t.nbytes for t in field._unit_tables.values()) <= cap
+        # the running total is the sum of the tables held
+        assert field._unit_tables.held == sum(t.nbytes for t in field._unit_tables.values()) <= cap
         lru = [d for d in lru if d != den][-2:] + [den]
         assert list(field._unit_tables) == lru
         assert field._unit_table(den) is tab
@@ -202,7 +202,7 @@ def test_unit_tables_stay_under_the_byte_cap(monkeypatch):
     # a table larger than the cap is built but not held
     big = field._unit_table(4001)
     assert len(big) == 4001 // 2 + 1 and 4001 not in field._unit_tables
-    assert sum(t.nbytes for t in field._unit_tables.values()) <= cap
+    assert field._unit_tables.held == sum(t.nbytes for t in field._unit_tables.values()) <= cap
     assert field.unit_roots(np.arange(4001), 4001).tobytes() == _folded_table(4001).tobytes()
 
 
@@ -219,7 +219,7 @@ def test_mirrored_table_equals_the_full_build(monkeypatch, dens):
     # equal the full build byte for byte.  For even den the entry at den/2 is
     # read, never conjugated or given a forced sign: its sine is a tiny number,
     # negative for 7,189 even den up to 2*10^5, the first 50, 82 and 100.
-    monkeypatch.setattr(field, "_unit_tables", OrderedDict())
+    monkeypatch.setattr(field, "_unit_tables", field._TableCache())
     for den in dens:
         full = _folded_table(den)
         assert field._unit_table(den).tobytes() == full[: den // 2 + 1].tobytes(), den
@@ -262,7 +262,7 @@ def test_table_roots_fold_property():
 def test_table_build_holds_no_full_size_index_array(monkeypatch):
     # the half table (16 B per entry of den//2 + 1) and an int64 index of it
     # (8 B per entry): 12 MiB; a full table alone would be 16 MiB
-    monkeypatch.setattr(field, "_unit_tables", OrderedDict())
+    monkeypatch.setattr(field, "_unit_tables", field._TableCache())
     tracemalloc.start()
     try:
         tab = field._unit_table(1048573)

@@ -7,7 +7,6 @@ import pathlib
 import random
 import sys
 import tracemalloc
-from collections import OrderedDict
 from itertools import chain
 
 import numpy as np
@@ -297,39 +296,44 @@ def test_inversive_degenerate_a_zero():
 
 def test_finish_checks_triangle_inequality():
     # every summand is on the unit circle, so |S| <= terms; the check survives python -O
-    assert sums._finish(np.array([[1j, 1j]]), 2)[0].magnitude == 2
+    assert sums._finish(np.array([1j, 1j]), [2])[0].magnitude == 2
     with pytest.raises(ArithmeticError):
-        sums._finish(np.array([[1.0, 1.0, 1.0]]), 2)
+        sums._finish(np.array([1.5, 1.5]), [2])
     # each row of a batch is checked, not only the first
     with pytest.raises(ArithmeticError):
-        sums._finish(np.array([[1.0, -1.0, 1j], [1.0, 1.0, 1.0 + 1j]]), 2)
+        sums._finish(np.array([1.0, -1.0, 1j, 1.5, 1.5 + 1j]), [3, 2])
 
 
 def test_row_sums_reject_parts_outside_the_bound():
     # the limb sums are exact only for parts in [-2, 2]; NaN and inf are refused too
-    assert sums._row_sums(np.array([[2.0 - 2.0j, -2.0 + 2.0j]])) == [0j]
+    assert sums._row_sums(np.array([2.0 - 2.0j, -2.0 + 2.0j]), [2]) == [0j]
     for bad in (2.5, -2.0000000000000004j, math.nan, complex(0.0, math.inf)):
         with pytest.raises(ArithmeticError):
-            sums._row_sums(np.array([[0.5, bad]], dtype=complex))
+            sums._row_sums(np.array([0.5, bad], dtype=complex), [2])
 
 
 def test_sum_costs_script_runs(monkeypatch, capsys):
-    # tools/sum_costs.py on two small shapes: the gather is timed per term, both
-    # finish routes agree and are timed; then one half-table build, timed, with its bytes
+    # tools/sum_costs.py on two small batches, one of them ragged and above the
+    # table limit: the chains are timed, the gather per term, both finish routes
+    # agree and are timed; then one half-table build, timed, with its bytes
     path = pathlib.Path(__file__).parents[1] / "tools" / "sum_costs.py"
     spec = importlib.util.spec_from_file_location("sum_costs", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    monkeypatch.setattr(script, "SHAPES", ((3, 40, 1009), (1, 300, 1995841)))
+    # every theorem cell of p = 1201: the divisors of 1200 from 1201^(37/70) = 42.4 on
+    taus = (48, 50, 60, 75, 80, 100, 120, 150, 200, 240, 300, 400, 600, 1200)
+    assert script.SHAPES[1] == (1201, tuple((10, tau) for tau in taus))
+    monkeypatch.setattr(script, "SHAPES", ((1009, ((3, 40),)), (1995841, ((1, 300), (2, 17)))))
     monkeypatch.setattr(script, "TABLE_DEN", 1013)
-    monkeypatch.setattr(field, "_unit_tables", OrderedDict())
+    monkeypatch.setattr(field, "_unit_tables", field._TableCache())
     monkeypatch.setattr(sys, "argv", [str(path), "--repeat", "2"])
     script.main()
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("# ") and "numpy" in lines[0]
-    assert lines[1].split() == ["#", "rows", "terms", "p", "gather_ns", "fsum_ms", "limbs_ms", "speedup"]
-    assert [line.split()[:3] for line in lines[2:4]] == [["3", "40", "1009"], ["1", "300", "1995841"]]
-    assert all(float(line.split()[3]) > 0 for line in lines[2:4])
+    columns = ["cells", "rows", "terms", "p", "chains_us", "gather_ns", "fsum_ms", "limbs_ms", "speedup"]
+    assert lines[1].split() == ["#"] + columns
+    assert [line.split()[:4] for line in lines[2:4]] == [["1", "3", "120", "1009"], ["2", "3", "334", "1995841"]]
+    assert all(float(v) > 0 for line in lines[2:4] for v in line.split()[4:6])
     assert all(line.endswith("x") for line in lines[2:4])
     assert lines[4].split() == ["#", "table", "den", "build_ms", "bytes"]
     name, den, build_ms, nbytes = lines[5].split()
@@ -341,7 +345,7 @@ def test_tables_of_the_long_sum_primes_hold_half_their_entries(monkeypatch):
     # the four table primes of the long sums: sums through each build and hold
     # den//2 + 1 entries, 32 MB in all where full tables held 64 MB; the traced
     # peak is the held tables and the int64 index of the last build
-    monkeypatch.setattr(field, "_unit_tables", OrderedDict())
+    monkeypatch.setattr(field, "_unit_tables", field._TableCache())
     primes = (960961, 982801, 1003001, 1008001)
     f = SparsePolynomial.parse("1*x^1+2*x^2+3*x^3")
     tracemalloc.start()
@@ -361,10 +365,10 @@ def test_finish_of_a_long_row_allocates_little():
     # the limb pass works in blocks of sums._BLOCK doubles; per-row fsum over
     # tolist() made two lists of 2^22 floats, about 128 MB
     n = sums.TERM_LIMIT
-    row = field.unit_roots(np.arange(n, dtype=np.int64) % 1009, 1009)[None]
+    row = field.unit_roots(np.arange(n, dtype=np.int64) % 1009, 1009)
     tracemalloc.start()
     try:
-        (s,) = sums._finish(row, n)
+        (s,) = sums._finish(row, [n])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -373,7 +377,7 @@ def test_finish_of_a_long_row_allocates_little():
     def streamed(part):
         return math.fsum(chain.from_iterable(part[i : i + (1 << 16)].tolist() for i in range(0, n, 1 << 16)))
 
-    assert s.value == complex(streamed(row[0].real), streamed(row[0].imag))
+    assert s.value == complex(streamed(row.real), streamed(row.imag))
 
 
 # --- bit-for-bit oracle: one cmath.exp per term, then fsum ---
@@ -437,39 +441,44 @@ def test_sums_equal_scalar_oracle(p, tau):
 
 @pytest.mark.parametrize("p, tau", ORACLE_CASES)
 def test_subgroup_sums_equal_subgroup_sum_and_oracle(p, tau):
-    # one batch: three, one and two terms, constant-only, empty, and a repeated polynomial
-    G = field.subgroup(p, tau)
+    # one batch of three cells on two subgroups of p: three, one and two terms,
+    # constant-only, empty, and a repeated polynomial, then a cell of none
+    G, H = field.subgroup(p, tau), field.subgroup(p, tau // 2)
     f = poly((1, 3 * p + 5), (7, p - 2), (2**70 + 3, 2**65 + 11), constant=2**80 + 1)
     fs = [f, poly((2, 1)), poly(constant=5), poly((3, 4), (tau + 1, p - 1), constant=p + 2), SparsePolynomial(()), f]
-    got = sums.subgroup_sums(G, fs)
-    assert got == [sums.subgroup_sum(G, g) for g in fs]
+    cells = [(G, fs), (H, fs[::-1]), (G, [])]
+    got = sums.subgroup_sums(cells)
+    assert got == [[sums.subgroup_sum(K, g) for g in gs] for K, gs in cells]
     orbit = [pow(G.theta, x, p) for x in range(1, tau + 1)]
-    for g, s in zip(fs, got):
+    for g, s in zip(fs, got[0]):
         assert s.term_count == tau
         assert s.value == _oracle_sum(_oracle_root(g.evaluate(x, p), p) for x in orbit)
-    assert sums.subgroup_sums(G, []) == []
+    assert sums.subgroup_sums([]) == [] and sums.subgroup_sums([(G, [])]) == [[]]
+    with pytest.raises(ValueError):
+        sums.subgroup_sums([(G, fs), (field.subgroup(5, 2), fs)])
 
 
 def test_subgroup_sums_split_into_batches_of_term_limit(monkeypatch):
-    # at most TERM_LIMIT terms per batch: three batches of two sums and one of one
+    # at most TERM_LIMIT terms per batch: three batches of two sums and one of one,
+    # the second batch across the two cells
     G = field.subgroup(1009, 16)
     fs = [poly((1, a), (a + 2, 3), constant=a) for a in range(1, 8)]
     want = [sums.subgroup_sum(G, f) for f in fs]
     calls = []
     chain_sums = sums._chain_sums
 
-    def counted(p, rows, count):
-        calls.append(len(rows))
-        return chain_sums(p, rows, count)
+    def counted(p, cells):
+        calls.append([len(rows) for _, rows in cells])
+        return chain_sums(p, cells)
 
     monkeypatch.setattr(sums, "_chain_sums", counted)
     monkeypatch.setattr(sums, "TERM_LIMIT", 2 * 16 + 5)
-    assert sums.subgroup_sums(G, fs) == want
-    assert calls == [2, 2, 2, 1]
+    assert sums.subgroup_sums([(G, fs[:3]), (G, fs[3:])]) == [want[:3], want[3:]]
+    assert calls == [[2], [2], [2], [1]]
     # the term guard of a single sum still holds
     monkeypatch.setattr(sums, "TERM_LIMIT", 15)
     with pytest.raises(field.GuardExceeded):
-        sums.subgroup_sums(G, fs)
+        sums.subgroup_sums([(G, fs)])
 
 
 @pytest.mark.parametrize("p", (2, 3, 13, 1009, 65537))
@@ -602,6 +611,58 @@ def test_powers_property():
     check_rows()
 
 
+@pytest.mark.parametrize("loop_steps", (0, 10**9), ids=("doubling", "loop"))
+def test_power_steps_property(monkeypatch, loop_steps):
+    # both step routes of field.power_steps against pow, on the primes above and any
+    # modulus below 2^62: giants[i, a] = c_i*m_i^(s*a) and babies[i, b] = m_i^b mod q
+    given, settings, st = _hypothesis()
+    primes, big, _ = _strategies(st)
+    residues = st.one_of(st.just(0), big)
+    monkeypatch.setattr(field, "_LOOP_STEPS", loop_steps)
+
+    @settings
+    @given(st.one_of(primes, st.integers(1, 2**62 - 1)), st.lists(st.tuples(residues, residues), max_size=6),
+           st.integers(1, 40), st.integers(1, 40))
+    def check(q, chains, s, g):
+        cs, ms = [c % q for c, _ in chains], [m % q for _, m in chains]
+        giants, babies = field.power_steps(cs, ms, s, g, q)
+        assert giants.dtype == babies.dtype == np.int64
+        assert giants.shape == (len(chains), g) and babies.shape == (len(chains), s)
+        assert giants.tolist() == [[c * pow(m, s * a, q) % q for a in range(g)] for c, m in zip(cs, ms)]
+        assert babies.tolist() == [[pow(m, b, q) for b in range(s)] for m in ms]
+
+    check()
+
+
+@pytest.mark.parametrize("p", (2097143, 2**31 - 1, 2147483659))
+def test_chain_sums_property(p):
+    # a batch's residues against pow on each side of the reduction rule: below 2^21
+    # every product of a row is added unreduced, below 2^31 two at a time, above it
+    # each chain's products are reduced by _multiply; cells of several lengths,
+    # rows of 1 to 5 chains, with and without a constant, and rows of none
+    given, settings, st = _hypothesis()
+    residue = st.one_of(st.sampled_from((0, 1, p - 2, p - 1)), st.integers(0, p - 1))
+    row = st.tuples(residue, st.lists(st.tuples(residue, residue), max_size=5))
+    cell = st.tuples(st.integers(0, 300), st.lists(row, min_size=1, max_size=4))
+
+    @settings
+    @given(st.lists(cell, min_size=1, max_size=4))
+    def check(cells):
+        got = sums._chain_sums(p, cells)
+        assert got.dtype == np.int64
+        assert got.tolist() == [
+            (const + sum(c * pow(m, x, p) for c, m in chains)) % p
+            for count, rows in cells
+            for const, chains in rows
+            for x in range(1, count + 1)
+        ]
+
+    check()
+    # the largest products, (p - 1)^2, at every odd x: five chains 1*(p - 1)^x and the constant p - 1
+    worst = sums._chain_sums(p, [(64, [(p - 1, [(1, p - 1)] * 5)])])
+    assert worst.tolist() == [(p - 1 + 5 * (p - 1) ** x) % p for x in range(1, 65)]
+
+
 def test_inverses_property():
     given, settings, st = _hypothesis()
     primes, big, _ = _strategies(st)
@@ -674,10 +735,11 @@ def _fsum_parts(row) -> complex:
 
 
 def test_row_sums_equal_fsum_property():
-    # the limb pass against per-row fsum, bit for bit and sign of zero, on parts
-    # that stress it: table values at several p, signed zeros, the smallest
-    # subnormal, cos(fl(pi/2)) from the twist tables of 4 | tau, half-ulp ties
-    # at 1 and exactly cancelling runs, in rows and batches larger than a block
+    # the ragged limb pass against per-row fsum, bit for bit and sign of zero, on
+    # parts that stress it: table values at several p, signed zeros, the smallest
+    # subnormal, cos(fl(pi/2)) from the twist tables of 4 | tau, half-ulp ties at
+    # 1 and exactly cancelling runs; in batches of mixed lengths, with rows of 0
+    # and 1 terms, many equal rows, and rows longer than a block or straddling one
     given, settings, st = _hypothesis()
     pool = [0.0, 5e-324, 6.123233995736766e-17, 1.0, 0.5, 2.0, 2.0**-53, 1 + 2.0**-52, 3 * 2.0**-53]
     for p in (13, 1009, 982801, 1995841):
@@ -686,33 +748,39 @@ def test_row_sums_equal_fsum_property():
         pool += roots.real.tolist() + roots.imag.tolist()
     pool = np.array(pool + [-v for v in pool])
     block = sums._BLOCK // 2  # complex summands per block
-    shapes = st.sampled_from(((0, 3), (3, 0), (1, 1), (2, 7), (10, 250), (1, 1000), (2, block + 3), (block // 6, 7), (300, 250)))
+    short = st.sampled_from((0, 1, 2, 3, 7, 250))
+    batches = st.one_of(
+        st.lists(st.one_of(short, st.sampled_from((1000, block - 1, block + 3))), max_size=8),
+        st.tuples(st.sampled_from((3, 7, 250)), st.sampled_from((block // 6, 300))).map(lambda t: [t[0]] * t[1]),
+    )
 
     @settings
-    @given(shapes, st.integers(0, 2**64), st.sampled_from(("pool", "cancel", "ones", "zeros")))
-    def check(shape, seed, kind):
-        rows, n = shape
+    @given(batches, st.integers(0, 2**64), st.sampled_from(("pool", "cancel", "ones", "zeros")))
+    def check(lengths, seed, kind):
         rng = np.random.default_rng(seed)
-        parts = np.empty((rows, n), dtype=np.complex128)
+        n = sum(lengths)
+        parts = np.empty(n, dtype=np.complex128)
         if kind == "ones":
             # runs of +-1 that cancel exactly, in both parts
-            parts.real = rng.choice((-1.0, 1.0), size=(rows, n))
+            parts.real = rng.choice((-1.0, 1.0), size=n)
             parts.imag = -parts.real
         elif kind == "zeros":
-            parts.real = rng.choice((0.0, -0.0), size=(rows, n))
+            parts.real = rng.choice((0.0, -0.0), size=n)
             parts.imag = -0.0
         else:
-            parts.real = rng.choice(pool, size=(rows, n))
-            parts.imag = rng.choice(pool, size=(rows, n))
-            if kind == "cancel":
-                # the second half of each row negates the first: every exact sum is 0
-                half = n // 2
-                parts[:, n - half :] = -parts[:, :half]
-                if n % 2:
-                    parts[:, half] = 0
-        got = sums._row_sums(parts)
-        assert len(got) == rows
-        for row, z in zip(parts, got):
+            parts.real = rng.choice(pool, size=n)
+            parts.imag = rng.choice(pool, size=n)
+        rows = np.split(parts, np.cumsum(lengths)[:-1]) if lengths else []
+        if kind == "cancel":
+            # the second half of each row negates the first: every exact sum is 0
+            for row in rows:
+                half = len(row) // 2
+                row[len(row) - half :] = -row[:half]
+                if len(row) % 2:
+                    row[half] = 0
+        got = sums._row_sums(parts, lengths)
+        assert len(got) == len(lengths)
+        for row, z in zip(rows, got):
             want = _fsum_parts(row)
             assert (z.real, z.imag) == (want.real, want.imag)
             assert (math.copysign(1, z.real), math.copysign(1, z.imag)) == (

@@ -1,17 +1,23 @@
-"""Time the character gather and the finish step of the character sums (per-row math.fsum against
-the limb pass), and one table build.
+"""Time the residues, the character gather and the finish step of batches of character sums
+(per-row math.fsum against the limb pass), and one table build.
 
     PYTHONPATH=src python3 tools/sum_costs.py [--repeat 7]
 
-Each shape (rows, terms) is a batch of character rows gathered from the table
-of p-th roots of unity at seeded random residues: 10 x 250 at p = 1009, the
-cells of the verify suites, and 1 x 1000, 1 x 2*10^4 and 1 x 2*10^5 at
-p = 982801, the criterion-13 sum and the long sums.  The gather,
-`field.unit_roots` of the residues (the half table and its sign-bit fold up to
-the table limit), is timed in ns per term, min of --repeat runs.  Both finish
-routes are timed, min of --repeat runs: per-row fsum over tolist(), the
-accumulator the sums used before, and `sums._row_sums`, the one they use now.  The two must agree
-bit for bit, signs of zero included, or the script stops.
+Each shape is one batch on one prime p: a list of cells (rows, terms), rows
+sums of terms terms each.  They are a verify cell of 10 x 250 at p = 1009,
+every cell of the theorem suite at p = 1201 (ten sums per tau | p - 1 above
+p^(3/7 + 1/10), the batch one verify call makes), and 1 x 1000, 1 x 2*10^4
+and 1 x 2*10^5 at p = 982801, the criterion-13 sum and the long sums.  Each
+row has one to three seeded power chains (c, m), as the theorem suite's
+polynomials have one to three terms.  Three layers are timed, min of
+--repeat runs each:
+
+- chains: `sums._chain_sums` of the batch, its residues, in microseconds;
+- gather: `field.unit_roots` of seeded random residues (the half table and
+  its sign-bit fold up to the table limit), in ns per term;
+- finish: per-row fsum over tolist(), the accumulator the sums used before,
+  against `sums._row_sums`, the one they use now.  The two must agree bit
+  for bit, signs of zero included, or the script stops.
 
 A last row times the build of the character table of TABLE_DEN from an empty
 cache, min of --repeat builds, with the bytes it holds (TABLE_DEN//2 + 1 entries).
@@ -24,12 +30,29 @@ import time
 
 import numpy as np
 
-from weilsums import field, sums
+from weilsums import exponents, field, sums
 
-# (rows, terms, p)
-SHAPES = ((10, 250, 1009), (1, 1000, 982801), (1, 20000, 982801), (1, 200000, 982801))
+
+def _theorem_cells(p: int) -> tuple:
+    lo, _ = exponents.window_limits(p, "1/10")
+    return tuple((10, tau) for tau in field.divisors(p - 1) if tau >= lo)
+
+
+# (p, cells)
+SHAPES = (
+    (1009, ((10, 250),)),
+    (1201, _theorem_cells(1201)),
+    (982801, ((1, 1000),)),
+    (982801, ((1, 20000),)),
+    (982801, ((1, 200000),)),
+)
 # the table prime of the long sums
 TABLE_DEN = 982801
+
+
+def _row(rng, p: int) -> tuple:
+    """(const, chains) of one sum: no constant and one to three chains (c, m)."""
+    return 0, [tuple(v) for v in rng.integers(1, p, size=(rng.integers(1, 4), 2)).tolist()]
 
 
 def _best(fn, repeat: int) -> float:
@@ -41,8 +64,9 @@ def _best(fn, repeat: int) -> float:
     return best
 
 
-def _fsum_rows(parts: np.ndarray) -> list:
-    return [complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist())) for row in parts]
+def _fsum_rows(parts: np.ndarray, lengths: list) -> list:
+    rows = np.split(parts, np.cumsum(lengths)[:-1])
+    return [complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist())) for row in rows]
 
 
 def _bits(values: list) -> list:
@@ -51,23 +75,32 @@ def _bits(values: list) -> list:
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--repeat", type=int, default=7, help="runs per route and shape; the minimum is kept")
+    ap.add_argument("--repeat", type=int, default=7, help="runs per layer and shape; the minimum is kept")
     args = ap.parse_args()
     print(f"# {platform.machine()} Python {platform.python_version()} numpy {np.__version__}")
-    print(f"# {'rows':>4} {'terms':>7} {'p':>7} {'gather_ns':>9} {'fsum_ms':>9} {'limbs_ms':>9} {'speedup':>7}")
+    print(
+        f"# {'cells':>5} {'rows':>4} {'terms':>7} {'p':>7} {'chains_us':>9} {'gather_ns':>9}"
+        f" {'fsum_ms':>9} {'limbs_ms':>9} {'speedup':>7}"
+    )
     rng = np.random.default_rng(0)
-    for rows, terms, p in SHAPES:
-        k = rng.integers(0, p, size=(rows, terms))
+    for p, cells in SHAPES:
+        batch = [(terms, [_row(rng, p) for _ in range(rows)]) for rows, terms in cells]
+        chains = _best(lambda: sums._chain_sums(p, batch), args.repeat)
+        lengths = [terms for rows, terms in cells for _ in range(rows)]
+        k = rng.integers(0, p, size=sum(lengths))
         parts = field.unit_roots(k, p)
         gather = _best(lambda: field.unit_roots(k, p), args.repeat)
-        if _bits(sums._row_sums(parts)) != _bits(_fsum_rows(parts)):
-            raise SystemExit(f"the limb pass differs from fsum at {rows} x {terms}, p = {p}")
-        old = _best(lambda: _fsum_rows(parts), args.repeat)
-        new = _best(lambda: sums._row_sums(parts), args.repeat)
-        print(f"  {rows:>4} {terms:>7} {p:>7} {gather / k.size * 1e9:>9.2f} {old * 1e3:>9.3f} {new * 1e3:>9.3f} {old / new:>6.1f}x")
+        if _bits(sums._row_sums(parts, lengths)) != _bits(_fsum_rows(parts, lengths)):
+            raise SystemExit(f"the limb pass differs from fsum on {cells} at p = {p}")
+        old = _best(lambda: _fsum_rows(parts, lengths), args.repeat)
+        new = _best(lambda: sums._row_sums(parts, lengths), args.repeat)
+        print(
+            f"  {len(cells):>5} {len(lengths):>4} {len(k):>7} {p:>7} {chains * 1e6:>9.1f} {gather / len(k) * 1e9:>9.2f}"
+            f" {old * 1e3:>9.3f} {new * 1e3:>9.3f} {old / new:>6.1f}x"
+        )
 
     def build():
-        field._unit_tables.pop(TABLE_DEN, None)
+        field._unit_tables = field._TableCache()
         return field._unit_table(TABLE_DEN)
 
     build_s = _best(build, args.repeat)
