@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 from itertools import groupby
 
 from . import curves, exponents, moments, prng, sums
-from .field import divisors, is_prime, subgroup
+from .field import GuardExceeded, divisors, is_prime, subgroup
 from .sums import SparsePolynomial
 
 
@@ -99,9 +99,12 @@ def _suite_identity(args, rng):
     """S(G; f) against (tau/(p-1)) S(F_p*; f(X^s)), s = (p-1)/tau, for twenty drawn f per cell.
 
     A prime's polynomials are drawn first, and both sides of all its cells
-    summed in one `subgroup_sums` call.
+    summed in one `subgroup_sums` call.  A prime whose full-group sum would pass
+    the term guard is refused before anything is drawn or summed.
     """
     for p, cells in groupby(_cells(args), key=lambda cell: cell[0]):
+        if p - 1 > sums.TERM_LIMIT:
+            raise GuardExceeded("terms", p - 1, sums.TERM_LIMIT)
         cells = [
             (tau, G, win, [_random_sparse(rng, p, rng.randint(1, 3), 3 * tau + 3) for _ in range(20)])
             for _, tau, G, win in cells

@@ -14,8 +14,8 @@ cos and sin above the table limit, one gather per batch.
 Every sum is the exact sum of its terms' real and imaginary parts, rounded
 once (`_row_sums`): one vectorized pass splits the parts of a whole batch,
 rows of any lengths, into 26-bit limbs that float64 adds without error, and
-each part's limb sums are joined exactly and rounded once.  The result equals
-math.fsum of the parts bit for bit, whatever the term count.
+each part's limb sums are joined into one integer and rounded once.  The result
+equals math.fsum of the parts bit for bit, whatever the term count.
 """
 
 import math
@@ -74,17 +74,9 @@ _SCALE = float(1 << _LIMB)
 # limbs stop, and nearly every rounded cos and sin does, so the remainders are first
 # tested for zero after the third limb; a limb taken early only adds zeros.
 _MIN_LIMBS = 3
-# Limbs whose weights 2^(-26(l+1)) stay at or above 2^-1074, the smallest subnormal, so
-# that a limb sum (an integer below 2^53) times its weight is an exact double.
-_FSUM_LIMBS = 1074 // _LIMB
-_WEIGHTS = np.ldexp(1.0, -_LIMB * np.arange(1, _FSUM_LIMBS + 1))
 # Doubles per block of the limb pass: its temporaries stay in cache, and its memory
 # stays flat whatever the shape of the batch.
 _BLOCK = 1 << 15
-# Terms below which a batch is summed by math.fsum row by row, about 65 ns a term,
-# under the limb pass's floor of about 18 us; the two were equal near 300 terms
-# (2-core x86-64, Python 3.11, numpy 2.4: 100 terms 7.7 against 18.6 us).
-_FSUM_TERMS = 256
 
 
 def _row_sums(parts: np.ndarray, lengths) -> list:
@@ -94,25 +86,16 @@ def _row_sums(parts: np.ndarray, lengths) -> list:
     Each part is the exact sum rounded once, half to even: equal bit for bit
     to complex(fsum(row.real), fsum(row.imag)), an empty row 0j.  The pass
     runs over blocks of _BLOCK doubles, and in a block each limb of every row
-    that meets it is summed by one segmented add (np.add.reduceat); a batch
-    of fewer than _FSUM_TERMS terms is summed by fsum itself.  The limb
-    sums of a row part, times their weights 2^(-26(l+1)), are exact doubles
-    whose fsum is the part's exact sum rounded once; past _FSUM_LIMBS limbs they
-    are joined into one integer N and divided by 2^(26 L) once, which CPython
-    rounds correctly.  An exact zero gives +0.0 either way, as fsum does.
+    that meets it is summed by one segmented add (np.add.reduceat).  The limb
+    sums of a row part are joined into one integer N and divided by 2^(26 L)
+    once; CPython's int division rounds correctly, and N = 0 gives +0.0, as
+    fsum gives for an exact zero.
     """
     # the real and imaginary parts of each summand, side by side in a row of two
     parts = np.ascontiguousarray(parts, dtype=np.complex128).view(np.float64).reshape(-1, 2)
     # the bound on the limb sums needs |v| <= 2; NaN fails the comparisons
     if len(parts) and not (parts.max() <= 2 and parts.min() >= -2):
         raise ArithmeticError("a summand has a part outside [-2, 2]")
-    if len(parts) < _FSUM_TERMS:
-        v = parts.ravel().tolist()
-        out, c = [], 0
-        for w in lengths:
-            out.append(complex(math.fsum(v[2 * c : 2 * (c + w) : 2]), math.fsum(v[2 * c + 1 : 2 * (c + w) : 2])))
-            c += w
-        return out
     # the rows that hold terms, and where each starts; an empty row meets no block
     held, starts, n = [], [], 0
     for i, w in enumerate(lengths):
@@ -152,21 +135,14 @@ def _row_sums(parts: np.ndarray, lengths) -> list:
             xb *= _SCALE
     out = [0j] * len(lengths)
     if limbs:
-        # the limb sums of each part, real and imaginary alternating, as exact
-        # integers; int64 drops the sign of a zero
-        sums = np.array(limbs, dtype=np.int64).reshape(len(limbs), -1)
-        if len(limbs) <= _FSUM_LIMBS:
-            # each sum times its weight 2^(-26(l+1)) is exact, and fsum rounds their total once
-            vals = list(map(math.fsum, (sums * _WEIGHTS[: len(limbs), None]).T.tolist()))
-        else:
-            # the weights reach the subnormals: join the sums into one int N and divide once
-            d = 1 << (_LIMB * len(limbs))
-            vals = []
-            for row in sums.T.tolist():
-                total = 0
-                for s in row:
-                    total = (total << _LIMB) + s
-                vals.append(total / d)
+        d = 1 << (_LIMB * len(limbs))
+        vals = []
+        # the limb sums of each part, real and imaginary alternating; int64 drops the sign of a zero
+        for row in np.array(limbs, dtype=np.int64).reshape(len(limbs), -1).T.tolist():
+            total = 0
+            for s in row:
+                total = (total << _LIMB) + s
+            vals.append(total / d)
         for i, z in zip(held, map(complex, vals[0::2], vals[1::2])):
             out[i] = z
     return out
@@ -295,7 +271,7 @@ def _chain_sums(p: int, cells: list) -> np.ndarray:
     top = max(count for count, _ in cells)
     if top > TERM_LIMIT:
         raise GuardExceeded("terms", next(count for count, _ in cells if count > TERM_LIMIT), TERM_LIMIT)
-    s = math.isqrt(max(top - 1, 0)) + 1
+    s, g = _step_widths(top)
     # every chain of the batch, each cell's rows padded to the cell's width
     cs, ms, shapes, size = [], [], [], 0
     for count, rows in cells:
@@ -313,7 +289,7 @@ def _chain_sums(p: int, cells: list) -> np.ndarray:
             ms += [1] * pad
         shapes.append((count, len(rows), width))
         size += count * len(rows)
-    giants, babies = power_steps(cs, ms, s, -(-top // s) or 1, p)
+    giants, babies = power_steps(cs, ms, s, g, p)
     out = np.empty(size, dtype=np.int64)
     a = b = 0
     for count, rows, width in shapes:
@@ -327,6 +303,13 @@ def _chain_sums(p: int, cells: list) -> np.ndarray:
         np.remainder(products.reshape(rows, g * s)[:, :count], p, out=out[b : b + rows * count].reshape(rows, count))
         a, b = a + rows * width, b + rows * count
     return out
+
+
+def _step_widths(top: int) -> tuple:
+    """(s, g): the baby and giant steps that `_chain_sums` takes per chain of a batch
+    whose longest row has top entries, s*g >= top."""
+    s = math.isqrt(max(top - 1, 0)) + 1
+    return s, -(-top // s) or 1
 
 
 def _chain_products(giants: np.ndarray, babies: np.ndarray, p: int) -> np.ndarray:
@@ -409,29 +392,48 @@ def subgroup_sums(cells) -> list:
     """[[subgroup_sum(G, f) for f in fs] for G, fs in cells], bit for bit, for
     cells (G, fs) of subgroups G of one prime.
 
-    The rows (G, f) are summed in order, in batches of at most TERM_LIMIT
-    terms, so a batch holds no more memory than one sum may; the cells of a
-    verify call on one prime are one batch.  A batch takes the residues of all
-    its rows from one `_chain_sums` call, whose rows of equal tau form one
-    cell, gathers their characters at once and sums all its rows in one limb
-    pass (`_row_sums`).
+    The rows (G, f) are summed in order, in batches (`_batches`) of at most
+    TERM_LIMIT terms and power steps, so a batch holds about as much memory as
+    one sum of TERM_LIMIT terms may; the cells of a verify call on one prime
+    are one batch.  A batch takes the residues of all its rows from one
+    `_chain_sums` call, whose rows of equal tau form one cell, gathers their
+    characters at once and sums all its rows in one limb pass (`_row_sums`).
     """
     rows = [(G, f) for G, fs in cells for f in fs]
     if any(G.p != rows[0][0].p for G, _ in rows):
         raise ValueError("the subgroups of one subgroup_sums call must share their prime")
-    values, start = [], 0
-    while start < len(rows):
-        stop, terms = start + 1, rows[start][0].tau
-        while stop < len(rows) and terms + rows[stop][0].tau <= TERM_LIMIT:
-            terms += rows[stop][0].tau
-            stop += 1
-        values += _batch_sums(rows[start:stop])
-        start = stop
+    values = []
+    for batch in _batches(rows):
+        values += _batch_sums(batch)
     out, start = [], 0
     for _, fs in cells:
         out.append(values[start : start + len(fs)])
         start += len(fs)
     return out
+
+
+def _batches(rows: list) -> list:
+    """The (G, f) rows cut, in order, into lists of at most TERM_LIMIT terms and
+    steps: a batch's terms, and the giant and baby steps `_chain_sums` takes for
+    its chains, s + g each at the batch's longest row (`_step_widths`), each row
+    of a run of equal tau padded to the run's widest.  Short rows beside a long
+    one would take a long row's steps each, so steps count as terms do.  A row
+    that passes the limit alone is a batch of its own."""
+    batches = []
+    terms = top = steps = slots = n = width = 0  # n rows of the last run, padded to width chains
+    for G, f in rows:
+        w = max(len(f.terms) + (f.constant % G.p != 0), 1)
+        same = bool(batches) and G.tau == batches[-1][-1][0].tau
+        # the batch's chains with this row: one more row of the last run, or the first of a new one
+        grown = slots + (n + 1) * max(width, w) - n * width if same else slots + w
+        k = steps if G.tau <= top else sum(_step_widths(G.tau))
+        if not batches or terms + G.tau + grown * k > TERM_LIMIT:
+            batches.append([])
+            terms, top, same, grown, k = 0, 0, False, w, sum(_step_widths(G.tau))
+        n, width = (n + 1, max(width, w)) if same else (1, w)
+        terms, top, steps, slots = terms + G.tau, max(top, G.tau), k, grown
+        batches[-1].append((G, f))
+    return batches
 
 
 def _batch_sums(rows: list) -> list:

@@ -382,6 +382,19 @@ def test_verify_sums_each_prime_in_one_batch(capsys, monkeypatch, suite, pmin, p
     assert calls == [primes.count(p) * (2 if suite == "identity" else 1) for p in kept]
 
 
+def test_identity_suite_refuses_a_prime_past_the_term_guard_at_once(capsys, monkeypatch):
+    # p - 1 = 2 * 4194308: the full-group sum of 8388616 terms is refused before any
+    # polynomial is drawn or any sum taken, even those of the cells below the guard
+    def no_sums(cells):
+        raise AssertionError("a sum was taken")
+
+    monkeypatch.setattr(sums, "subgroup_sums", no_sums)
+    rc, out, err = run(capsys, "verify", "--suite", "identity", "--pmin", "8388617", "--pmax", "8388617")
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: guard terms: 8388616 exceeds limit {sums.TERM_LIMIT}\n"
+
+
 def test_verify_identity_suite(capsys):
     rc, _, err = run(capsys, "verify", "--suite", "identity", "--pmin", "7", "--pmax", "7")
     assert rc == 0

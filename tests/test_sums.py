@@ -459,8 +459,9 @@ def test_subgroup_sums_equal_subgroup_sum_and_oracle(p, tau):
 
 
 def test_subgroup_sums_split_into_batches_of_term_limit(monkeypatch):
-    # at most TERM_LIMIT terms per batch: three batches of two sums and one of one,
-    # the second batch across the two cells
+    # at most TERM_LIMIT terms and steps per batch: each sum has 16 terms and three
+    # chains of s + g = 4 + 4 steps, so two take 2 * (16 + 3 * 8) = 80; three batches
+    # of two sums and one of one, the second batch across the two cells
     G = field.subgroup(1009, 16)
     fs = [poly((1, a), (a + 2, 3), constant=a) for a in range(1, 8)]
     want = [sums.subgroup_sum(G, f) for f in fs]
@@ -472,13 +473,48 @@ def test_subgroup_sums_split_into_batches_of_term_limit(monkeypatch):
         return chain_sums(p, cells)
 
     monkeypatch.setattr(sums, "_chain_sums", counted)
-    monkeypatch.setattr(sums, "TERM_LIMIT", 2 * 16 + 5)
+    monkeypatch.setattr(sums, "TERM_LIMIT", 2 * (16 + 3 * 8) + 5)
     assert sums.subgroup_sums([(G, fs[:3]), (G, fs[3:])]) == [want[:3], want[3:]]
     assert calls == [[2], [2], [2], [1]]
+    # a row past the limit with its steps is still summed, alone
+    calls.clear()
+    monkeypatch.setattr(sums, "TERM_LIMIT", 16 + 3 * 8 - 1)
+    assert sums.subgroup_sums([(G, fs[:2])]) == [want[:2]]
+    assert calls == [[1], [1]]
     # the term guard of a single sum still holds
     monkeypatch.setattr(sums, "TERM_LIMIT", 15)
     with pytest.raises(field.GuardExceeded):
         sums.subgroup_sums([(G, fs)])
+
+
+def test_short_rows_beside_a_long_one_count_its_steps(monkeypatch):
+    # every chain of a batch takes the steps of its longest row, and the rows of a
+    # run of equal tau are padded to its widest: 40 rows of tau = 2, one of them
+    # three chains wide, beside a row of tau = 1008 (s = g = 32) would take
+    # 121 * 64 steps beside 1088 terms, so at a limit of 2000 the long row is a
+    # batch of its own
+    p = 1009
+    G, H = field.subgroup(p, 2), field.subgroup(p, p - 1)
+    short = [poly((1, a)) for a in range(1, 40)] + [poly((1, 2), (3, 4), constant=5)]
+    long = [poly((2, 7))]
+    want = [[sums.subgroup_sum(G, f) for f in short], [sums.subgroup_sum(H, long[0])]]
+    calls = []
+    chain_sums = sums._chain_sums
+
+    def counted(q, cells):
+        calls.append([(count, len(rows)) for count, rows in cells])
+        return chain_sums(q, cells)
+
+    monkeypatch.setattr(sums, "_chain_sums", counted)
+    monkeypatch.setattr(sums, "TERM_LIMIT", 2000)
+    assert sums.subgroup_sums([(G, short), (H, long)]) == want
+    assert calls == [[(2, 40)], [(1008, 1)]]
+    assert [len(b) for b in sums._batches([(G, f) for f in short] + [(H, long[0])])] == [40, 1]
+    # 40 rows of tau = 2 padded to three chains at s + g = 2 + 1 steps: 80 + 120 * 3 = 440
+    monkeypatch.setattr(sums, "TERM_LIMIT", 440)
+    assert [len(b) for b in sums._batches([(G, f) for f in short])] == [40]
+    monkeypatch.setattr(sums, "TERM_LIMIT", 439)
+    assert [len(b) for b in sums._batches([(G, f) for f in short])] == [39, 1]
 
 
 @pytest.mark.parametrize("p", (2, 3, 13, 1009, 65537))
