@@ -52,12 +52,22 @@ def _coordinates(keys, p: int, r: int) -> list:
     return [keys, *cols[::-1]]
 
 
-def _sum_equal(keys, counts, index: bool = False) -> tuple:
-    """The distinct keys, sorted, with the exact sum of the counts of each; keys may be overwritten.
+def _sum_equal(keys, counts, bound: int, index: bool = False) -> tuple:
+    """The distinct keys, sorted, with the exact sum of the counts of each, for keys below
+    bound; keys may be overwritten.
 
     With index, also the position in keys of one entry of each distinct key.
+    The entry index is packed below each key, so that one int64 sort orders
+    both, where bound shifted past it stays below 2^63; larger keys take an
+    argsort.
     """
     shift = max(1, (len(keys) - 1).bit_length())
+    if bound > 2 ** (63 - shift):
+        order = np.argsort(keys)
+        keys = keys[order]
+        start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        out = keys[start], np.add.reduceat(counts[order], start)
+        return (*out, order[start]) if index else out
     keys <<= shift
     keys |= np.arange(len(keys))
     keys.sort()
@@ -73,18 +83,23 @@ def _sum_equal(keys, counts, index: bool = False) -> tuple:
     return (keys[last], total, where[last]) if index else (keys[last], total)
 
 
-def _merge(parts: list) -> tuple:
+def _merge(parts: list, bound: int) -> tuple:
+    """One tuple from several of `_sum_equal`'s on keys below bound: the distinct keys of all
+    with their summed counts, and where the parts carry representatives (a third array, its
+    last axis over their keys), those of one entry of each key."""
     if len(parts) == 1:
         return parts[0]
-    return _sum_equal(np.concatenate([k for k, _ in parts]), np.concatenate([c for _, c in parts]))
+    keys, counts, *reps = (np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
+    out = _sum_equal(keys, counts, bound, bool(reps))
+    return (*out[:2], reps[0][..., out[2]]) if reps else out
 
 
 def _pair(cur: tuple, base: tuple, p: int, r: int) -> tuple:
     """The (keys, counts) of the convolution of cur and base, from every pair of their entries."""
     (ckeys, ccounts), (bkeys, bcounts) = cur, base
-    ccols, bcols = _coordinates(ckeys, p, r), _coordinates(bkeys, p, r)
+    ccols, bcols, grid = _coordinates(ckeys, p, r), _coordinates(bkeys, p, r), p**r
     # a grid of at most _TABLE_RATIO cells per pair is summed in place, by key
-    table = np.zeros(p**r, dtype=ccounts.dtype) if p**r <= _TABLE_RATIO * len(ckeys) * len(bkeys) else None
+    table = np.zeros(grid, dtype=ccounts.dtype) if grid <= _TABLE_RATIO * len(ckeys) * len(bkeys) else None
     step = max(1, _CHUNK // len(bkeys))
     parts = []
     for s in range(0, len(ckeys), step):
@@ -102,14 +117,14 @@ def _pair(cur: tuple, base: tuple, p: int, r: int) -> tuple:
         if table is not None:
             np.add.at(table, key, counts)  # 1-D: numpy's fast path
             continue
-        parts.append(_sum_equal(key, counts))
+        parts.append(_sum_equal(key, counts, grid))
         # merge once the later blocks hold as many keys as the merged ones
         if sum(len(k) for k, _ in parts[1:]) >= len(parts[0][0]):
-            parts = [_merge(parts)]
+            parts = [_merge(parts, grid)]
     if table is not None:
         keys = np.flatnonzero(table)
         return keys, table[keys]
-    return _merge(parts)
+    return _merge(parts, grid)
 
 
 def sparse_work(nnz: int, k: int, size: int) -> int:
@@ -161,7 +176,7 @@ def self_convolution_power(hist: tuple, k: int, p: int, r: int) -> tuple:
     if min(values) < 1:
         raise ValueError("counts must be positive")
     dtype = np.int64 if sum(values) ** (2 * k) < 2**63 else object
-    cur = base = _sum_equal(_keys(np.array(vectors, dtype=np.int64), p), np.asarray(counts).astype(dtype))
+    cur = base = _sum_equal(_keys(np.array(vectors, dtype=np.int64), p), np.asarray(counts).astype(dtype), p**r)
     for _ in range(k - 1):
         cur = _pair(cur, base, p, r)
     return np.stack(_coordinates(cur[0], p, r), axis=1), cur[1]

@@ -1,5 +1,5 @@
 """Prime fields, multiplicative subgroups, additive characters, and the tables of
-powers c*m^j mod q that every orbit of F_p* is built from."""
+powers c*m^j mod q, and sums of them, that every orbit of F_p* is built from."""
 
 import functools
 import math
@@ -130,24 +130,112 @@ def least_primitive_root(p: int) -> int:
 
 
 def powers(c, m, n: int, q: int) -> np.ndarray:
-    """c*m^j mod q for j = 0..n-1, as int64, for residues c, m below q < 2^62.
+    """c*m^j mod q for j = 0..n-1, as int64, for residues c, m below q < 2^62: the
+    one-chain case of `chain_sums`.
 
-    j = s*i + l for l < s: c*m^j = (c*m^(s*i)) * m^l, one outer product of about
-    sqrt(n) giant steps and baby steps (`power_steps`), formed by `_multiply`.
     With equal-length sequences c and m the result is an (R, n) array whose row
     i is c[i]*m[i]^j: the steps of all R chains and their products are formed
     at once, so a batch pays the fixed numpy cost of a chain once.
     """
-    # a scalar chain is a batch of one, and its row is returned
-    batch = not isinstance(c, (int, np.integer))
-    s = math.isqrt(max(n - 1, 0)) + 1
-    g = -(-n // s) or 1
-    giants, babies = power_steps(c if batch else (c,), m if batch else (m,), s, g, q)
-    # every chain's giant steps times its own baby steps, in one broadcast product
-    t = np.empty((len(giants), g, s), dtype=np.int64)
-    _multiply(giants[:, :, None], babies[:, None, :], q, out=t)
-    t = t.reshape(-1, g * s)[:, :n]
-    return t if batch else t[0]
+    if isinstance(c, (int, np.integer)):
+        return _chain_rows(q, (c,), (m,), [(n, 1, 1)], n)[0]
+    return _chain_rows(q, c, m, [(n, len(c), 1)], n)
+
+
+def chain_sums(q: int, cells: list) -> np.ndarray:
+    """The rows of a batch of sums of power chains mod q < 2^62, one after another, as one
+    flat int64 array: every table of powers is built here.
+
+    cells lists (count, rows) pairs, each row a list of (c, m) residue pairs
+    and count entries long: entry j is the sum of c*m^j mod q over the row's
+    chains.  A constant is a chain of ratio 1, and a row of no chains is 0.
+    """
+    cs, ms, shapes, top = [], [], [], 0
+    for count, rows in cells:
+        # each row padded with (0, 1) chains to the cell's widest, the first chain of every row first
+        width = max(map(len, rows), default=1) or 1
+        for j in range(width):
+            for chains in rows:
+                c, m = chains[j] if j < len(chains) else (0, 1)
+                cs.append(c)
+                ms.append(m)
+        shapes.append((count, len(rows), width))
+        top = max(top, count)
+    return _chain_rows(q, cs, ms, shapes, top).reshape(-1)
+
+
+def _chain_rows(q: int, c, m, shapes: list, top: int) -> np.ndarray:
+    """The rows of the cells of shapes, (count, rows, width) triples whose chains c[i]*m[i]^j
+    follow one another in c and m as `chain_sums` lays them out, top the largest count:
+    the (rows, count) array of a single cell, or the rows of several as one flat array.
+
+    c*m^j is the giant step c*m^(s*a) times the baby step m^b for j = s*a + b,
+    (s, g) = `_step_widths(top)`, and one `power_steps` call takes the steps of
+    every chain.  A cell's products, summed over the chains of each row
+    (`_chain_products`), are formed whole, g*s entries a row, and reduced once:
+    those of a single cell in place, so that it holds no second array of its
+    length, and those of several into the rows of one result.
+    """
+    s, g = _step_widths(top)
+    giants, babies = power_steps(c, m, s, g, q)
+    if len(shapes) == 1:
+        count, rows, _ = shapes[0]
+        products = np.empty((rows, g, s), dtype=np.int64)
+        _chain_products(giants, babies, q, products)
+        np.remainder(products, q, out=products)
+        return products.reshape(rows, g * s)[:, :count]
+    out = np.empty(sum(count * rows for count, rows, _ in shapes), dtype=np.int64)
+    a = b = 0
+    for count, rows, width in shapes:
+        gc = -(-count // s)
+        products = np.empty((rows, gc, s), dtype=np.int64)
+        _chain_products(giants[a : a + rows * width, :gc], babies[a : a + rows * width], q, products)
+        np.remainder(products.reshape(rows, gc * s)[:, :count], q, out=out[b : b + rows * count].reshape(rows, count))
+        a, b = a + rows * width, b + rows * count
+    return out
+
+
+def _step_widths(top: int) -> tuple:
+    """(s, g): the baby and giant steps of every chain of a batch whose longest row
+    has top entries, s*g >= top."""
+    s = math.isqrt(max(top - 1, 0)) + 1
+    return s, -(-top // s) or 1
+
+
+def _chain_products(giants: np.ndarray, babies: np.ndarray, q: int, out: np.ndarray) -> None:
+    """out = the sums over chains j of the outer products giants[j*R + r] x babies[j*R + r],
+    congruent to them mod q and below 2^63, for out (R, G, S), giants (J*R, G) and babies (J*R, S).
+
+    The one function that forms products of steps.  A group of one chain per
+    row is a broadcast product, multiplied in int64 (`np.multiply`) below
+    INT64_MODULUS_LIMIT and reduced by `_multiply` above it.  Below the limit a
+    larger group is one matmul of k chains, k the most whose products fit below
+    2^63 beside a reduced residue: every product fits 2^21 times below q = 2^21,
+    and twice below 2^31.  Above it each chain is a group.  The sum is reduced
+    before each further group is added.
+    """
+    R, small = len(out), q < INT64_MODULUS_LIMIT
+    if len(babies) == R:
+        if small:
+            np.multiply(giants[:, :, None], babies[:, None, :], out=out)
+        else:
+            _multiply(giants[:, :, None], babies[:, None, :], q, out=out)
+        return
+    k = R * ((2**63 - q) // max(q - 1, 1) ** 2) if small else R
+    part = out
+    for j in range(0, len(babies), k):
+        g, b = giants[j : j + k], babies[j : j + k]
+        if j:
+            np.remainder(out, q, out=out)
+            if part is out:
+                part = np.empty_like(out)
+        if len(b) == R:
+            _chain_products(g, b, q, part)
+        else:
+            J = len(b) // R
+            np.matmul(g.reshape(J, R, g.shape[1]).transpose(1, 2, 0), b.reshape(J, R, b.shape[1]).transpose(1, 0, 2), out=part)
+        if part is not out:
+            out += part
 
 
 # Chains times steps below which `power_steps` takes its steps in a Python loop, at
@@ -214,7 +302,8 @@ def _doubling(start: np.ndarray, ratio: np.ndarray, width: int, q: int) -> np.nd
 def _multiply(a: np.ndarray, b: np.ndarray, q: int, out: np.ndarray) -> None:
     """out = a*b mod q for int64 residues below q < 2^62, broadcast, multiplied in
     int64 below INT64_MODULUS_LIMIT and as Python ints above: the one rule for
-    every product of `powers`, `array_power` and `inverses`."""
+    the products of `power_steps`, `array_power` and `inverses`, and for those of
+    `_chain_products` above the limit."""
     if q < INT64_MODULUS_LIMIT:
         np.multiply(a, b, out=out)
         np.remainder(out, q, out=out)
@@ -223,10 +312,10 @@ def _multiply(a: np.ndarray, b: np.ndarray, q: int, out: np.ndarray) -> None:
 
 
 def array_power(t: np.ndarray, e: int, q: int) -> np.ndarray:
-    """t^e mod q entrywise for e >= 0 and an int64 or object array t of residues below q < 2^62.
+    """t^e mod q entrywise, as a new int64 array, for e >= 0 and an array t of residues below
+    q < 2^62, read as int64.
 
-    Square-and-multiply on int64 residues, each product formed by `_multiply`;
-    the result has t's dtype.
+    Square-and-multiply, each product formed by `_multiply`.
     """
     out = np.ones(t.shape, dtype=np.int64)
     base = t.astype(np.int64)
@@ -236,7 +325,7 @@ def array_power(t: np.ndarray, e: int, q: int) -> np.ndarray:
         e >>= 1
         if e:
             _multiply(base, base, q, out=base)
-    return out.astype(t.dtype, copy=False)
+    return out
 
 
 def inverses(t: np.ndarray, q: int) -> np.ndarray:

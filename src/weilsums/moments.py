@@ -371,28 +371,6 @@ def _bound(hist: tuple, k: int, p: int, r: int) -> int:
     return p**r * int(hist[1].sum()) ** (2 * k)
 
 
-def _sum_orbits(labels, weights, bound: int, index: bool) -> tuple:
-    """`convolution._sum_equal` on labels below bound: the same by an argsort where a label shifted past the entry index could reach 2^63."""
-    if bound <= 2 ** (63 - max(1, (len(labels) - 1).bit_length())):
-        return convolution._sum_equal(labels, weights, index)
-    order = np.argsort(labels)
-    labels = labels[order]
-    start = np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1])))
-    out = labels[start], np.add.reduceat(weights[order], start)
-    return (*out, order[start]) if index else out
-
-
-def _merge_orbits(parts: list, bound: int, index: bool) -> tuple:
-    """One (labels, totals[, representatives]) tuple from several: the distinct labels of all, with their summed totals."""
-    if len(parts) == 1:
-        return parts[0]
-    labels, totals = (np.concatenate([part[i] for part in parts]) for i in (0, 1))
-    out = _sum_orbits(labels, totals, bound, index)
-    if not index:
-        return out
-    return out[0], out[1], np.concatenate([part[2] for part in parts], axis=1)[:, out[2]]
-
-
 def _quotient_count(hist: tuple, k: int, p: int, s: int, nvec) -> int:
     """Q_k = sum over orbits O of T_k(O)^2 / |O|, by the quotient route (see the module docstring).
 
@@ -421,12 +399,12 @@ def _quotient_count(hist: tuple, k: int, p: int, s: int, nvec) -> int:
             sums = reps[:, start : start + step, None] + shifted[:, None, :]
             sums += (sums >> 63) & p  # u + v - p, plus p where that is negative
             sums = sums.reshape(len(cols), -1)
-            part = _sum_orbits(label(*sums), np.multiply.outer(totals[start : start + step], base).ravel(), bound, index)
+            part = convolution._sum_equal(label(*sums), np.multiply.outer(totals[start : start + step], base).ravel(), bound, index)
             parts.append((*part[:2], sums[:, part[2]]) if index else part)
             # merge once the later blocks hold as many labels as the merged ones
             if sum(len(part[0]) for part in parts[1:]) >= len(parts[0][0]):
-                parts = [_merge_orbits(parts, bound, index)]
-        labels, totals, *rest = _merge_orbits(parts, bound, index)
+                parts = [convolution._merge(parts, bound)]
+        labels, totals, *rest = convolution._merge(parts, bound)
         reps = rest[0] if rest else None
     if mass ** (2 * k) >= 2**63:  # each term is at most Q_k <= mass^(2k)
         totals = totals.astype(object)

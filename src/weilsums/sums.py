@@ -1,13 +1,8 @@
 """Exponential sum evaluators over F_p and its multiplicative subgroups.
 
 Residues are int64 numpy arrays.  A batch is a single sum, or every sum
-on the subgroups of one prime (`subgroup_sums`, one batch per verify call).
-Each power chain c*m^x of a batch is a table of giant steps times baby steps,
-and the steps of all its chains come from one `field.power_steps` call.  The
-products of a sum's chains are added unreduced and each residue is reduced
-mod p once, and before that only where the next products could pass 2^63
-(every product fits 2^21 times below p = 2^21, and twice below 2^31); above
-2^31 each chain's products are reduced.
+on the subgroups of one prime (`subgroup_sums`, one batch per verify call),
+and its residues come from one `field.chain_sums` call, a power chain per term.
 Characters are gathered from the first half of the table of p-th roots of
 unity, the rest read as conjugates (`field._table_roots`), or computed from
 cos and sin above the table limit, one gather per batch.
@@ -18,7 +13,6 @@ each part's limb sums are joined into one integer and rounded once.  The result
 equals math.fsum of the parts bit for bit, whatever the term count.
 """
 
-import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -27,13 +21,12 @@ from itertools import groupby
 import numpy as np
 
 from .field import (
-    INT64_MODULUS_LIMIT,
     GuardExceeded,
-    _multiply,
+    _step_widths,
     _table_roots,
+    chain_sums,
     inverses,
     least_primitive_root,
-    power_steps,
     prime_modulus,
     unit_roots,
 )
@@ -254,110 +247,28 @@ class SparsePolynomial:
 
 
 def _chain_sums(p: int, cells: list) -> np.ndarray:
-    """Residues of a batch of sums, as one flat int64 array.
-
-    cells lists (count, rows) pairs, rows a list of (const, chains): such a row
-    is const + the sum of c*m^x mod p over the (c, m) residue pairs of chains,
-    for x = 1..count, and the rows follow one another in the result, count
-    entries each.  One `field.power_steps` call takes the steps of every chain
-    of the batch, with one baby-step width s for all.  In a cell the constant
-    is one more chain, of ratio 1, and each row is padded with (0, 1) chains to
-    the cell's width, so that a row's residues are the sum over its chains of
-    giant steps times baby steps: one matmul per cell (`_chain_products`),
-    reduced once into the result.  A cell holds its products and at most one
-    more group of them, so a long sum of few chains holds about two arrays of
-    its length.
-    """
+    """`field.chain_sums` of a batch, (count, rows) cells of chain lists, behind the term guard."""
     top = max(count for count, _ in cells)
     if top > TERM_LIMIT:
         raise GuardExceeded("terms", next(count for count, _ in cells if count > TERM_LIMIT), TERM_LIMIT)
-    s, g = _step_widths(top)
-    # every chain of the batch, each cell's rows padded to the cell's width
-    cs, ms, shapes, size = [], [], [], 0
-    for count, rows in cells:
-        width = max(max(len(chains) + (const != 0) for const, chains in rows), 1)
-        for const, chains in rows:
-            for c, m in chains:
-                cs.append(c * m % p)  # x starts at 1
-                ms.append(m)
-            pad = width - len(chains)
-            if const:
-                cs.append(const)
-                ms.append(1)
-                pad -= 1
-            cs += [0] * pad
-            ms += [1] * pad
-        shapes.append((count, len(rows), width))
-        size += count * len(rows)
-    giants, babies = power_steps(cs, ms, s, g, p)
-    out = np.empty(size, dtype=np.int64)
-    a = b = 0
-    for count, rows, width in shapes:
-        g = -(-count // s)
-        products = _chain_products(
-            giants[a : a + rows * width, :g].reshape(rows, width, g).transpose(0, 2, 1),
-            babies[a : a + rows * width].reshape(rows, width, s),
-            p,
-        )
-        # one remainder per residue, written in place of its row
-        np.remainder(products.reshape(rows, g * s)[:, :count], p, out=out[b : b + rows * count].reshape(rows, count))
-        a, b = a + rows * width, b + rows * count
-    return out
+    return chain_sums(p, cells)
 
 
-def _step_widths(top: int) -> tuple:
-    """(s, g): the baby and giant steps that `_chain_sums` takes per chain of a batch
-    whose longest row has top entries, s*g >= top."""
-    s = math.isqrt(max(top - 1, 0)) + 1
-    return s, -(-top // s) or 1
-
-
-def _chain_products(giants: np.ndarray, babies: np.ndarray, p: int) -> np.ndarray:
-    """The sums over j of the products giants[r, :, j] x babies[r, j], an int64 (R, g, s)
-    array congruent to them mod p and below 2^63, for giants (R, g, J) and babies (R, J, s).
-
-    Below INT64_MODULUS_LIMIT the products of k chains at a time are added
-    unreduced by one matmul, k the most that fit below 2^63 beside a reduced
-    residue: every product fits 2^21 times below p = 2^21, and twice below
-    2^31.  Above it each chain's products are formed and reduced by
-    `_multiply`.  The sum is reduced before each further group is added.
-    """
-    small = p < INT64_MODULUS_LIMIT
-    k = (2**63 - p) // (p - 1) ** 2 if small else 1
-    acc = None
-    for j in range(0, babies.shape[1], k):
-        g, b = giants[..., j : j + k], babies[:, j : j + k]
-        if small:
-            part = np.matmul(g, b)
-        else:
-            part = np.empty((len(b), g.shape[1], b.shape[2]), dtype=np.int64)
-            _multiply(g, b, p, out=part)
-        if acc is None:
-            acc = part
-        else:
-            np.remainder(acc, p, out=acc)
-            acc += part
-    return acc
-
-
-def _chain_sum(p: int, const: int, chains: list, count: int) -> np.ndarray:
-    """const + sum of c*m^x mod p over the (c, m) residue pairs of chains, for x = 1..count, as int64."""
-    return _chain_sums(p, [(count, [(const, chains)])])
-
-
-def _orbit_chains(p: int, theta: int, f: SparsePolynomial) -> tuple:
-    """(const, chains) of f(theta^x): one power chain per term."""
-    return f.constant % p, [(c % p, pow(theta, n, p)) for n, c in f.terms]
+def _orbit_chains(p: int, theta: int, f: SparsePolynomial) -> list:
+    """The chains of f(theta^x) for x = 1..count, as `field.chain_sums` counts j = x - 1:
+    (c*theta^n, theta^n) per term c*X^n, and the constant as a chain of ratio 1."""
+    chains = [(c * (m := pow(theta, n, p)) % p, m) for n, c in f.terms]
+    return chains + [(f.constant % p, 1)] if f.constant % p else chains
 
 
 def _orbit_residues(p: int, theta: int, f: SparsePolynomial, count: int) -> np.ndarray:
     """f(theta^x) mod p for x = 1..count as int64: one power chain per term."""
-    return _chain_sum(p, *_orbit_chains(p, theta, f), count)
+    return _chain_sums(p, [(count, [_orbit_chains(p, theta, f)])])
 
 
 def _inversive_residues(p: int, theta: int, a: int, b: int, count: int) -> np.ndarray:
     """(a*theta^x + b)^-1 mod p for x = 1..count as int64, with -1 (never a residue) where a*theta^x + b = 0."""
-    out = inverses(_chain_sum(p, b, [(a, theta)], count), p)
+    out = inverses(_orbit_residues(p, theta, SparsePolynomial.from_pairs([(1, a)], b), count), p)
     out[out == 0] = -1  # the inverse of a nonzero residue is nonzero
     return out
 
@@ -414,8 +325,8 @@ def subgroup_sums(cells) -> list:
 
 def _batches(rows: list) -> list:
     """The (G, f) rows cut, in order, into lists of at most TERM_LIMIT terms and
-    steps: a batch's terms, and the giant and baby steps `_chain_sums` takes for
-    its chains, s + g each at the batch's longest row (`_step_widths`), each row
+    steps: a batch's terms, and the giant and baby steps `field.chain_sums` takes
+    for its chains, s + g each at the batch's longest row (`_step_widths`), each row
     of a run of equal tau padded to the run's widest.  Short rows beside a long
     one would take a long row's steps each, so steps count as terms do.  A row
     that passes the limit alone is a batch of its own."""
@@ -470,7 +381,8 @@ def kloosterman_subgroup_sum(G, a: int, b: int) -> SumValue:
     """K(G; a, b) = sum over g in G of exp(2*pi*i*(a*g + b*g^-1)/p)."""
     p = G.modulus.p
     theta_inv = pow(G.theta, G.tau - 1, p)
-    residues = _chain_sum(p, 0, [(a % p, G.theta), (b % p, theta_inv)], G.tau)
+    chains = [(a * G.theta % p, G.theta), (b * theta_inv % p, theta_inv)]
+    residues = _chain_sums(p, [(G.tau, [chains])])
     return _char_sum(G.modulus, residues)
 
 

@@ -161,10 +161,11 @@ def test_key_packing_near_the_pairs_limit(monkeypatch):
     longest = 0
     sum_equal = convolution._sum_equal
 
-    def spy(keys, counts):
+    def spy(keys, counts, bound, index=False):
         nonlocal longest
         longest = max(longest, len(keys))
-        return sum_equal(keys, counts)
+        assert bound == p**2
+        return sum_equal(keys, counts, bound, index)
 
     monkeypatch.setattr(convolution, "_sum_equal", spy)
     convolution.self_convolution_power(hist, k, p, 2)
@@ -184,3 +185,4 @@ def test_blocked_pairing(monkeypatch):
     for chunk in (1, 5, 12):
         monkeypatch.setattr(convolution, "_CHUNK", chunk)
         assert [power(hist, k, p, r) for p, r, k, hist in cases] == want, chunk
+

@@ -328,7 +328,7 @@ def test_array_power_equals_pow(q, dtype):
     t = np.array([0, 1, q - 1] + [rng.randrange(q) for _ in range(200)], dtype=dtype)
     for e in (0, 1, q - 2, rng.randrange(q), rng.randrange(1 << 64)):
         got = field.array_power(t, e, q)
-        assert got.dtype == t.dtype
+        assert got.dtype == np.int64
         assert got.tolist() == [pow(int(v), e, q) for v in t.tolist()], e
 
 

@@ -560,14 +560,26 @@ def test_quotient_route_memory():
 
 
 def test_sum_orbits_past_the_packed_keys():
-    # labels too large to pack beside the entry index take an argsort, with the same sums
+    # orbit labels that would pass 2^63 packed beside the entry index (10 bits for
+    # 1000 entries, labels up to 49 * 2^48 > 2^53) take an argsort in
+    # convolution._sum_equal, with the same sums
     rng = np.random.default_rng(3)
-    labels = rng.integers(0, 50, 1000, dtype=np.int64) * 2**50
+    labels = rng.integers(0, 50, 1000, dtype=np.int64) * 2**48
     weights = rng.integers(1, 9, 1000, dtype=np.int64)
-    got = moments._sum_orbits(labels.copy(), weights, 2**56, True)
-    want = moments._sum_orbits(labels // 2**50, weights, 50, True)
-    assert (got[0] == want[0] * 2**50).all() and (got[1] == want[1]).all()
+    got = convolution._sum_equal(labels.copy(), weights, 2**54, True)
+    want = convolution._sum_equal(labels // 2**48, weights, 50, True)
+    assert (got[0] == want[0] * 2**48).all() and (got[1] == want[1]).all()
     assert (labels[got[2]] == got[0]).all()
+    # a merge of blocks keeps one representative of each label, on both routes
+    parts = [
+        (np.array([1, 3, 5]), np.array([1, 1, 2]), np.array([[10, 30, 50]])),
+        (np.array([2, 3, 6]), np.array([4, 1, 1]), np.array([[20, 31, 60]])),
+    ]
+    for bound in (7, 2**62):
+        merged, totals, reps = convolution._merge(parts, bound)
+        assert merged.tolist() == [1, 2, 3, 5, 6] and totals.tolist() == [1, 4, 2, 2, 1]
+        assert reps.shape == (1, 5) and reps[0, 2] in (30, 31)
+        assert reps[0, [0, 1, 3, 4]].tolist() == [10, 20, 50, 60]
 
 
 def test_second_route_differs(monkeypatch):

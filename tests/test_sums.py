@@ -315,7 +315,8 @@ def test_row_sums_reject_parts_outside_the_bound():
 def test_sum_costs_script_runs(monkeypatch, capsys):
     # tools/sum_costs.py on two small batches, one of them ragged and above the
     # table limit: the chains are timed, the gather per term, both finish routes
-    # agree and are timed; then one half-table build, timed, with its bytes
+    # agree and are timed; then one half-table build, timed, with its bytes, and
+    # two tables of powers, timed
     path = pathlib.Path(__file__).parents[1] / "tools" / "sum_costs.py"
     spec = importlib.util.spec_from_file_location("sum_costs", path)
     script = importlib.util.module_from_spec(spec)
@@ -325,6 +326,7 @@ def test_sum_costs_script_runs(monkeypatch, capsys):
     assert script.SHAPES[1] == (1201, tuple((10, tau) for tau in taus))
     monkeypatch.setattr(script, "SHAPES", ((1009, ((3, 40),)), (1995841, ((1, 300), (2, 17)))))
     monkeypatch.setattr(script, "TABLE_DEN", 1013)
+    monkeypatch.setattr(script, "POWERS", ((947, 43, 3), (2147483659, 300, 2)))
     monkeypatch.setattr(field, "_unit_tables", field._TableCache())
     monkeypatch.setattr(sys, "argv", [str(path), "--repeat", "2"])
     script.main()
@@ -338,7 +340,10 @@ def test_sum_costs_script_runs(monkeypatch, capsys):
     assert lines[4].split() == ["#", "table", "den", "build_ms", "bytes"]
     name, den, build_ms, nbytes = lines[5].split()
     assert (name, den) == ("table", "1013") and float(build_ms) > 0 and nbytes == str(16 * (1013 // 2 + 1))
-    assert len(lines) == 6
+    assert lines[6].split() == ["#", "powers", "q", "n", "powers_us"]
+    assert [line.split()[:3] for line in lines[7:9]] == [["powers", "947", "43"], ["powers", "2147483659", "300"]]
+    assert all(float(line.split()[3]) > 0 for line in lines[7:9])
+    assert len(lines) == 9
 
 
 def test_tables_of_the_long_sum_primes_hold_half_their_entries(monkeypatch):
@@ -670,33 +675,60 @@ def test_power_steps_property(monkeypatch, loop_steps):
     check()
 
 
-@pytest.mark.parametrize("p", (2097143, 2**31 - 1, 2147483659))
+@pytest.mark.parametrize("p", (1, 2, 2097143, 2**31 - 1, 2147483659, (2**31 - 1) ** 2))
 def test_chain_sums_property(p):
-    # a batch's residues against pow on each side of the reduction rule: below 2^21
+    # field.chain_sums against pow on each side of the reduction rule: below 2^21
     # every product of a row is added unreduced, below 2^31 two at a time, above it
-    # each chain's products are reduced by _multiply; cells of several lengths,
-    # rows of 1 to 5 chains, with and without a constant, and rows of none
+    # each chain's products are reduced by _multiply; and at the moduli 1 and 2 and a
+    # composite near 2^62.  Cells of several lengths, rows of 0 to 5 chains (a
+    # constant is a chain of ratio 1), and cells of one-chain rows, whose products
+    # are broadcast, as field.powers' are
     given, settings, st = _hypothesis()
-    residue = st.one_of(st.sampled_from((0, 1, p - 2, p - 1)), st.integers(0, p - 1))
-    row = st.tuples(residue, st.lists(st.tuples(residue, residue), max_size=5))
-    cell = st.tuples(st.integers(0, 300), st.lists(row, min_size=1, max_size=4))
+    residue = st.one_of(st.sampled_from(sorted({0, 1 % p, (p - 2) % p, p - 1})), st.integers(0, p - 1))
+    chain = st.tuples(residue, residue)
+    rows = st.one_of(st.lists(st.lists(chain, max_size=5), min_size=1, max_size=4),
+                     st.lists(st.lists(chain, min_size=1, max_size=1), min_size=1, max_size=4))
+    cell = st.tuples(st.integers(0, 300), rows)
 
     @settings
     @given(st.lists(cell, min_size=1, max_size=4))
     def check(cells):
-        got = sums._chain_sums(p, cells)
+        got = field.chain_sums(p, cells)
         assert got.dtype == np.int64
         assert got.tolist() == [
-            (const + sum(c * pow(m, x, p) for c, m in chains)) % p
+            sum(c * pow(m, j, p) for c, m in chains) % p
             for count, rows in cells
-            for const, chains in rows
-            for x in range(1, count + 1)
+            for chains in rows
+            for j in range(count)
         ]
 
     check()
-    # the largest products, (p - 1)^2, at every odd x: five chains 1*(p - 1)^x and the constant p - 1
-    worst = sums._chain_sums(p, [(64, [(p - 1, [(1, p - 1)] * 5)])])
-    assert worst.tolist() == [(p - 1 + 5 * (p - 1) ** x) % p for x in range(1, 65)]
+    # the largest products, (p - 1)^2, at every even j: five chains (p - 1)^(j + 1) and the constant p - 1
+    worst = field.chain_sums(p, [(64, [[(p - 1, p - 1)] * 5 + [(p - 1, 1)]])])
+    assert worst.tolist() == [(p - 1 + 5 * (p - 1) ** (j + 1)) % p for j in range(64)]
+
+
+def test_tables_of_powers_hold_little_beside_their_result():
+    # a one-chain table, and a three-term sum's residues, are formed in place of the
+    # result: the products of the steps were a second array of its length
+    p = 1000003
+    tracemalloc.start()
+    try:
+        table = field.powers(1, field.least_primitive_root(p), p - 1, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 8 * (p - 1) and peak <= 1.1 * table.nbytes, peak
+    G = field.subgroup(p, p - 1)
+    f = SparsePolynomial.parse("1*x^1+2*x^5+3*x^7")
+    tracemalloc.start()
+    try:
+        residues = sums._orbit_residues(p, G.theta, f, G.tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * residues.nbytes, peak
+    assert residues[:100].tolist() == [f.evaluate(pow(G.theta, x, p), p) for x in range(1, 101)]
 
 
 def test_inverses_property():

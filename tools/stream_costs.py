@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from weilsums import field, prng, sums
+from weilsums import field, prng
 
 P, TAU = 24000001, 4000000
 LENGTHS = (20000, 40000, 4000000)
@@ -95,7 +95,7 @@ def main():
     for n in LENGTHS:
         seq = prng.inversive_generator(G, 1, b, n)
         residues = seq.residues
-        t = sums._chain_sum(P, b, [(1, G.theta)], n)
+        t = field.chain_sums(P, [(n, [[(G.theta, G.theta), (b, 1)]])])  # theta^x + b for x = 1..n
         big = np.random.default_rng(n).integers(1, BIG_P, min(n, BIG_TERMS))
         big[len(big) // 2] = 0
         # field.inverses overwrites its argument, so it inverts a copy

@@ -1,5 +1,5 @@
 """Time the residues, the character gather and the finish step of batches of character sums
-(per-row math.fsum against the limb pass), and one table build.
+(per-row math.fsum against the limb pass), one table build and tables of powers.
 
     PYTHONPATH=src python3 tools/sum_costs.py [--repeat 7]
 
@@ -12,15 +12,20 @@ row has one to three seeded power chains (c, m), as the theorem suite's
 polynomials have one to three terms.  Three layers are timed, min of
 --repeat runs each:
 
-- chains: `sums._chain_sums` of the batch, its residues, in microseconds;
+- chains: `sums._chain_sums` of the batch, its residues (`field.chain_sums`
+  behind the term guard), in microseconds;
 - gather: `field.unit_roots` of seeded random residues (the half table and
   its sign-bit fold up to the table limit), in ns per term;
 - finish: per-row fsum over tolist(), the accumulator the sums used before,
   against `sums._row_sums`, the one they use now.  The two must agree bit
   for bit, signs of zero included, or the script stops.
 
-A last row times the build of the character table of TABLE_DEN from an empty
+A row times the build of the character table of TABLE_DEN from an empty
 cache, min of --repeat builds, with the bytes it holds (TABLE_DEN//2 + 1 entries).
+The last rows time `field.powers(1, 2, n, q)`, one chain of n entries, min of
+--repeat runs of `number` calls each, at the shapes of POWERS: the power
+vectors of a lemma31 cell, the root tables of the orbit route and a block of
+the log table.
 """
 
 import argparse
@@ -48,19 +53,22 @@ SHAPES = (
 )
 # the table prime of the long sums
 TABLE_DEN = 982801
+# (q, n, number) of the one-chain tables of powers
+POWERS = ((947, 43, 2000), (1009, 1008, 2000), (2003, 2002, 1000), (16777259, 1 << 20, 10))
 
 
-def _row(rng, p: int) -> tuple:
-    """(const, chains) of one sum: no constant and one to three chains (c, m)."""
-    return 0, [tuple(v) for v in rng.integers(1, p, size=(rng.integers(1, 4), 2)).tolist()]
+def _row(rng, p: int) -> list:
+    """The chains (c, m) of one sum: one to three of them, and no constant."""
+    return [tuple(v) for v in rng.integers(1, p, size=(rng.integers(1, 4), 2)).tolist()]
 
 
-def _best(fn, repeat: int) -> float:
+def _best(fn, repeat: int, number: int = 1) -> float:
     best = float("inf")
     for _ in range(repeat):
         t = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t)
+        for _ in range(number):
+            fn()
+        best = min(best, (time.perf_counter() - t) / number)
     return best
 
 
@@ -106,6 +114,9 @@ def main():
     build_s = _best(build, args.repeat)
     print(f"# table {'den':>7} {'build_ms':>9} {'bytes':>9}")
     print(f"  table {TABLE_DEN:>7} {build_s * 1e3:>9.3f} {build().nbytes:>9}")
+    print(f"# powers {'q':>8} {'n':>8} {'powers_us':>9}")
+    for q, n, number in POWERS:
+        print(f"  powers {q:>8} {n:>8} {_best(lambda: field.powers(1, 2, n, q), args.repeat, number) * 1e6:>9.1f}")
 
 
 if __name__ == "__main__":
