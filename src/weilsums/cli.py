@@ -103,8 +103,8 @@ def _suite_identity(args, rng):
     the term guard is refused before anything is drawn or summed.
     """
     for p, cells in groupby(_cells(args), key=lambda cell: cell[0]):
-        if p - 1 > sums.TERM_LIMIT:
-            raise GuardExceeded("terms", p - 1, sums.TERM_LIMIT)
+        if p - 1 > sums.SUM_TERM_LIMIT:
+            raise GuardExceeded("terms", p - 1, sums.SUM_TERM_LIMIT)
         cells = [
             (tau, G, win, [_random_sparse(rng, p, rng.randint(1, 3), 3 * tau + 3) for _ in range(20)])
             for _, tau, G, win in cells

@@ -129,28 +129,52 @@ def least_primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found modulo {p}")
 
 
+# Entries per block of a table of powers or of characters: a block's products and
+# residues stay in cache, and a table or batch of any length holds one block of them
+# at a time.
+BLOCK = 1 << 14
+
+
 def powers(c, m, n: int, q: int) -> np.ndarray:
     """c*m^j mod q for j = 0..n-1, as int64, for residues c, m below q < 2^62: the
-    one-chain case of `chain_sums`.
+    one-chain case of `chain_sums`, its blocks written into one result.
 
     With equal-length sequences c and m the result is an (R, n) array whose row
-    i is c[i]*m[i]^j: the steps of all R chains and their products are formed
-    at once, so a batch pays the fixed numpy cost of a chain once.
+    i is c[i]*m[i]^j: the steps of all R chains are taken at once, so a batch
+    pays the fixed numpy cost of a chain once.
     """
-    if isinstance(c, (int, np.integer)):
-        return _chain_rows(q, (c,), (m,), [(n, 1, 1)], n)[0]
-    return _chain_rows(q, c, m, [(n, len(c), 1)], n)
+    one = isinstance(c, (int, np.integer))
+    c, m = ((c,), (m,)) if one else (c, m)
+    out = np.empty((len(c), n), dtype=np.int64)
+    if out.size <= BLOCK:
+        _chain_cell(q, c, m, (n, len(c), 1), BLOCK, out)  # one block, formed without a generator
+    else:
+        for _ in _chain_blocks(q, c, m, [(n, len(c), 1)], BLOCK, out.reshape(-1)):
+            pass
+    return out[0] if one else out
 
 
-def chain_sums(q: int, cells: list) -> np.ndarray:
-    """The rows of a batch of sums of power chains mod q < 2^62, one after another, as one
-    flat int64 array: every table of powers is built here.
+def chain_sums(q: int, cells: list, block: int = BLOCK, out=None):
+    """Yield the rows of a batch of sums of power chains mod q < 2^62, one after another,
+    in int64 blocks of at most `block` entries: every table of powers is built here.
 
     cells lists (count, rows) pairs, each row a list of (c, m) residue pairs
     and count entries long: entry j is the sum of c*m^j mod q over the row's
     chains.  A constant is a chain of ratio 1, and a row of no chains is 0.
+
+    c*m^j is the giant step c*m^(s*a) times the baby step m^b for j = s*a + b,
+    (s, g) = `_step_widths(top, block)` at the longest row, and one `power_steps`
+    call takes the steps of every chain.  Each row is a run of giant-step rows of
+    s entries, and a block is a slice of them: whole rows of a cell, or the giant
+    steps of a row too long for the room left, which then spans several blocks.
+    Each piece's products, summed over the chains of each row (`_chain_products`),
+    are formed in one work array and reduced (`_reduce`) into the block
+    (`_chain_piece`); a batch of one cell that fits one block is that one piece
+    (`_chain_cell`).  The blocks share one buffer, so a yielded block holds until
+    the next is asked for; with out given, each block is written in place into
+    out, which then holds every row.
     """
-    cs, ms, shapes, top = [], [], [], 0
+    cs, ms, shapes = [], [], []
     for count, rows in cells:
         # each row padded with (0, 1) chains to the cell's widest, the first chain of every row first
         width = max(map(len, rows), default=1) or 1
@@ -160,51 +184,83 @@ def chain_sums(q: int, cells: list) -> np.ndarray:
                 cs.append(c)
                 ms.append(m)
         shapes.append((count, len(rows), width))
-        top = max(top, count)
-    return _chain_rows(q, cs, ms, shapes, top).reshape(-1)
+    return _chain_blocks(q, cs, ms, shapes, block, out)
 
 
-def _chain_rows(q: int, c, m, shapes: list, top: int) -> np.ndarray:
-    """The rows of the cells of shapes, (count, rows, width) triples whose chains c[i]*m[i]^j
-    follow one another in c and m as `chain_sums` lays them out, top the largest count:
-    the (rows, count) array of a single cell, or the rows of several as one flat array.
-
-    c*m^j is the giant step c*m^(s*a) times the baby step m^b for j = s*a + b,
-    (s, g) = `_step_widths(top)`, and one `power_steps` call takes the steps of
-    every chain.  A cell's products, summed over the chains of each row
-    (`_chain_products`), are formed whole, g*s entries a row, and reduced once:
-    those of a single cell in place, so that it holds no second array of its
-    length, and those of several into the rows of one result.
-    """
-    s, g = _step_widths(top)
-    giants, babies = power_steps(c, m, s, g, q)
-    if len(shapes) == 1:
+def _chain_blocks(q: int, c, m, shapes: list, block: int, out):
+    """The blocks of `chain_sums` of the cells of shapes, (count, rows, width) triples whose
+    chains c[i]*m[i]^j follow one another in c and m as `chain_sums` lays them out."""
+    reuse = out is None
+    if reuse:
+        out = np.empty(min(block, sum(count * rows for count, rows, _ in shapes)), dtype=np.int64)
+    if len(shapes) == 1 and shapes[0][0] * shapes[0][1] <= block:
         count, rows, _ = shapes[0]
-        products = np.empty((rows, g, s), dtype=np.int64)
-        _chain_products(giants, babies, q, products)
-        np.remainder(products, q, out=products)
-        return products.reshape(rows, g * s)[:, :count]
-    out = np.empty(sum(count * rows for count, rows, _ in shapes), dtype=np.int64)
-    a = b = 0
+        if count * rows:
+            _chain_cell(q, c, m, shapes[0], block, out[: rows * count].reshape(rows, count))
+            yield out[: rows * count]
+        return
+    s, g = _step_widths(max(shapes, default=(0,))[0], block)
+    giants, babies = power_steps(c, m, s, g, q)
+    start = n = a = 0  # the block is out[start : start + n]; a is the cell's first chain
     for count, rows, width in shapes:
+        giant = giants[a : a + rows * width].reshape(width, rows, g)
+        baby = babies[a : a + rows * width].reshape(width, rows, s)
+        a += rows * width
         gc = -(-count // s)
-        products = np.empty((rows, gc, s), dtype=np.int64)
-        _chain_products(giants[a : a + rows * width, :gc], babies[a : a + rows * width], q, products)
-        np.remainder(products.reshape(rows, gc * s)[:, :count], q, out=out[b : b + rows * count].reshape(rows, count))
-        a, b = a + rows * width, b + rows * count
-    return out
+        r = a0 = 0  # the next entries: row r of the cell from its giant step a0
+        while r < rows and count:
+            room = block - n
+            if a0 == 0 and count <= room:
+                # whole rows, with a work array of at most a block, or of one row
+                k, a1, valid = min(rows - r, room // count, block // (gc * s) or 1), gc, count
+            else:
+                k, a1 = 1, min(gc, a0 + room // s)
+                valid = min(count, a1 * s) - a0 * s
+            if a1 == a0:  # not one giant-step row fits: the block is done
+                yield out[start : start + n]
+                start, n = 0 if reuse else start + n, 0
+                continue
+            b = start + n
+            _chain_piece(giant[:, r : r + k, a0:a1], baby[:, r : r + k], q, out[b : b + k * valid].reshape(k, valid))
+            n += k * valid
+            if a1 == gc:
+                r, a0 = r + k, 0
+            else:
+                a0 = a1
+    if n:
+        yield out[start : start + n]
 
 
-def _step_widths(top: int) -> tuple:
+def _chain_cell(q: int, c, m, shape: tuple, block: int, out: np.ndarray) -> None:
+    """The rows of a batch of one cell, shape (count, rows, width), that fits one block,
+    into out (rows, count): one piece, without the bookkeeping of `_chain_blocks`' loop,
+    so that a short table or sum costs about what a whole-array build did."""
+    count, rows, width = shape
+    s, g = _step_widths(count, block)
+    giants, babies = power_steps(c, m, s, g, q)
+    _chain_piece(giants.reshape(width, rows, g), babies.reshape(width, rows, s), q, out)
+
+
+def _chain_piece(giants: np.ndarray, babies: np.ndarray, q: int, out: np.ndarray) -> None:
+    """Reduce into out, (k, n), the first n entries of each row of the products of the
+    (J, k, G) giants and the (J, k, S) babies, summed over their J chains: a piece of a
+    block, its products formed in one work array of k*G*S entries."""
+    k, n = out.shape
+    products = np.empty((k, giants.shape[2] * babies.shape[2]), dtype=np.int64)
+    _chain_products(giants, babies, q, products.reshape(k, giants.shape[2], babies.shape[2]))
+    _reduce(products[:, :n], q, out)
+
+
+def _step_widths(top: int, block: int) -> tuple:
     """(s, g): the baby and giant steps of every chain of a batch whose longest row
-    has top entries, s*g >= top."""
-    s = math.isqrt(max(top - 1, 0)) + 1
+    has top entries, s*g >= top, with a giant-step row of s entries inside a block."""
+    s = min(math.isqrt(max(top - 1, 0)) + 1, block)
     return s, -(-top // s) or 1
 
 
 def _chain_products(giants: np.ndarray, babies: np.ndarray, q: int, out: np.ndarray) -> None:
-    """out = the sums over chains j of the outer products giants[j*R + r] x babies[j*R + r],
-    congruent to them mod q and below 2^63, for out (R, G, S), giants (J*R, G) and babies (J*R, S).
+    """out = the sums over chains j of the outer products giants[j, r] x babies[j, r],
+    congruent to them mod q and below 2^63, for out (R, G, S), giants (J, R, G) and babies (J, R, S).
 
     The one function that forms products of steps.  A group of one chain per
     row is a broadcast product, multiplied in int64 (`np.multiply`) below
@@ -214,14 +270,14 @@ def _chain_products(giants: np.ndarray, babies: np.ndarray, q: int, out: np.ndar
     and twice below 2^31.  Above it each chain is a group.  The sum is reduced
     before each further group is added.
     """
-    R, small = len(out), q < INT64_MODULUS_LIMIT
-    if len(babies) == R:
+    small = q < INT64_MODULUS_LIMIT
+    if len(babies) == 1:
         if small:
-            np.multiply(giants[:, :, None], babies[:, None, :], out=out)
+            np.multiply(giants[0, :, :, None], babies[0, :, None, :], out=out)
         else:
-            _multiply(giants[:, :, None], babies[:, None, :], q, out=out)
+            _multiply(giants[0, :, :, None], babies[0, :, None, :], q, out=out)
         return
-    k = R * ((2**63 - q) // max(q - 1, 1) ** 2) if small else R
+    k = (2**63 - q) // max(q - 1, 1) ** 2 if small else 1
     part = out
     for j in range(0, len(babies), k):
         g, b = giants[j : j + k], babies[j : j + k]
@@ -229,13 +285,30 @@ def _chain_products(giants: np.ndarray, babies: np.ndarray, q: int, out: np.ndar
             np.remainder(out, q, out=out)
             if part is out:
                 part = np.empty_like(out)
-        if len(b) == R:
+        if len(b) == 1:
             _chain_products(g, b, q, part)
         else:
-            J = len(b) // R
-            np.matmul(g.reshape(J, R, g.shape[1]).transpose(1, 2, 0), b.reshape(J, R, b.shape[1]).transpose(1, 0, 2), out=part)
+            np.matmul(g.transpose(1, 2, 0), b.transpose(1, 0, 2), out=part)
         if part is not out:
             out += part
+
+
+# Entries from which `_reduce` divides: numpy's integer floor_divide by a scalar
+# multiplies, so a - (a // q)*q costs about 1.6 ns an int64 entry against 3.4 ns for
+# np.remainder, but it takes three calls, and np.remainder is faster below a few
+# hundred entries (tools/sum_costs.py, the `reduce` rows).
+_DIVIDE_ENTRIES = 512
+
+
+def _reduce(a: np.ndarray, q: int, out: np.ndarray) -> None:
+    """out = a mod q for an int64 array a of entries in [0, 2^63) and q >= 1, into an
+    array out of a's shape that does not overlap a."""
+    if a.size < _DIVIDE_ENTRIES:
+        np.remainder(a, q, out=out)
+    else:
+        np.floor_divide(a, q, out=out)
+        out *= q
+        np.subtract(a, out, out=out)
 
 
 # Chains times steps below which `power_steps` takes its steps in a Python loop, at
@@ -389,12 +462,16 @@ def _unit_table(den: int) -> np.ndarray:
     """complex128 table of exp(2*pi*i*k/den) for k = 0..den//2 only, in a byte-bounded LRU cache.
 
     The entries above den/2 are not held: `_table_roots` reads them as conjugates.
+    The table is built in blocks, so that the build holds it and one block of
+    indices, where the indices of the whole half took 4 MB more at den near 10^6.
     """
     tab = _unit_tables.get(den)
     if tab is not None:
         _unit_tables.move_to_end(den)
         return tab
-    tab = _cis(math.tau / den, np.arange(den // 2 + 1, dtype=np.int64))
+    tab = np.empty(den // 2 + 1, dtype=np.complex128)
+    for k in range(0, len(tab), BLOCK):
+        _cis(math.tau / den, np.arange(k, min(k + BLOCK, len(tab)), dtype=np.int64), out=tab[k : k + BLOCK])
     tab.flags.writeable = False  # every caller shares the cached table
     if tab.nbytes <= CHAR_TABLE_BYTES:
         while _unit_tables.held + tab.nbytes > CHAR_TABLE_BYTES:
@@ -408,9 +485,10 @@ def _unit_table(den: int) -> np.ndarray:
 _SIGN_BIT = np.int64(np.iinfo(np.int64).min)
 
 
-def _table_roots(tab: np.ndarray, k: np.ndarray, den: int) -> np.ndarray:
+def _table_roots(tab: np.ndarray, k: np.ndarray, den: int, out=None) -> np.ndarray:
     """exp(2*pi*i*z/den) for each z of an int64 array k with entries in [0, den), from
-    the half table tab = _unit_table(den), as a new complex128 array of k's shape.
+    the half table tab = _unit_table(den), into out, a complex128 array of k's shape
+    (a new one if None), which it returns.
 
     The entry at z > den/2 is the one at j = den - z with its sine's sign bit
     flipped.  That is its exact value: the full build computed it at angle
@@ -422,7 +500,8 @@ def _table_roots(tab: np.ndarray, k: np.ndarray, den: int) -> np.ndarray:
     """
     j = np.subtract(den, k)
     np.minimum(j, k, out=j)
-    out = tab.take(j)
+    # every j is in [0, den/2]: "clip" checks nothing and, unlike "raise", writes out unbuffered
+    out = tab.take(j, out=out, mode="clip")
     # min(den - z, z) - z is negative, its sign bit set, exactly where den - z < z, that is z > den/2
     flip = np.subtract(j, k, out=j)
     np.bitwise_and(flip, _SIGN_BIT, out=flip)
@@ -431,10 +510,11 @@ def _table_roots(tab: np.ndarray, k: np.ndarray, den: int) -> np.ndarray:
     return out
 
 
-def _cis(scale: float, k: np.ndarray, den=None) -> np.ndarray:
+def _cis(scale: float, k: np.ndarray, den=None, out=None) -> np.ndarray:
     """cos(angle) + i*sin(angle) = exp(1j*angle) at angle = scale*k (/den), bit for bit, formed in
-    the complex128 result."""
-    out = np.empty(k.shape, np.complex128)
+    the complex128 result out (a new array if None)."""
+    if out is None:
+        out = np.empty(k.shape, np.complex128)
     angle = np.multiply(scale, k, out=out.real)
     if den is not None:
         angle /= den
@@ -443,16 +523,17 @@ def _cis(scale: float, k: np.ndarray, den=None) -> np.ndarray:
     return out
 
 
-def unit_roots(k: np.ndarray, den: int) -> np.ndarray:
-    """exp(2*pi*i*z/den) for each z of an int64 array k with entries in [0, den), as complex128:
-    from the half table up to CHAR_TABLE_LIMIT, from cos and sin above it."""
+def unit_roots(k: np.ndarray, den: int, out=None) -> np.ndarray:
+    """exp(2*pi*i*z/den) for each z of an int64 array k with entries in [0, den), into out, a
+    complex128 array of k's shape (a new one if None): from the half table up to
+    CHAR_TABLE_LIMIT, from cos and sin above it."""
     if den <= CHAR_TABLE_LIMIT:
-        return _table_roots(_unit_table(den), k, den)
+        return _table_roots(_unit_table(den), k, den, out)
     # fold k into (-den/2, den/2] by integer ops, the one temporary beside the result
     folded = k + (den - 1) // 2
     folded %= den
     folded -= (den - 1) // 2
-    return _cis(math.tau, folded, den)
+    return _cis(math.tau, folded, den, out)
 
 
 class PrimeModulus:

@@ -219,19 +219,20 @@ def test_fiber_degree_guard_is_exit_2(capsys, p, m, n):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, limit",
     [
-        ("sum", "--p", "1000000007", "--tau", "1000000006", "--poly", "1*x^1"),
-        ("kloosterman", "--p", "1000000007", "--tau", "500000003", "--a", "1", "--b", "1"),
-        ("prng", "--p", "13", "--tau", "4", "--poly", "1*x^1", "--count", "1000000000"),
-        ("prng", "--p", "13", "--tau", "4", "--inversive", "1,1", "--count", "1000000000"),
-        ("moment", "--p", "99999989", "--tau", "99999988", "--k", "1", "--exps", "1", "--method", "brute"),
-        ("moment", "--p", "99999989", "--tau", "99999988", "--k", "2", "--exps", "1", "--method", "conv"),
+        (("sum", "--p", "1000000007", "--tau", "1000000006", "--poly", "1*x^1"), "SUM_TERM_LIMIT"),
+        (("kloosterman", "--p", "1000000007", "--tau", "500000003", "--a", "1", "--b", "1"), "SUM_TERM_LIMIT"),
+        (("prng", "--p", "13", "--tau", "4", "--poly", "1*x^1", "--count", "1000000000"), "TERM_LIMIT"),
+        (("prng", "--p", "13", "--tau", "4", "--inversive", "1,1", "--count", "1000000000"), "TERM_LIMIT"),
+        (("moment", "--p", "99999989", "--tau", "99999988", "--k", "1", "--exps", "1", "--method", "brute"), "TERM_LIMIT"),
+        (("moment", "--p", "99999989", "--tau", "99999988", "--k", "2", "--exps", "1", "--method", "conv"), "TERM_LIMIT"),
     ],
     ids=("sum", "kloosterman", "prng", "prng-inversive", "moment-brute", "moment-conv"),
 )
-def test_term_guard_is_exit_2_before_allocating(capsys, argv):
-    # each would need 0.7-8 GB of arrays; the guard refuses before one is allocated
+def test_term_guard_is_exit_2_before_allocating(capsys, argv, limit):
+    # the streams and power vectors, held whole, would need 0.7-8 GB of arrays, and the
+    # sums, which stream, minutes of time; the guard refuses before anything is allocated
     tracemalloc.start()
     try:
         rc, out, err = run(capsys, *argv)
@@ -240,7 +241,7 @@ def test_term_guard_is_exit_2_before_allocating(capsys, argv):
         tracemalloc.stop()
     assert rc == 2
     assert out == ""
-    assert err.startswith("error: guard terms: ") and err.endswith(f" exceeds limit {sums.TERM_LIMIT}\n")
+    assert err.startswith("error: guard terms: ") and err.endswith(f" exceeds limit {getattr(sums, limit)}\n")
     assert peak < 1 << 20
 
 
@@ -368,9 +369,9 @@ def test_verify_sums_each_prime_in_one_batch(capsys, monkeypatch, suite, pmin, p
     calls = []
     row_sums = sums._row_sums
 
-    def counted(parts, lengths):
+    def counted(parts, lengths, work=None):
         calls.append(len(lengths))
-        return row_sums(parts, lengths)
+        return row_sums(parts, lengths, work)
 
     monkeypatch.setattr(sums, "_row_sums", counted)
     rc, out, _ = run(capsys, "verify", "--suite", suite, "--pmin", str(pmin), "--pmax", str(pmax))
@@ -382,17 +383,32 @@ def test_verify_sums_each_prime_in_one_batch(capsys, monkeypatch, suite, pmin, p
     assert calls == [primes.count(p) * (2 if suite == "identity" else 1) for p in kept]
 
 
+def test_sum_past_the_stream_limit_answers(capsys):
+    # a sum streams in blocks, so the limit of streams and power vectors no longer
+    # refuses it: the full group of p = 4194319 has 2^22 + 14 elements, and the sum
+    # of e(x/p) over F_p* is -1, its imaginary parts cancelling in conjugate pairs
+    p = 4194319
+    assert p - 1 > sums.TERM_LIMIT
+    rc, out, _ = run(capsys, "sum", "--p", str(p), "--tau", str(p - 1), "--poly", "1*x^1")
+    assert rc == 0
+    value, _, terms = out.splitlines()
+    assert terms == f"terms = {p - 1}"
+    real, imag = (float(v.rstrip("i")) for v in value.split()[2:])
+    assert abs(real + 1) < 1e-6 and imag == 0
+
+
 def test_identity_suite_refuses_a_prime_past_the_term_guard_at_once(capsys, monkeypatch):
-    # p - 1 = 2 * 4194308: the full-group sum of 8388616 terms is refused before any
-    # polynomial is drawn or any sum taken, even those of the cells below the guard
+    # p - 1 = 2^28 + 2: the full-group sum of 268435458 terms passes the term limit of
+    # sums and is refused before any polynomial is drawn or any sum taken, even those
+    # of the cells below the guard
     def no_sums(cells):
         raise AssertionError("a sum was taken")
 
     monkeypatch.setattr(sums, "subgroup_sums", no_sums)
-    rc, out, err = run(capsys, "verify", "--suite", "identity", "--pmin", "8388617", "--pmax", "8388617")
+    rc, out, err = run(capsys, "verify", "--suite", "identity", "--pmin", "268435459", "--pmax", "268435459")
     assert rc == 2
     assert out == ""
-    assert err == f"error: guard terms: 8388616 exceeds limit {sums.TERM_LIMIT}\n"
+    assert err == f"error: guard terms: 268435458 exceeds limit {sums.SUM_TERM_LIMIT}\n"
 
 
 def test_verify_identity_suite(capsys):

@@ -315,8 +315,9 @@ def test_row_sums_reject_parts_outside_the_bound():
 def test_sum_costs_script_runs(monkeypatch, capsys):
     # tools/sum_costs.py on two small batches, one of them ragged and above the
     # table limit: the chains are timed, the gather per term, both finish routes
-    # agree and are timed; then one half-table build, timed, with its bytes, and
-    # two tables of powers, timed
+    # agree and are timed, and the whole pass is timed with its traced peak per
+    # term; then one half-table build, timed, with its bytes, two tables of
+    # powers, timed, and both reductions at two lengths, timed
     path = pathlib.Path(__file__).parents[1] / "tools" / "sum_costs.py"
     spec = importlib.util.spec_from_file_location("sum_costs", path)
     script = importlib.util.module_from_spec(spec)
@@ -324,26 +325,33 @@ def test_sum_costs_script_runs(monkeypatch, capsys):
     # every theorem cell of p = 1201: the divisors of 1200 from 1201^(37/70) = 42.4 on
     taus = (48, 50, 60, 75, 80, 100, 120, 150, 200, 240, 300, 400, 600, 1200)
     assert script.SHAPES[1] == (1201, tuple((10, tau) for tau in taus))
+    # one shape of 2^22 terms above the table limit, whose peak bounds the memory of a long sum
+    assert script.SHAPES[-1] == (167772161, ((1, 1 << 22),)) and 167772161 > field.CHAR_TABLE_LIMIT
     monkeypatch.setattr(script, "SHAPES", ((1009, ((3, 40),)), (1995841, ((1, 300), (2, 17)))))
     monkeypatch.setattr(script, "TABLE_DEN", 1013)
     monkeypatch.setattr(script, "POWERS", ((947, 43, 3), (2147483659, 300, 2)))
+    monkeypatch.setattr(script, "REDUCE", ((64, 3), (1024, 2)))
     monkeypatch.setattr(field, "_unit_tables", field._TableCache())
     monkeypatch.setattr(sys, "argv", [str(path), "--repeat", "2"])
     script.main()
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("# ") and "numpy" in lines[0]
-    columns = ["cells", "rows", "terms", "p", "chains_us", "gather_ns", "fsum_ms", "limbs_ms", "speedup"]
+    columns = ["cells", "rows", "terms", "p", "chains_us", "gather_ns", "fsum_ms", "limbs_ms", "speedup", "sum_ms", "peak_B"]
     assert lines[1].split() == ["#"] + columns
-    assert [line.split()[:4] for line in lines[2:4]] == [["1", "3", "120", "1009"], ["2", "3", "334", "1995841"]]
-    assert all(float(v) > 0 for line in lines[2:4] for v in line.split()[4:6])
-    assert all(line.endswith("x") for line in lines[2:4])
+    rows = [line.split() for line in lines[2:4]]
+    assert [row[:4] for row in rows] == [["1", "3", "120", "1009"], ["2", "3", "334", "1995841"]]
+    assert all(float(v) > 0 for row in rows for v in row[4:6] + row[9:])
+    assert all(row[8].endswith("x") for row in rows)
     assert lines[4].split() == ["#", "table", "den", "build_ms", "bytes"]
     name, den, build_ms, nbytes = lines[5].split()
     assert (name, den) == ("table", "1013") and float(build_ms) > 0 and nbytes == str(16 * (1013 // 2 + 1))
     assert lines[6].split() == ["#", "powers", "q", "n", "powers_us"]
     assert [line.split()[:3] for line in lines[7:9]] == [["powers", "947", "43"], ["powers", "2147483659", "300"]]
     assert all(float(line.split()[3]) > 0 for line in lines[7:9])
-    assert len(lines) == 9
+    assert lines[9].split() == ["#", "reduce", "n", "remainder_us", "divide_us"]
+    assert [line.split()[:2] for line in lines[10:12]] == [["reduce", "64"], ["reduce", "1024"]]
+    assert all(float(v) > 0 for line in lines[10:12] for v in line.split()[2:])
+    assert len(lines) == 12
 
 
 def test_tables_of_the_long_sum_primes_hold_half_their_entries(monkeypatch):
@@ -367,7 +375,7 @@ def test_tables_of_the_long_sum_primes_hold_half_their_entries(monkeypatch):
 
 
 def test_finish_of_a_long_row_allocates_little():
-    # the limb pass works in blocks of sums._BLOCK doubles; per-row fsum over
+    # the limb pass works in blocks of sums._BLOCK terms; per-row fsum over
     # tolist() made two lists of 2^22 floats, about 128 MB
     n = sums.TERM_LIMIT
     row = field.unit_roots(np.arange(n, dtype=np.int64) % 1009, 1009)
@@ -464,30 +472,31 @@ def test_subgroup_sums_equal_subgroup_sum_and_oracle(p, tau):
 
 
 def test_subgroup_sums_split_into_batches_of_term_limit(monkeypatch):
-    # at most TERM_LIMIT terms and steps per batch: each sum has 16 terms and three
-    # chains of s + g = 4 + 4 steps, so two take 2 * (16 + 3 * 8) = 80; three batches
-    # of two sums and one of one, the second batch across the two cells
+    # a batch's power steps, the one array it holds whole, stay within TERM_LIMIT;
+    # its terms stream through blocks and count for nothing: each sum has three
+    # chains of s + g = 4 + 4 steps, so two take 2 * 3 * 8 = 48; three batches of
+    # two sums and one of one, the second batch across the two cells
     G = field.subgroup(1009, 16)
     fs = [poly((1, a), (a + 2, 3), constant=a) for a in range(1, 8)]
     want = [sums.subgroup_sum(G, f) for f in fs]
     calls = []
-    chain_sums = sums._chain_sums
+    residues = sums._residues
 
     def counted(p, cells):
         calls.append([len(rows) for _, rows in cells])
-        return chain_sums(p, cells)
+        return residues(p, cells)
 
-    monkeypatch.setattr(sums, "_chain_sums", counted)
-    monkeypatch.setattr(sums, "TERM_LIMIT", 2 * (16 + 3 * 8) + 5)
+    monkeypatch.setattr(sums, "_residues", counted)
+    monkeypatch.setattr(sums, "TERM_LIMIT", 2 * 3 * 8 + 5)
     assert sums.subgroup_sums([(G, fs[:3]), (G, fs[3:])]) == [want[:3], want[3:]]
     assert calls == [[2], [2], [2], [1]]
     # a row past the limit with its steps is still summed, alone
     calls.clear()
-    monkeypatch.setattr(sums, "TERM_LIMIT", 16 + 3 * 8 - 1)
+    monkeypatch.setattr(sums, "TERM_LIMIT", 3 * 8 - 1)
     assert sums.subgroup_sums([(G, fs[:2])]) == [want[:2]]
     assert calls == [[1], [1]]
-    # the term guard of a single sum still holds
-    monkeypatch.setattr(sums, "TERM_LIMIT", 15)
+    # the term guard of a single sum still holds, at the limit of sums
+    monkeypatch.setattr(sums, "SUM_TERM_LIMIT", 15)
     with pytest.raises(field.GuardExceeded):
         sums.subgroup_sums([(G, fs)])
 
@@ -496,29 +505,28 @@ def test_short_rows_beside_a_long_one_count_its_steps(monkeypatch):
     # every chain of a batch takes the steps of its longest row, and the rows of a
     # run of equal tau are padded to its widest: 40 rows of tau = 2, one of them
     # three chains wide, beside a row of tau = 1008 (s = g = 32) would take
-    # 121 * 64 steps beside 1088 terms, so at a limit of 2000 the long row is a
-    # batch of its own
+    # 121 * 64 steps, so at a limit of 2000 the long row is a batch of its own
     p = 1009
     G, H = field.subgroup(p, 2), field.subgroup(p, p - 1)
     short = [poly((1, a)) for a in range(1, 40)] + [poly((1, 2), (3, 4), constant=5)]
     long = [poly((2, 7))]
     want = [[sums.subgroup_sum(G, f) for f in short], [sums.subgroup_sum(H, long[0])]]
     calls = []
-    chain_sums = sums._chain_sums
+    residues = sums._residues
 
     def counted(q, cells):
         calls.append([(count, len(rows)) for count, rows in cells])
-        return chain_sums(q, cells)
+        return residues(q, cells)
 
-    monkeypatch.setattr(sums, "_chain_sums", counted)
+    monkeypatch.setattr(sums, "_residues", counted)
     monkeypatch.setattr(sums, "TERM_LIMIT", 2000)
     assert sums.subgroup_sums([(G, short), (H, long)]) == want
     assert calls == [[(2, 40)], [(1008, 1)]]
     assert [len(b) for b in sums._batches([(G, f) for f in short] + [(H, long[0])])] == [40, 1]
-    # 40 rows of tau = 2 padded to three chains at s + g = 2 + 1 steps: 80 + 120 * 3 = 440
-    monkeypatch.setattr(sums, "TERM_LIMIT", 440)
+    # 40 rows of tau = 2 padded to three chains at s + g = 2 + 1 steps: 120 * 3 = 360
+    monkeypatch.setattr(sums, "TERM_LIMIT", 360)
     assert [len(b) for b in sums._batches([(G, f) for f in short])] == [40]
-    monkeypatch.setattr(sums, "TERM_LIMIT", 439)
+    monkeypatch.setattr(sums, "TERM_LIMIT", 359)
     assert [len(b) for b in sums._batches([(G, f) for f in short])] == [39, 1]
 
 
@@ -690,12 +698,22 @@ def test_chain_sums_property(p):
                      st.lists(st.lists(chain, min_size=1, max_size=1), min_size=1, max_size=4))
     cell = st.tuples(st.integers(0, 300), rows)
 
+    def table(cells, block=field.BLOCK) -> list:
+        # the blocks, each copied as it comes, since each reuses one buffer
+        blocks = [b.copy() for b in field.chain_sums(p, cells, block)]
+        assert all(b.dtype == np.int64 and 0 < len(b) <= block for b in blocks)
+        # and the same blocks written in place into one result
+        out = np.empty(sum(map(len, blocks)), dtype=np.int64)
+        for _ in field.chain_sums(p, cells, block, out):
+            pass
+        assert blocks == [] or np.concatenate(blocks).tolist() == out.tolist()
+        return out.tolist()
+
     @settings
-    @given(st.lists(cell, min_size=1, max_size=4))
-    def check(cells):
-        got = field.chain_sums(p, cells)
-        assert got.dtype == np.int64
-        assert got.tolist() == [
+    @given(st.lists(cell, min_size=1, max_size=4), st.sampled_from((1, 5, 64, field.BLOCK)))
+    def check(cells, block):
+        # blocks of a few entries cut rows at giant steps and straddle cells
+        assert table(cells, block) == [
             sum(c * pow(m, j, p) for c, m in chains) % p
             for count, rows in cells
             for chains in rows
@@ -704,8 +722,8 @@ def test_chain_sums_property(p):
 
     check()
     # the largest products, (p - 1)^2, at every even j: five chains (p - 1)^(j + 1) and the constant p - 1
-    worst = field.chain_sums(p, [(64, [[(p - 1, p - 1)] * 5 + [(p - 1, 1)]])])
-    assert worst.tolist() == [(p - 1 + 5 * (p - 1) ** (j + 1)) % p for j in range(64)]
+    worst = table([(64, [[(p - 1, p - 1)] * 5 + [(p - 1, 1)]])])
+    assert worst == [(p - 1 + 5 * (p - 1) ** (j + 1)) % p for j in range(64)]
 
 
 def test_tables_of_powers_hold_little_beside_their_result():
@@ -806,8 +824,9 @@ def test_row_sums_equal_fsum_property():
     # the ragged limb pass against per-row fsum, bit for bit and sign of zero, on
     # parts that stress it: table values at several p, signed zeros, the smallest
     # subnormal, cos(fl(pi/2)) from the twist tables of 4 | tau, half-ulp ties at
-    # 1 and exactly cancelling runs; in batches of mixed lengths, with rows of 0
-    # and 1 terms, many equal rows, and rows longer than a block or straddling one
+    # 1, exactly cancelling runs, and parts of every binary exponent from 2^0 down
+    # to 2^-1074; in batches of mixed lengths, with rows of 0 and 1 terms, many
+    # equal rows, and rows longer than a block or straddling one
     given, settings, st = _hypothesis()
     pool = [0.0, 5e-324, 6.123233995736766e-17, 1.0, 0.5, 2.0, 2.0**-53, 1 + 2.0**-52, 3 * 2.0**-53]
     for p in (13, 1009, 982801, 1995841):
@@ -815,7 +834,7 @@ def test_row_sums_equal_fsum_property():
         roots = field.unit_roots(k, p)
         pool += roots.real.tolist() + roots.imag.tolist()
     pool = np.array(pool + [-v for v in pool])
-    block = sums._BLOCK // 2  # complex summands per block
+    block = sums._BLOCK  # complex summands per block
     short = st.sampled_from((0, 1, 2, 3, 7, 250))
     batches = st.one_of(
         st.lists(st.one_of(short, st.sampled_from((1000, block - 1, block + 3))), max_size=8),
@@ -823,7 +842,7 @@ def test_row_sums_equal_fsum_property():
     )
 
     @settings
-    @given(batches, st.integers(0, 2**64), st.sampled_from(("pool", "cancel", "ones", "zeros")))
+    @given(batches, st.integers(0, 2**64), st.sampled_from(("pool", "cancel", "ones", "zeros", "spread")))
     def check(lengths, seed, kind):
         rng = np.random.default_rng(seed)
         n = sum(lengths)
@@ -835,6 +854,10 @@ def test_row_sums_equal_fsum_property():
         elif kind == "zeros":
             parts.real = rng.choice((0.0, -0.0), size=n)
             parts.imag = -0.0
+        elif kind == "spread":
+            # signed mantissas in [0, 1) times 2^-e, e up to 1075: normal, subnormal and zero parts
+            for part in (parts.real, parts.imag):
+                part[:] = np.ldexp(rng.choice((-1.0, 1.0), size=n) * rng.random(n), -rng.integers(0, 1076, size=n))
         else:
             parts.real = rng.choice(pool, size=n)
             parts.imag = rng.choice(pool, size=n)
@@ -857,3 +880,125 @@ def test_row_sums_equal_fsum_property():
             )
 
     check()
+
+
+def test_row_sums_carry_past_int64():
+    # a row of 2^25 parts 2 - 2j: its limb sums reach 2^25 * 2^38 = 2^63, past int64, so
+    # they are carried as Python ints; the row streams as 2^11 blocks of one array
+    block = np.full(sums._BLOCK, 2 - 2j)
+    n = 1 << 25
+    assert sums._row_sums((block for _ in range(n // len(block))), [n]) == [complex(2 * n, -2 * n)]
+
+
+def test_reduce_equals_python_mod_property():
+    # both routes of field._reduce, np.remainder below _DIVIDE_ENTRIES entries and
+    # a - (a // q)*q from there on, against Python's % for moduli up to 2^31 and
+    # entries below 2^63, as the products of field.chain_sums are
+    given, settings, st = _hypothesis()
+    entries = st.one_of(st.integers(0, 2**63 - 1), st.sampled_from((0, 1, 2**31, 2**62, 2**63 - 1)))
+
+    @settings
+    @given(st.integers(1, 2**31), st.lists(entries, max_size=20), st.sampled_from((0, field._DIVIDE_ENTRIES)),
+           st.integers(0, 2**64))
+    def check(q, values, pad, seed):
+        more = np.random.default_rng(seed).integers(0, 2**63 - 1, size=pad, dtype=np.int64, endpoint=True)
+        a = np.array(values + more.tolist(), dtype=np.int64)
+        out = np.empty_like(a)
+        field._reduce(a, q, out)
+        assert out.tolist() == [v % q for v in a.tolist()]
+
+    check()
+
+
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+def _fsum_characters(residues, den: int) -> tuple:
+    """The bits of fsum of the characters of all the residues at once."""
+    return _bits(_fsum_parts(field.unit_roots(np.array(residues, dtype=np.int64), den)))
+
+
+def test_sums_in_blocks_of_any_size_property(monkeypatch):
+    # every kind of sum in blocks of 1 to 40 terms, so that rows straddle blocks,
+    # against fsum of the characters of all its terms at once, bit for bit: a
+    # batch of two cells with rows of 0 terms among them, single, complete,
+    # incomplete, twisted and Kloosterman sums, and an inversive sum with an
+    # excluded term; on a table prime, one above the table and one above 2^31
+    given, settings, st = _hypothesis()
+    _, big, polys = _strategies(st)
+
+    @settings
+    @given(st.sampled_from((1009, 1995841, 2147483659)), st.integers(1, 40), polys, polys, st.integers(0, 2**64), big)
+    def check(p, block, f, h, t, a):
+        taus = [d for d in field.divisors(p - 1) if d <= 300]
+        G, H = field.subgroup(p, taus[t % len(taus)]), field.subgroup(p, taus[t // 7 % len(taus)])
+        orbit = [pow(G.theta, x, p) for x in range(1, G.tau + 1)]
+        want = [f.evaluate(x, p) for x in orbit]
+        monkeypatch.setattr(sums, "_BLOCK", block)
+        # a batch: two rows on G, one on H
+        got = sums.subgroup_sums([(G, [f, h]), (H, [h])])
+        other = [[h.evaluate(x, p) for x in K.enumerate()] for K in (G, H)]
+        assert [_bits(v.value) for vs in got for v in vs] == [
+            _fsum_characters(want, p), _fsum_characters(other[0], p), _fsum_characters(other[1], p)
+        ]
+        # rows of 0 terms between and after rows of terms, in one batch
+        chains = [sums._orbit_chains(p, G.theta, f), sums._orbit_chains(p, G.theta, h)]
+        cells = [(G.tau, chains), (0, chains), (G.tau, chains[:1]), (0, chains[:1])]
+        got = sums._sums(G.modulus, cells, [G.tau, G.tau, 0, 0, G.tau, 0])
+        assert [_bits(v.value) for v in got] == [_bits(v.value) for v in sums.subgroup_sums([(G, [f, h])])[0]] + [
+            _bits(0j), _bits(0j), _fsum_characters(want, p), _bits(0j)
+        ]
+        assert [v.term_count for v in got] == [G.tau, G.tau, 0, 0, G.tau, 0]
+        assert _bits(sums.subgroup_sum(G, f).value) == _fsum_characters(want, p)
+        count = t % (G.tau + 1)
+        assert _bits(sums.incomplete_subgroup_sum(G, f, count).value) == _fsum_characters(want[:count], p)
+        if p < 2000:
+            assert _bits(sums.complete_sum(p, f).value) == _fsum_characters([f.evaluate(x, p) for x in range(p)], p)
+        # the twist, product by product as Python's complex multiply takes it
+        c = field.unit_roots(np.array(want, dtype=np.int64), p)
+        u = field.unit_roots(np.arange(1, G.tau + 1, dtype=np.int64) * (a % G.tau) % G.tau, G.tau)
+        parts = np.empty(G.tau, dtype=np.complex128)
+        parts.real = c.real * u.real - c.imag * u.imag
+        parts.imag = c.real * u.imag + c.imag * u.real
+        assert _bits(sums.twisted_sum(G, f, a).value) == _bits(_fsum_parts(parts))
+        b = t % p
+        kloosterman = [(a * x + b * pow(x, -1, p)) % p for x in orbit]
+        assert _bits(sums.kloosterman_subgroup_sum(G, a, b).value) == _fsum_characters(kloosterman, p)
+        # a*x + b = 0 at one x of the orbit: that term is excluded
+        a = a % p or 1
+        b = -a * orbit[t % G.tau]
+        s = sums.inversive_subgroup_sum(G, a, b)
+        kept = [pow((a * x + b) % p, -1, p) for x in orbit if (a * x + b) % p]
+        assert (s.term_count, s.excluded) == (G.tau - 1, 1)
+        assert _bits(s.value) == _fsum_characters(kept, p)
+
+    check()
+
+
+def test_sums_hold_a_few_blocks_whatever_their_length():
+    # sums stream in blocks: a sum of 2^20 terms of every kind, and a batch of four,
+    # peak below ten blocks of characters traced (2.6 MB; 1.1-1.8 MB measured), where
+    # the residues alone took 8 MB and the characters 16 MB when each was held
+    # whole.  The prime is above the table limit, so that no character
+    # table is built, and each call runs once untraced first, so that the twist's
+    # table and every other cache are warm
+    p, tau = 7340033, 1 << 20
+    G = field.subgroup(p, tau)
+    f = SparsePolynomial.parse("3*x^1+5*x^7+11*x^20")
+    calls = (
+        lambda: sums.subgroup_sum(G, f),
+        lambda: sums.subgroup_sums([(G, [f, f, f, f])]),
+        lambda: sums.twisted_sum(G, f, 7),
+        lambda: sums.kloosterman_subgroup_sum(G, 2, 3),
+        lambda: sums.inversive_subgroup_sum(G, 1, -pow(G.theta, 12345, p)),
+    )
+    for call in calls:
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 16 * sums._BLOCK, peak

@@ -95,7 +95,9 @@ def main():
     for n in LENGTHS:
         seq = prng.inversive_generator(G, 1, b, n)
         residues = seq.residues
-        t = field.chain_sums(P, [(n, [[(G.theta, G.theta), (b, 1)]])])  # theta^x + b for x = 1..n
+        t = np.empty(n, dtype=np.int64)  # theta^x + b for x = 1..n, the blocks written into t
+        for _ in field.chain_sums(P, [(n, [[(G.theta, G.theta), (b, 1)]])], out=t):
+            pass
         big = np.random.default_rng(n).integers(1, BIG_P, min(n, BIG_TERMS))
         big[len(big) // 2] = 0
         # field.inverses overwrites its argument, so it inverts a copy
