@@ -1,20 +1,23 @@
-"""Exact iterated cyclic convolution of integer histograms on (Z/p)^r.
+"""Exact sums of weighted residue vectors on (Z/p)^r: the one pairing engine of the moment
+counts, and the iterated cyclic convolution of integer histograms on it.
 
-A histogram is a pair of numpy arrays (vectors, counts): an int64 (n, r)
-array of residue vectors and their positive counts.  Each step of
-`self_convolution_power` pairs the support of the running power with the
-support of the histogram by broadcasting, in blocks of at most _CHUNK pairs,
-and names each sum by one mixed-radix int64 key (v_1 p + v_2 for r = 2).
-The counts of equal keys are added exactly.  Where the grid of p^r keys holds
-at most _TABLE_RATIO cells per pair of the step, each block adds its counts
-into a table of p^r counts (`np.add.at`).  Otherwise the keys of a block are
-sorted with the index of their pair packed into the same int64, the counts
-gathered in that order and added over each run of equal keys, and the
-distinct keys of several blocks are merged the same way.  Counts are int64
-when mass^(2k) < 2^63, so that every count of every power and the sum of
-their squares fit; otherwise they are numpy `object` arrays of Python ints, on
-the same code path.  `sparse_work` counts the pairs up front, and `admit`
-refuses a histogram whose pairs or keys exceed the route's limits.
+A histogram is a pair of numpy arrays (vectors, counts): an int64 (n, r) array
+of residue vectors and their positive counts.  A step of `pair_steps` pairs
+weighted representatives with the support of a histogram by broadcasting, in
+blocks of at most _CHUNK pairs, and labels each sum mod p by its orbit under a
+group of additive maps that carries the histogram onto itself: `moments` by
+`field.orbit_labels`, `self_convolution_power` by one-point orbits, one
+mixed-radix int64 key each (v_1 p + v_2 for r = 2), decoded once at the end.
+The weights of equal labels are added exactly: on a last step whose labels lie
+below _TABLE_RATIO times its pairs, into a table (`np.add.at`); otherwise by
+sorting each block's labels with the index of their pair packed into the same
+int64 (`_sum_equal`), adding the gathered weights over each run of equal labels,
+keeping one sum of each label as its representative while a later step pairs
+it, and merging the distinct labels of several blocks the same way.  The
+convolution's counts are int64 when mass^(2k) < 2^63, so that every count of
+every power and the sum of their squares fit; otherwise they are numpy `object`
+arrays of Python ints, on the same code path.  `sparse_work` counts its pairs
+up front, and `admit` refuses a histogram whose pairs or keys exceed its limits.
 """
 
 import math
@@ -23,28 +26,29 @@ import numpy as np
 
 from .field import GuardExceeded
 
-# Pairs the route may form: near it, 0.13-0.49 s and 65-204 MB peak RSS on a 2-core x86-64
-# host (moments.j_histogram at k = 3: subgroup(541, 270), subgroup(1021, 340), exponents
-# (1, 2); subgroup(9860681, 340), exponent 1).
+# Pairs the convolution may form: near it, 0.15-0.45 s and 74-206 MB peak RSS on a 2-core
+# x86-64 host (moments.j_histogram at k = 3: subgroup(541, 270), subgroup(1021, 340),
+# exponents (1, 2); subgroup(9860681, 340), exponent 1; min of 5 runs in a fresh process).
 SPARSE_WORK_LIMIT = 20_000_000
 _CHUNK = 2**20  # pairs in one block of int64 temporaries (8 MB each), or one row of the support if longer
-# Sums of one step go into a table of p^r counts where p^r <= _TABLE_RATIO * pairs, and are
-# sorted above.  On a 2-core x86-64 host, random keys with 1, 2, 3, 4 and 6 table cells per
+# The sums of a last step go into a table where their labels lie below _TABLE_RATIO * pairs,
+# and are sorted above.  On a 2-core x86-64 host, random keys with 1, 2, 3, 4 and 6 table cells per
 # pair took 1.3, 1.5, 1.9, 2.2 and 2.8 ms by table against 3.4, 2.3, 2.1, 1.9 and 1.8 ms by
 # sorting for 10^5 pairs, and 15, 21, 26, 34 and 46 ms against 39, 31, 29, 30 and 29 ms for 10^6.
 _TABLE_RATIO = 3
 
 
-def _keys(vectors, p: int):
-    """One mixed-radix key per row of vectors, the first coordinate most significant."""
-    key = vectors[:, 0]
-    for j in range(1, vectors.shape[1]):
-        key = key * p + vectors[:, j]
+def _keys(cols, p: int):
+    """One mixed-radix key per entry of the r rows cols of residues, the first most significant (cols[0] if r = 1)."""
+    key = cols[0]
+    for c in cols[1:]:
+        key = key * p
+        key += c
     return key
 
 
 def _coordinates(keys, p: int, r: int) -> list:
-    """The r coordinate columns of mixed-radix keys, the most significant first."""
+    """The r coordinate rows of mixed-radix keys, the most significant first."""
     cols = []
     for _ in range(r - 1):
         keys, low = np.divmod(keys, p)
@@ -94,37 +98,47 @@ def _merge(parts: list, bound: int) -> tuple:
     return (*out[:2], reps[0][..., out[2]]) if reps else out
 
 
-def _pair(cur: tuple, base: tuple, p: int, r: int) -> tuple:
-    """The (keys, counts) of the convolution of cur and base, from every pair of their entries."""
-    (ckeys, ccounts), (bkeys, bcounts) = cur, base
-    ccols, bcols, grid = _coordinates(ckeys, p, r), _coordinates(bkeys, p, r), p**r
-    # a grid of at most _TABLE_RATIO cells per pair is summed in place, by key
-    table = np.zeros(grid, dtype=ccounts.dtype) if grid <= _TABLE_RATIO * len(ckeys) * len(bkeys) else None
-    step = max(1, _CHUNK // len(bkeys))
-    parts = []
-    for s in range(0, len(ckeys), step):
-        key = None
-        for c, b in zip(ccols, bcols):
-            t = c[s : s + step, None] + b
-            u = t.view(np.uint64)
-            np.minimum(u, u - np.uint64(p), out=u)  # t - p, unless that wraps below 0
-            if key is None:
-                key = t
-            else:
-                key *= p
-                key += t
-        key, counts = key.reshape(-1), np.multiply.outer(ccounts[s : s + step], bcounts).reshape(-1)
+def pair_steps(reps, totals, support, weights, steps: int, p: int, label, bound: int) -> tuple:
+    """(labels, totals): the distinct labels, sorted, of the sums u + v_1 + ... + v_steps mod p
+    for u in reps and v_i in support, with the summed products of their weights.
+
+    reps and support are (r, n) and (r, m) int64 arrays of residues, weighted by totals and
+    weights of one dtype; label maps r rows of residues to int64 labels below bound, one per
+    orbit, and totals are orbit totals (see the module docstring).  No steps: reps' labels.
+    """
+    if not steps:
+        return label(*reps), totals
+    r, m = support.shape
+    for j in range(steps):
+        keep = j < steps - 1  # a later step pairs the representatives
+        table = None if keep or bound > _TABLE_RATIO * len(totals) * m else np.zeros(bound, dtype=totals.dtype)
+        rows = min(len(totals), max(1, _CHUNK // m))
+        buf = np.empty(r * rows * m, dtype=np.int64)
+        parts = []
+        for start in range(0, len(totals), rows):
+            block = totals[start : start + rows]
+            sums = buf[: r * len(block) * m].reshape(r, -1)
+            np.add(reps[:, start : start + rows, None], support[:, None, :], out=sums.reshape(r, len(block), m))
+            for row in sums.view(np.uint64):
+                np.minimum(row, row - np.uint64(p), out=row)  # u + v - p, unless that wraps below 0
+            labels = label(*sums)
+            if keep and np.may_share_memory(labels, sums):
+                labels = labels.copy()  # _sum_equal overwrites them, and the sums are read after
+            counts = np.multiply.outer(block, weights).reshape(-1)
+            if table is not None:
+                np.add.at(table, labels, counts)  # 1-D: numpy's fast path
+                continue
+            part = _sum_equal(labels, counts, bound, keep)
+            parts.append((*part[:2], sums[:, part[2]]) if keep else part)
+            # merge once the later blocks hold as many labels as the merged ones
+            if sum(len(part[0]) for part in parts[1:]) >= len(parts[0][0]):
+                parts = [_merge(parts, bound)]
         if table is not None:
-            np.add.at(table, key, counts)  # 1-D: numpy's fast path
-            continue
-        parts.append(_sum_equal(key, counts, grid))
-        # merge once the later blocks hold as many keys as the merged ones
-        if sum(len(k) for k, _ in parts[1:]) >= len(parts[0][0]):
-            parts = [_merge(parts, grid)]
-    if table is not None:
-        keys = np.flatnonzero(table)
-        return keys, table[keys]
-    return _merge(parts, grid)
+            labels = np.flatnonzero(table)
+            return labels, table[labels]
+        labels, totals, *rest = _merge(parts, bound)
+        reps = rest[0] if rest else None
+    return labels, totals
 
 
 def sparse_work(nnz: int, k: int, size: int) -> int:
@@ -138,20 +152,17 @@ def sparse_work(nnz: int, k: int, size: int) -> int:
 
 
 def admit(nnz: int, k: int, p: int, r: int) -> int:
-    """`sparse_work` for nnz cells on (Z/p)^r, or GuardExceeded where the route refuses them.
+    """`sparse_work` for nnz cells on (Z/p)^r, or GuardExceeded where `self_convolution_power` refuses them.
 
-    It refuses more than SPARSE_WORK_LIMIT pairs, and keys below a p^r that, shifted past
-    the entry index `_sum_equal` packs below them, could reach 2^63.  Within the pairs limit
-    `_sum_equal` packs fewer than 2 SPARSE_WORK_LIMIT + max(_CHUNK, nnz) entries: a block
-    holds at most max(_CHUNK, nnz) pairs, and a merge joins the distinct keys so far (at most
-    the step's pairs), fewer keys again and one block.  Below 2^26 for nnz <= 2^22: p^r <= 2^37.
+    It refuses more than SPARSE_WORK_LIMIT pairs, and a p^r above 2^63, whose mixed-radix
+    keys would leave int64.  (`_sum_equal` packs the entry index beside keys where both fit
+    in an int64, and sorts larger keys by argsort.)
     """
     pairs = sparse_work(nnz, k, p**r)
     if pairs > SPARSE_WORK_LIMIT:
         raise GuardExceeded("sparse work", pairs, SPARSE_WORK_LIMIT)
-    key_limit = 2 ** (63 - (2 * SPARSE_WORK_LIMIT + max(_CHUNK, nnz) - 1).bit_length())
-    if p**r > key_limit:
-        raise GuardExceeded("sparse keys", p**r, key_limit)
+    if p**r > 2**63:
+        raise GuardExceeded("sparse keys", p**r, 2**63)
     return pairs
 
 
@@ -176,10 +187,11 @@ def self_convolution_power(hist: tuple, k: int, p: int, r: int) -> tuple:
     if min(values) < 1:
         raise ValueError("counts must be positive")
     dtype = np.int64 if sum(values) ** (2 * k) < 2**63 else object
-    cur = base = _sum_equal(_keys(np.array(vectors, dtype=np.int64), p), np.asarray(counts).astype(dtype), p**r)
-    for _ in range(k - 1):
-        cur = _pair(cur, base, p, r)
-    return np.stack(_coordinates(cur[0], p, r), axis=1), cur[1]
+    keys, base = _sum_equal(_keys(np.array(vectors, dtype=np.int64).T, p), np.asarray(counts).astype(dtype), p**r)
+    support = np.stack(_coordinates(keys, p, r))
+    # every orbit is one point, labelled by its key
+    keys, counts = pair_steps(support, base, support, base, k - 1, p, lambda *cols: _keys(cols, p), p**r)
+    return np.stack(_coordinates(keys, p, r), axis=1), counts
 
 
 def sum_of_squares(result: tuple) -> int:

@@ -6,7 +6,8 @@ k-fold cyclic self-convolution of the histogram h = H_1 of the power vectors
 (g^{n_1}, ..., g^{n_r}), g in G.  The power vectors are an int64 (tau, r) array in
 generator order, one `field.powers` call with a chain per exponent, and h is the
 pair of arrays (vectors, counts) of its distinct rows, counted by one mixed-radix
-key per row.  Four exact routes compute Q_k.
+key per row.  Three exact routes compute Q_k: enumeration, the quotient route and the
+orbit route.
 
 Enumeration (`q_bruteforce`, the oracle) visits the tau^k tuples, at most
 BRUTE_FORCE_LIMIT (guard `tau^k`), and shares no counting code with the other
@@ -20,22 +21,21 @@ blocks; when more than _CHUNK distinct sums are possible, it does so in passes
 over windows of the first coordinate, each holding about _CHUNK of them, so that
 memory stays bounded by the block size.  Q_k is the sum of the squared counts.
 
-The quotient route (r <= 2) uses that H_j is constant on the orbits
-x -> (g^{n_1} x_1, ..., g^{n_r} x_r), g in G, which `field.orbit_labels` labels.
-It keeps one representative u of each orbit O of H_j with the orbit's total
-T_j(O) = |O| H_j(u).  H_1 is the orbit of (1, ..., 1), with total tau, and
-T_j(O) = sum over u of T_{j-1}(O_u) sum_v h(v) [u + v in O]: a step pairs each
-representative with the support of h and sums the weights by the label of u + v,
-exactly, by a key-and-count sort (`convolution._sum_equal`), keeping one sum in
-each orbit as its representative.  Then Q_k = sum_O T_k(O)^2 / |O|.  A
-step forms (orbits of H_{j-1}) x |supp h| pairs, about tau times fewer than the
-sparse route; QUOTIENT_WORK_LIMIT bounds them (guard `quotient work`), and at
-r = 2 the labels' discrete logs bound p (guard `log table`).
-
-The sparse route (r >= 3, and `j_histogram`, which needs all of H_k) is
-`convolution.self_convolution_power` on h, bounded by its pairs and key bits
-(guards `sparse work` and `sparse keys`, `convolution.admit`, which reaches
-p^r = 2^37).
+The quotient route uses that H_j is constant on the orbits of a group of additive
+maps of F_p^r that carries h onto itself.  It keeps one representative u of each
+orbit O of H_j with the orbit's total T_j(O) = |O| H_j(u), T_1 from h, and
+T_j(O) = sum over u of T_{j-1}(O_u) sum_v h(v) [u + v in O]: a step of
+`convolution.pair_steps` pairs each representative with the support of h and sums
+the weights by the label of u + v, keeping one sum in each orbit as its
+representative.  Then Q_k = sum_O T_k(O)^2 / |O|.  For r <= 2 the orbits are those
+of x -> (g^{n_1} x_1, ..., g^{n_r} x_r), g in G (`field.orbit_labels`), and h is
+the orbit of (1, ..., 1); a step forms (orbits of H_{j-1}) x |supp h| pairs, about
+tau times fewer than one-point orbits, at most QUOTIENT_WORK_LIMIT (guard
+`quotient work`), and at r = 2 the labels' discrete logs bound p (guard `log
+table`).  For r >= 3, and `j_histogram`, which needs all of H_k, every orbit is
+one point, labelled by its mixed-radix key: the sparse route,
+`convolution.self_convolution_power`, bounded by its pairs and keys (guards
+`sparse work` and `sparse keys`, `convolution.admit`, which refuses p^r > 2^63).
 
 The orbit route: with w of order p modulo a prime q = 1 (mod p) and
 h^(xi) = sum_v h(v) w^(xi.v), orthogonality gives
@@ -65,7 +65,6 @@ from operator import itemgetter
 import numpy as np
 
 from . import convolution
-from .convolution import SPARSE_WORK_LIMIT  # noqa: F401  (the sparse route's pairs limit)
 from .field import INT64_MODULUS_LIMIT, GuardExceeded, array_power, is_prime, least_primitive_root, powers
 from .field import orbit_labels, prime_modulus, subgroup
 from .sums import TERM_LIMIT, SparsePolynomial, subgroup_sum
@@ -88,21 +87,25 @@ _FULL_TABLE = 2**14
 # tools/route_costs.py: three runs on its 88 cells (76 with r <= 2, 12 with r = 3) on a 2-core
 # x86-64 host (Python 3.11, numpy 2.4) gave 5.9-6.2 ns per orbit unit and, for the quotient
 # route, 9.7-10.3 units per pair, 2160-2450 per step and exponent and 3620-3930 per call.
+# Since a last step with few labels per pair adds into a table, three later runs give 5.7-5.8
+# ns per unit and 4.9-5.2 units per pair, 2530-3610 per step and 2710-3860 per call; the
+# quotient costs above stay, as one pair cost for r = 1 and 2 cannot take that refit (below).
 _QUOTIENT_PAIR = 10
 _QUOTIENT_STEP = 2300
 _QUOTIENT_CALL = 3700
 # The sparse route (r >= 3 only) costs _SPARSE_COST r units per pair and _SPARSE_STEP per
-# step: 1.4-1.5 and 11500-12300 in the same runs.
-_SPARSE_COST = 1.45
-_SPARSE_STEP = 11800
+# step: 1.6 and 11370-12180 in the later runs.
+_SPARSE_COST = 1.6
+_SPARSE_STEP = 11600
 # The orbit route's fixed cost of one pass over a coordinate and of each modulus in it, of
 # one row (point xi) beside its gathers, and of one entry of its root tables: 4540-4890 (28-30
-# us), 8.8-9.9 and 2.4-2.6 in the same runs.  With these costs the rule picks the faster route
-# on the script's ladder, or one within 0.04 ms of it, but for r = 1 at p = 7561: it takes
-# the quotient route at tau = 270, k = 3 (0.55 ms against 0.43 ms for the orbit route), as an
-# r = 1 label costs a power of about log2(tau) squarings that the pair cost does not weigh.
-# The orbit route wins where tau is near p and k >= 3: subgroup(1009, 1008), exponents (1, 2),
-# k = 3 takes 17 ms against 30 ms for the quotient route.
+# us), 8.8-9.9 and 2.4-2.6 in the first runs.  The rule errs two ways on the script's ladder.
+# For r = 1 at p = 7561 it takes the quotient route at tau = 270, k = 3 (0.50 ms against 0.39
+# ms for the orbit route), as an r = 1 label costs a power of about log2(tau) squarings that
+# the pair cost does not weigh; the refit pair cost would also send tau = 7560 there (1.8 ms
+# against 0.59 ms).  At r = 2, k = 3 it takes the orbit route for tau near p, where the
+# quotient route's table step is now faster: subgroup(1009, 1008), exponents (1, 2), k = 3
+# takes 16.5 ms by the orbit route against 13.0 ms.
 _ORBIT_PASS = 4700
 _ORBIT_ROW = 9.5
 _ORBIT_TABLE = 2.5
@@ -156,7 +159,7 @@ def _histogram(vecs, p: int) -> tuple:
     p^r must be below 2^63), counted by a 1-D np.unique and decoded again: at
     tau = 7560, r = 2, 0.11 ms against 3.9 ms for np.unique(axis=0) on the rows.
     """
-    keys, counts = np.unique(convolution._keys(vecs, p), return_counts=True)
+    keys, counts = np.unique(convolution._keys(vecs.T, p), return_counts=True)
     return np.stack(convolution._coordinates(keys, p, vecs.shape[1]), axis=1), counts
 
 
@@ -335,7 +338,7 @@ def _orbit_count(hist: tuple, k: int, p: int, r: int, moduli) -> int:
     for j in range(r):
         # xi_1..xi_j = 0 and xi_{j+1} != 0, over the marginal of hist on coordinates j+1..r
         if j:
-            _, first, inverse = np.unique(convolution._keys(vecs[:, 1:], p), return_index=True, return_inverse=True)
+            _, first, inverse = np.unique(convolution._keys(vecs[:, 1:].T, p), return_index=True, return_inverse=True)
             vecs = vecs[first, 1:]
             wts = np.bincount(inverse, weights=wts, minlength=len(vecs)).astype(np.int64)
         orbit = _distinct_count(vecs[:, 0])
@@ -375,37 +378,19 @@ def _quotient_count(hist: tuple, k: int, p: int, s: int, nvec) -> int:
     """Q_k = sum over orbits O of T_k(O)^2 / |O|, by the quotient route (see the module docstring).
 
     hist must be the power-vector histogram of the subgroup of cofactor s with
-    exponents nvec, r <= 2, whose support is one orbit.  A step pairs one
-    representative u of each orbit of H_{j-1}, weighted by its orbit total, with
-    the support of hist, in blocks of at most _CHUNK pairs, and sums the weights
-    by the label of u + v; the distinct labels of several blocks are merged as
-    `convolution._pair` does.  Totals are int64 while mass^k < 2^63 and Python
+    exponents nvec, r <= 2, whose support is one orbit.  The steps are those of
+    `convolution.pair_steps` over the orbits of `field.orbit_labels`, from the
+    orbit of (1, ..., 1) alone.  Totals are int64 while mass^k < 2^63 and Python
     ints beyond, and so is the last sum while mass^(2k) < 2^63.
     """
     label, sizes, count = orbit_labels(p, s, nvec)
-    bound = count if len(nvec) == 2 else p  # r = 1 labels are residues, not ranks
     vectors, counts = hist
     mass = int(counts.sum())
     dtype = np.int64 if mass**k < 2**63 else object  # every total is at most mass^k
-    cols, base = vectors.T, counts.astype(dtype)
     # H_1 is supported on one orbit, that of (1, ..., 1), with total mass
-    reps, totals, shifted = np.ones((len(cols), 1), dtype=np.int64), np.array([mass], dtype=dtype), cols - p
-    labels = label(*reps) if k == 1 else None
-    for j in range(1, k):
-        index = j < k - 1  # the last step needs no representatives
-        step = max(1, _CHUNK // len(base))
-        parts = []
-        for start in range(0, len(totals), step):
-            sums = reps[:, start : start + step, None] + shifted[:, None, :]
-            sums += (sums >> 63) & p  # u + v - p, plus p where that is negative
-            sums = sums.reshape(len(cols), -1)
-            part = convolution._sum_equal(label(*sums), np.multiply.outer(totals[start : start + step], base).ravel(), bound, index)
-            parts.append((*part[:2], sums[:, part[2]]) if index else part)
-            # merge once the later blocks hold as many labels as the merged ones
-            if sum(len(part[0]) for part in parts[1:]) >= len(parts[0][0]):
-                parts = [convolution._merge(parts, bound)]
-        labels, totals, *rest = convolution._merge(parts, bound)
-        reps = rest[0] if rest else None
+    reps, totals = np.ones((len(nvec), 1), dtype=np.int64), np.array([mass], dtype=dtype)
+    bound = count if len(nvec) == 2 else p  # r = 1 labels are residues, not ranks
+    labels, totals = convolution.pair_steps(reps, totals, vectors.T, counts.astype(dtype), k - 1, p, label, bound)
     if mass ** (2 * k) >= 2**63:  # each term is at most Q_k <= mass^(2k)
         totals = totals.astype(object)
     starts, size = zip(*sizes)

@@ -186,3 +186,21 @@ def test_blocked_pairing(monkeypatch):
         monkeypatch.setattr(convolution, "_CHUNK", chunk)
         assert [power(hist, k, p, r) for p, r, k, hist in cases] == want, chunk
 
+
+@pytest.mark.parametrize("ratio", (0, 2**62), ids=("sort", "table"))
+def test_both_counting_paths_against_oracles(monkeypatch, ratio):
+    # ratio 0 sorts on every step; past every bound, every last step adds into a table
+    monkeypatch.setattr(convolution, "_TABLE_RATIO", ratio)
+    rng = random.Random(f"paths-{ratio}")
+    # one-point orbits, r = 1 included on the sort path at k >= 3, where a key is a row of the sums
+    for r in (1, 2, 3):
+        for k in (1, 2, 3, 4):
+            p = rng.choice((5, 7, 13)) if r < 3 else rng.choice((2, 5, 7))
+            hist = random_hist(rng, p, r, min(6, p**r))
+            assert power(hist, k, p, r) == nonzero(brute_power(hist, k, p, r)), (p, r, k)
+    # orbit labels: the quotient route against enumeration
+    for p, tau, nvec, k in ((7, 6, (1,), 4), (13, 12, (1,), 3), (101, 25, (2,), 3), (29, 28, (1, 2), 2),
+                            (31, 15, (1, 2), 3), (37, 12, (2, 4), 4), (101, 25, (1, 3), 3)):
+        G = field.subgroup(p, tau)
+        hist = moments._histogram(moments._power_vectors(G, nvec), p)
+        assert moments._quotient_count(hist, k, p, G.cofactor, nvec) == moments.q_bruteforce(G, nvec, k), (p, tau, k)

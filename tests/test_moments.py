@@ -1,5 +1,6 @@
 """Moment counters Q_k, value histograms, six-tuple counts, and the moment bound."""
 
+import collections
 import importlib.util
 import math
 import pathlib
@@ -155,20 +156,29 @@ def test_small_subgroups_of_large_fields(p, tau):
 
 
 def test_sparse_keys_guard():
-    # 370723 is the largest prime p with p^2 <= 2^37, the keys the sparse route packs
+    # the sparse route refuses only a p^r past 2^63, whose mixed-radix keys would leave int64
     G = field.subgroup(370723, 411)
-    assert 370723**2 <= 2**37 < 370759**2
     assert moments.q_convolution(G, (1, 2), 2) == moments.q_bruteforce(G, (1, 2), 2)
-    # the next prime: the quotient route takes two power vectors, and the sparse route refuses
-    # the whole histogram and three exponents past p^3 = 2^37
-    G = field.subgroup(370759, 2)
+    # the whole histogram past p^2 = 2^37, against enumeration
+    p = 370759
+    G = field.subgroup(p, 2)
+    assert p**2 > 2**37
     assert moments.q_convolution(G, (1, 2), 2) == moments.q_bruteforce(G, (1, 2), 2)
+    hist = moments.j_histogram(G, (1, 2), (1, 1), 2)
+    want = collections.Counter(((a + b) % p, (a * a + b * b) % p) for a in G.elements for b in G.elements)
+    assert dict(zip(map(tuple, hist.vectors.tolist()), hist.counts.tolist())) == want
+    # three exponents past p^3 = 2^37, on the sparse route
+    G = field.subgroup(5171, 2)
+    assert moments._route(_subgroup_hist(G, (1, 2, 3)), 2, 5171, 3, G.cofactor, (1, 2, 3))[0] == "sparse"
+    assert moments.q_convolution(G, (1, 2, 3), 2) == moments.q_bruteforce(G, (1, 2, 3), 2)
+    # p^3 just below 2^63: keys too wide to share an int64 with their entry index are sorted by argsort
+    G = field.subgroup(2097097, 24)
+    assert 2**62 < 2097097**3 < 2**63
+    assert moments.q_convolution(G, (1, 2, 3), 3) == moments.q_bruteforce(G, (1, 2, 3), 3)
+    # p^3 > 2^63
     with pytest.raises(GuardExceeded) as exc:
-        moments.j_histogram(G, (1, 2), (1, 1), 2)
-    assert (exc.value.guard, exc.value.actual, exc.value.limit) == ("sparse keys", 370759**2, 2**37)
-    with pytest.raises(GuardExceeded) as exc:
-        moments.q_convolution(field.subgroup(5171, 2), (1, 2, 3), 2)
-    assert (exc.value.guard, exc.value.actual, exc.value.limit) == ("sparse keys", 5171**3, 2**37)
+        convolution.admit(2, 2, 2097169, 3)
+    assert (exc.value.guard, exc.value.actual, exc.value.limit) == ("sparse keys", 2097169**3, 2**63)
 
 
 def test_j_histogram_identities():
@@ -385,7 +395,7 @@ def test_route_without_moduli_is_guarded(monkeypatch):
     with pytest.raises(GuardExceeded) as exc:
         moments.q_convolution(field.subgroup(461, 460), (1, 2, 3), 3)
     assert exc.value.guard == "sparse work"
-    assert exc.value.limit == moments.SPARSE_WORK_LIMIT
+    assert exc.value.limit == convolution.SPARSE_WORK_LIMIT
     with pytest.raises(GuardExceeded) as exc:
         moments.q_convolution(field.subgroup(4999, 4998), (1, 2), 3)
     assert exc.value.guard == "quotient work"
@@ -459,7 +469,7 @@ def test_j_histogram_work_guard():
     with pytest.raises(GuardExceeded) as exc:
         moments.j_histogram(field.subgroup(1009, 1008), (1, 2), (1, 1), 3)
     assert exc.value.guard == "sparse work"
-    assert exc.value.limit == moments.SPARSE_WORK_LIMIT
+    assert exc.value.limit == convolution.SPARSE_WORK_LIMIT
 
 
 def test_moment_inequality_large_k():

@@ -7,7 +7,8 @@ subgroup(p, tau), min of --repeat runs, on the orbit route
 (`moments._orbit_count` with its moduli already found) and on the other route
 that `moments._route` weighs against it: the quotient route
 (`moments._quotient_count`) for r <= 2, the sparse route
-(`convolution.self_convolution_power` plus `sum_of_squares`) for r = 3.
+(`convolution.self_convolution_power`, the same pairing engine over one-point
+orbits, plus `sum_of_squares`) for r = 3.
 Weighted least squares (each cell weighted by 1/time, so small cells count as
 much as large ones) then fits
 
